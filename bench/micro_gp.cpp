@@ -1,6 +1,8 @@
-// Microbenchmarks of the GP substrate: fitting, prediction, and the
-// incremental append path as a function of the training-set size (the
-// dominant per-iteration cost inside BaCO's loop, cf. Appendix B).
+// Microbenchmarks of the GP substrate: fitting, prediction, one
+// marginal-likelihood evaluation with its gradient (the unit of work a
+// hyperparameter refit repeats), and the incremental append path as a
+// function of the training-set size (the dominant per-iteration cost
+// inside BaCO's loop, cf. Appendix B).
 //
 // The headline row is incremental-vs-scratch: growing an existing
 // posterior by one observation via GpModel::extend (O(n^2) border
@@ -128,6 +130,29 @@ main(int argc, char** argv)
         row.field("key", "predict/n" + std::to_string(n))
             .field("gated", false)
             .field("n", n)
+            .field("ms", ms);
+        json_rows.push_back(row.str());
+    }
+
+    // Negative log marginal likelihood plus its analytic gradient at the
+    // fitted hyperparameters.
+    {
+        std::vector<Configuration> xs;
+        std::vector<double> ys;
+        make_data(space, 80, &xs, &ys, args.seed);
+        RngEngine rng(7);
+        GpModel gp(space);
+        gp.fit(xs, ys, rng);
+        std::vector<double> grad;
+        double ms = median_ms(args.reps, [&] {
+            for (int i = 0; i < 10; ++i)
+                gp.objective_with_gradient(gp.hyperparams(), &grad);
+        });
+        table.add_row({"nll_grad x10", "80", fmt(ms, 3)});
+        JsonWriter row;
+        row.field("key", std::string("nll_grad/n80"))
+            .field("gated", false)
+            .field("n", 80)
             .field("ms", ms);
         json_rows.push_back(row.str());
     }

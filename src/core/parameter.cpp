@@ -109,24 +109,41 @@ Parameter::value_to_string(const ParamValue& v) const
 }
 
 // ---------------------------------------------------------------------------
+// OrderedParameter
+// ---------------------------------------------------------------------------
+
+OrderedParameter::OrderedParameter(std::string name, ParamKind kind,
+                                   bool log_scale, double lo, double hi)
+    : Parameter(std::move(name), kind), log_scale_(log_scale)
+{
+    origin_ = transform(lo);
+    span_ = (lo == hi) ? 1.0 : transform(hi) - origin_;
+}
+
+double
+OrderedParameter::distance(const ParamValue& a, const ParamValue& b) const
+{
+    return coordinate_distance(coordinate(a), coordinate(b), span_);
+}
+
+void
+OrderedParameter::encode(const ParamValue& v, std::vector<double>& out) const
+{
+    out.push_back((coordinate(v) - origin_) / span_);
+}
+
+// ---------------------------------------------------------------------------
 // RealParameter
 // ---------------------------------------------------------------------------
 
 RealParameter::RealParameter(std::string name, double lo, double hi,
                              bool log_scale)
-    : Parameter(std::move(name), ParamKind::kReal),
-      lo_(lo), hi_(hi), log_scale_(log_scale)
+    : OrderedParameter(std::move(name), ParamKind::kReal, log_scale, lo, hi),
+      lo_(lo), hi_(hi)
 {
     assert(lo < hi);
-    if (log_scale_)
+    if (log_scale)
         assert(lo > 0.0);
-    span_ = transform(hi_) - transform(lo_);
-}
-
-double
-RealParameter::transform(double x) const
-{
-    return log_scale_ ? std::log(x) : x;
 }
 
 ParamValue
@@ -138,7 +155,7 @@ RealParameter::value_at(std::size_t) const
 ParamValue
 RealParameter::sample(RngEngine& rng) const
 {
-    if (log_scale_)
+    if (log_scale())
         return std::exp(rng.uniform(std::log(lo_), std::log(hi_)));
     return rng.uniform(lo_, hi_);
 }
@@ -147,22 +164,22 @@ std::vector<ParamValue>
 RealParameter::neighbors(const ParamValue& v, RngEngine& rng) const
 {
     // Gaussian perturbations in (transformed) space at two scales.
-    double t = transform(as_real(v));
+    double t = coordinate(v);
     std::vector<ParamValue> out;
     for (double frac : {0.02, 0.1}) {
         for (int k = 0; k < 2; ++k) {
-            double cand = t + rng.normal(0.0, frac * span_);
+            double cand = t + rng.normal(0.0, frac * coordinate_span());
             cand = std::clamp(cand, transform(lo_), transform(hi_));
-            out.push_back(log_scale_ ? std::exp(cand) : cand);
+            out.push_back(log_scale() ? std::exp(cand) : cand);
         }
     }
     return out;
 }
 
 double
-RealParameter::distance(const ParamValue& a, const ParamValue& b) const
+RealParameter::coordinate(const ParamValue& v) const
 {
-    return std::abs(transform(as_real(a)) - transform(as_real(b))) / span_;
+    return transform(as_real(v));
 }
 
 double
@@ -171,32 +188,19 @@ RealParameter::numeric_value(const ParamValue& v) const
     return as_real(v);
 }
 
-void
-RealParameter::encode(const ParamValue& v, std::vector<double>& out) const
-{
-    out.push_back((transform(as_real(v)) - transform(lo_)) / span_);
-}
-
 // ---------------------------------------------------------------------------
 // IntegerParameter
 // ---------------------------------------------------------------------------
 
 IntegerParameter::IntegerParameter(std::string name, std::int64_t lo,
                                    std::int64_t hi, bool log_scale)
-    : Parameter(std::move(name), ParamKind::kInteger),
-      lo_(lo), hi_(hi), log_scale_(log_scale)
+    : OrderedParameter(std::move(name), ParamKind::kInteger, log_scale,
+                       static_cast<double>(lo), static_cast<double>(hi)),
+      lo_(lo), hi_(hi)
 {
     assert(lo <= hi);
-    if (log_scale_)
+    if (log_scale)
         assert(lo > 0);
-    span_ = (lo_ == hi_) ? 1.0 : transform(hi_) - transform(lo_);
-}
-
-double
-IntegerParameter::transform(std::int64_t x) const
-{
-    return log_scale_ ? std::log(static_cast<double>(x))
-                      : static_cast<double>(x);
 }
 
 std::size_t
@@ -240,21 +244,15 @@ IntegerParameter::neighbors(const ParamValue& v, RngEngine&) const
 }
 
 double
-IntegerParameter::distance(const ParamValue& a, const ParamValue& b) const
+IntegerParameter::coordinate(const ParamValue& v) const
 {
-    return std::abs(transform(as_int(a)) - transform(as_int(b))) / span_;
+    return transform(static_cast<double>(as_int(v)));
 }
 
 double
 IntegerParameter::numeric_value(const ParamValue& v) const
 {
     return static_cast<double>(as_int(v));
-}
-
-void
-IntegerParameter::encode(const ParamValue& v, std::vector<double>& out) const
-{
-    out.push_back((transform(as_int(v)) - transform(lo_)) / span_);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,23 +262,14 @@ IntegerParameter::encode(const ParamValue& v, std::vector<double>& out) const
 OrdinalParameter::OrdinalParameter(std::string name,
                                    std::vector<std::int64_t> values,
                                    bool log_scale)
-    : Parameter(std::move(name), ParamKind::kOrdinal),
-      values_(std::move(values)), log_scale_(log_scale)
+    : OrderedParameter(std::move(name), ParamKind::kOrdinal, log_scale,
+                       static_cast<double>(values.front()),
+                       static_cast<double>(values.back())),
+      values_(std::move(values))
 {
-    assert(!values_.empty());
     assert(std::is_sorted(values_.begin(), values_.end()));
-    if (log_scale_)
+    if (log_scale)
         assert(values_.front() > 0);
-    span_ = (values_.size() == 1)
-                ? 1.0
-                : transform(values_.back()) - transform(values_.front());
-}
-
-double
-OrdinalParameter::transform(std::int64_t x) const
-{
-    return log_scale_ ? std::log(static_cast<double>(x))
-                      : static_cast<double>(x);
 }
 
 ParamValue
@@ -320,21 +309,15 @@ OrdinalParameter::neighbors(const ParamValue& v, RngEngine&) const
 }
 
 double
-OrdinalParameter::distance(const ParamValue& a, const ParamValue& b) const
+OrdinalParameter::coordinate(const ParamValue& v) const
 {
-    return std::abs(transform(as_int(a)) - transform(as_int(b))) / span_;
+    return transform(static_cast<double>(as_int(v)));
 }
 
 double
 OrdinalParameter::numeric_value(const ParamValue& v) const
 {
     return static_cast<double>(as_int(v));
-}
-
-void
-OrdinalParameter::encode(const ParamValue& v, std::vector<double>& out) const
-{
-    out.push_back((transform(as_int(v)) - transform(values_.front())) / span_);
 }
 
 // ---------------------------------------------------------------------------
@@ -385,7 +368,13 @@ CategoricalParameter::neighbors(const ParamValue& v, RngEngine&) const
 double
 CategoricalParameter::distance(const ParamValue& a, const ParamValue& b) const
 {
-    return (as_int(a) == as_int(b)) ? 0.0 : 1.0;
+    return coordinate_distance(coordinate(a), coordinate(b));
+}
+
+double
+CategoricalParameter::coordinate(const ParamValue& v) const
+{
+    return static_cast<double>(as_int(v));
 }
 
 double
@@ -443,20 +432,21 @@ nth_permutation(int m, std::size_t idx)
     return out;
 }
 
-/** Lexicographic rank of a permutation (Lehmer encode). */
+/**
+ * Lexicographic rank of a permutation (Lehmer encode): digit i counts the
+ * later elements smaller than p[i] and has weight (m-1-i)!, accumulated in
+ * Horner form. Runs once per GP prediction, so it does not allocate.
+ */
 std::size_t
 permutation_rank(const Permutation& p)
 {
-    int m = static_cast<int>(p.size());
+    std::size_t m = p.size();
     std::size_t rank = 0;
-    std::size_t f = factorial(m);
-    std::vector<int> pool(p.size());
-    std::iota(pool.begin(), pool.end(), 0);
-    for (int i = 0; i < m; ++i) {
-        f /= static_cast<std::size_t>(m - i);
-        auto it = std::find(pool.begin(), pool.end(), p[static_cast<std::size_t>(i)]);
-        rank += static_cast<std::size_t>(it - pool.begin()) * f;
-        pool.erase(it);
+    for (std::size_t i = 0; i < m; ++i) {
+        std::size_t smaller = 0;
+        for (std::size_t j = i + 1; j < m; ++j)
+            smaller += p[j] < p[i] ? 1 : 0;
+        rank = rank * (m - i) + smaller;
     }
     return rank;
 }
@@ -528,6 +518,13 @@ double
 PermutationParameter::distance(const ParamValue& a, const ParamValue& b) const
 {
     return permutation_distance(as_permutation(a), as_permutation(b), metric_);
+}
+
+double
+PermutationParameter::coordinate(const ParamValue&) const
+{
+    throw std::runtime_error("permutation parameter '" + name() +
+                             "' has no scalar coordinate");
 }
 
 double

@@ -9,8 +9,15 @@
  * discrete), propose neighbours for local search, measure a normalized
  * distance between two of its values (feeding the GP kernel), and encode a
  * value as numeric features (feeding the random forests).
+ *
+ * Every kind except permutations also maps a value to one scalar
+ * *coordinate*, from which its distance follows: |a - b| / span for the
+ * ordered kinds and a 0/1 match for categoricals. The GP encodes each
+ * configuration's coordinates once and builds kernel rows from them
+ * instead of calling distance() per training point.
  */
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,6 +77,17 @@ class Parameter {
   virtual double distance(const ParamValue& a, const ParamValue& b) const = 0;
 
   /**
+   * Scalar coordinate of v: the value (its log on log-scale parameters)
+   * for the ordered kinds, the index for categoricals. Permutations have
+   * none and throw.
+   */
+  virtual double coordinate(const ParamValue& v) const = 0;
+
+  /** Width of the coordinate range that distance() normalizes by (1.0
+   *  for the kinds whose distance is not a coordinate difference). */
+  virtual double coordinate_span() const { return 1.0; }
+
+  /**
    * Numeric value used by the constraint-expression evaluator. Ordered
    * parameters return their value; categoricals their index. Permutations
    * have no scalar meaning and must not appear in scalar expressions.
@@ -92,16 +110,50 @@ class Parameter {
 };
 
 /**
+ * Shared base of the ordered kinds (real, integer, ordinal): values map to
+ * a coordinate on a line, optionally log-scaled (paper Sec. 4.1), and the
+ * distance and the feature encoding are both measured along that line.
+ */
+class OrderedParameter : public Parameter {
+ public:
+  bool log_scale() const { return log_scale_; }
+
+  /** The ordered kinds' distance between two coordinates: the single
+   *  definition behind distance() and the GP's kernel-row fast path. */
+  static double coordinate_distance(double a, double b, double span)
+  {
+      return std::abs(a - b) / span;
+  }
+
+  double distance(const ParamValue& a, const ParamValue& b) const final;
+  double coordinate_span() const final { return span_; }
+  std::size_t num_features() const final { return 1; }
+  void encode(const ParamValue& v, std::vector<double>& out) const final;
+
+ protected:
+  /** lo/hi are the smallest and largest values; a single-valued range
+   *  gets span 1 so distances stay finite. */
+  OrderedParameter(std::string name, ParamKind kind, bool log_scale,
+                   double lo, double hi);
+
+  double transform(double x) const { return log_scale_ ? std::log(x) : x; }
+
+ private:
+  bool log_scale_;
+  double origin_;  // coordinate of the lowest value
+  double span_;    // coordinate range width, for normalization
+};
+
+/**
  * Continuous parameter on [lo, hi]; optionally log-scaled, in which case
  * distances and local-search steps operate in log space (paper Sec. 4.1).
  */
-class RealParameter : public Parameter {
+class RealParameter : public OrderedParameter {
  public:
   RealParameter(std::string name, double lo, double hi, bool log_scale = false);
 
   double lo() const { return lo_; }
   double hi() const { return hi_; }
-  bool log_scale() const { return log_scale_; }
 
   bool is_discrete() const override { return false; }
   std::size_t num_values() const override { return 0; }
@@ -110,27 +162,21 @@ class RealParameter : public Parameter {
   ParamValue sample(RngEngine& rng) const override;
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
-  double distance(const ParamValue& a, const ParamValue& b) const override;
+  double coordinate(const ParamValue& v) const override;
   double numeric_value(const ParamValue& v) const override;
-  std::size_t num_features() const override { return 1; }
-  void encode(const ParamValue& v, std::vector<double>& out) const override;
 
  private:
-  double transform(double x) const;
   double lo_, hi_;
-  bool log_scale_;
-  double span_;  // transformed range width, for normalization
 };
 
 /** Integer parameter on [lo, hi] (inclusive); optionally log-scaled. */
-class IntegerParameter : public Parameter {
+class IntegerParameter : public OrderedParameter {
  public:
   IntegerParameter(std::string name, std::int64_t lo, std::int64_t hi,
                    bool log_scale = false);
 
   std::int64_t lo() const { return lo_; }
   std::int64_t hi() const { return hi_; }
-  bool log_scale() const { return log_scale_; }
 
   std::size_t num_values() const override;
   ParamValue value_at(std::size_t i) const override;
@@ -138,16 +184,11 @@ class IntegerParameter : public Parameter {
   ParamValue sample(RngEngine& rng) const override;
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
-  double distance(const ParamValue& a, const ParamValue& b) const override;
+  double coordinate(const ParamValue& v) const override;
   double numeric_value(const ParamValue& v) const override;
-  std::size_t num_features() const override { return 1; }
-  void encode(const ParamValue& v, std::vector<double>& out) const override;
 
  private:
-  double transform(std::int64_t x) const;
   std::int64_t lo_, hi_;
-  bool log_scale_;
-  double span_;
 };
 
 /**
@@ -155,13 +196,12 @@ class IntegerParameter : public Parameter {
  * tile sizes {2, 4, ..., 1024}). Optionally log-scaled, which is the natural
  * choice for exponential value lists (paper Sec. 4.1 / 4.2).
  */
-class OrdinalParameter : public Parameter {
+class OrdinalParameter : public OrderedParameter {
  public:
   OrdinalParameter(std::string name, std::vector<std::int64_t> values,
                    bool log_scale = false);
 
   const std::vector<std::int64_t>& values() const { return values_; }
-  bool log_scale() const { return log_scale_; }
 
   std::size_t num_values() const override { return values_.size(); }
   ParamValue value_at(std::size_t i) const override;
@@ -169,16 +209,11 @@ class OrdinalParameter : public Parameter {
   ParamValue sample(RngEngine& rng) const override;
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
-  double distance(const ParamValue& a, const ParamValue& b) const override;
+  double coordinate(const ParamValue& v) const override;
   double numeric_value(const ParamValue& v) const override;
-  std::size_t num_features() const override { return 1; }
-  void encode(const ParamValue& v, std::vector<double>& out) const override;
 
  private:
-  double transform(std::int64_t x) const;
   std::vector<std::int64_t> values_;
-  bool log_scale_;
-  double span_;
 };
 
 /**
@@ -191,6 +226,14 @@ class CategoricalParameter : public Parameter {
 
   const std::vector<std::string>& categories() const { return categories_; }
 
+  /** Hamming distance between two coordinates (category indices): the
+   *  single definition behind distance() and the GP's kernel-row fast
+   *  path. */
+  static double coordinate_distance(double a, double b)
+  {
+      return a == b ? 0.0 : 1.0;
+  }
+
   std::size_t num_values() const override { return categories_.size(); }
   ParamValue value_at(std::size_t i) const override;
   std::size_t index_of(const ParamValue& v) const override;
@@ -198,6 +241,7 @@ class CategoricalParameter : public Parameter {
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
   double distance(const ParamValue& a, const ParamValue& b) const override;
+  double coordinate(const ParamValue& v) const override;
   double numeric_value(const ParamValue& v) const override;
   std::size_t num_features() const override { return categories_.size(); }
   void encode(const ParamValue& v, std::vector<double>& out) const override;
@@ -232,6 +276,7 @@ class PermutationParameter : public Parameter {
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
   double distance(const ParamValue& a, const ParamValue& b) const override;
+  double coordinate(const ParamValue& v) const override;
   double numeric_value(const ParamValue& v) const override;
   std::size_t num_features() const override { return static_cast<std::size_t>(m_); }
   void encode(const ParamValue& v, std::vector<double>& out) const override;

@@ -161,6 +161,7 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
             sync_gp(st, xs, ys, n_real, log_ok);
         } else if (use_gp) {
             st.gp.fit(xs, ys, st.rng);
+            TunerMetrics::get().model_nll_evals.add(st.gp.last_fit_nll_evals());
         } else {
             std::vector<std::vector<double>> rf_x;
             rf_x.reserve(xs.size());
@@ -191,7 +192,9 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
 
     double best = *std::min_element(ys.begin(), ys.end());
 
+    std::uint64_t scored = 0;
     ScoreFn score = [&](const Configuration& c) -> double {
+        ++scored;
         if (st.seen.count(config_hash(c)))
             return -2.0;  // worse than any admissible candidate
         double mean, var;
@@ -227,6 +230,7 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
                                "tuner.acquisition", "tuner");
         cand = local_search_maximize(space, st.cot.get(), score, st.rng, ls);
     }
+    TunerMetrics::get().acquisition_candidates.add(scored);
 
     if (!cand || st.seen.count(config_hash(*cand)))
         return random_unique(st);
@@ -256,6 +260,7 @@ Tuner::sync_gp(State& st, const std::vector<Configuration>& xs,
         st.model_log = log_ok;
         st.model_valid = true;
         tm.model_refits.add();
+        tm.model_nll_evals.add(st.gp.last_fit_nll_evals());
     };
 
     bool need_full =

@@ -33,6 +33,13 @@ struct TunerMetrics {
    *  full O(n^3) hyperparameter refits (core tuner only). */
   obs::Counter& model_extends = counter("tuner.model_extends_total");
   obs::Counter& model_refits = counter("tuner.model_refits_total");
+  /** Work per unit, so a slower suggest can be told apart from one doing
+   *  more: candidates scored by each acquisition search, and marginal-
+   *  likelihood evaluations spent by each full GP refit (core tuner
+   *  only). Each is added once per search / refit, outside the loops. */
+  obs::Counter& acquisition_candidates =
+      counter("tuner.acquisition_candidates_total");
+  obs::Counter& model_nll_evals = counter("tuner.model_nll_evals_total");
 
   static TunerMetrics& get()
   {

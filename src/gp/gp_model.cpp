@@ -10,6 +10,10 @@ namespace {
 
 const double kLogTwoPi = 1.8378770664093453;
 const double kThetaBound = 8.0;  // soft box on log-hyperparameters
+// Largest discrete dimension that gets a distance table (m^2 entries,
+// rebuilt on every fit): covers ordinals, small integer ranges,
+// categoricals and permutations of up to five elements.
+const std::size_t kMaxTabulatedValues = 128;
 
 /** Quadratic penalty outside [-bound, bound], with gradient. */
 double
@@ -24,11 +28,49 @@ box_penalty(double theta, double* grad)
     return excess * excess;
 }
 
+/** Clamp the log-hyperparameters into the soft box for kernel evaluation. */
+GpHyperparams
+clamped(GpHyperparams hp)
+{
+    for (double& v : hp.log_lengthscales)
+        v = std::clamp(v, -kThetaBound, kThetaBound);
+    hp.log_outputscale = std::clamp(hp.log_outputscale, -kThetaBound,
+                                    kThetaBound);
+    hp.log_noise = std::clamp(hp.log_noise, -kThetaBound * 2, kThetaBound);
+    return hp;
+}
+
+/** -log p(theta) of one gamma prior in log space (the density includes
+ *  the log-space Jacobian): -shape*theta + rate*exp(theta) + const; *grad
+ *  receives its derivative. */
+double
+neg_log_prior(double theta, double shape, double rate, double* grad)
+{
+    double v = std::exp(std::clamp(theta, -kThetaBound * 2, kThetaBound));
+    *grad = -shape + rate * v;
+    return -shape * theta + rate * v;
+}
+
 }  // namespace
 
 GpModel::GpModel(const SearchSpace& space, GpOptions opt)
-    : space_(&space), opt_(opt)
+    : space_(&space), opt_(opt), dims_(space.num_params())
 {
+    for (std::size_t k = 0; k < dims_.size(); ++k) {
+        const Parameter& p = space.param(k);
+        std::size_t m = p.is_discrete() ? p.num_values() : 0;
+        if (m == 0 || m > kMaxTabulatedValues)
+            continue;
+        KernelDim& kd = dims_[k];
+        kd.values = m;
+        std::vector<ParamValue> vals(m);
+        for (std::size_t a = 0; a < m; ++a)
+            vals[a] = p.value_at(a);
+        kd.distances.resize(m * m);
+        for (std::size_t a = 0; a < m; ++a)
+            for (std::size_t b = 0; b < m; ++b)
+                kd.distances[a * m + b] = p.distance(vals[a], vals[b]);
+    }
 }
 
 GpHyperparams
@@ -48,32 +90,18 @@ GpModel::fit(const std::vector<Configuration>& xs,
     if (xs.size() != ys.size() || xs.size() < 2)
         throw std::runtime_error("GpModel::fit needs >= 2 matching points");
 
-    xs_ = xs;
-    standardizer_.fit(ys);
-    ys_std_.resize(ys.size());
-    for (std::size_t i = 0; i < ys.size(); ++i)
-        ys_std_[i] = standardizer_.transform(ys[i]);
-
-    // Pairwise per-dimension distances.
-    std::size_t n = xs_.size();
+    set_training_data(xs, ys);
     std::size_t d = space_->num_params();
-    tensor_.n = n;
-    tensor_.dists.assign(d, Matrix(n, n));
-    for (std::size_t k = 0; k < d; ++k) {
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = i + 1; j < n; ++j) {
-                double v = space_->dim_distance(k, xs_[i], xs_[j]);
-                tensor_.dists[k](i, j) = v;
-                tensor_.dists[k](j, i) = v;
-            }
-        }
-    }
 
     // ---- Hyperparameter optimization (multistart MAP). ----
-    auto objective_fn = [this](const std::vector<double>& theta,
-                               std::vector<double>& grad) {
-        return nll(theta, &grad);
-    };
+    std::size_t nll_evals = 0;
+    NllPoint last;
+    SplitObjectiveFn objective_fn{
+        [&](const std::vector<double>& theta) {
+            ++nll_evals;
+            return nll_value(theta, &last);
+        },
+        [&](std::vector<double>& grad) { nll_gradient(last, &grad); }};
 
     std::vector<std::vector<double>> starts;
     starts.push_back(default_hyperparams().to_vector());
@@ -93,6 +121,7 @@ GpModel::fit(const std::vector<Configuration>& xs,
                 theta[k] = rng.uniform(std::log(0.05), std::log(2.0));
             theta[d] = rng.uniform(std::log(0.1), std::log(5.0));
             theta[d + 1] = rng.uniform(std::log(1e-6), std::log(1e-2));
+            ++nll_evals;
             double f = nll(theta, nullptr);
             if (std::isfinite(f))
                 screened.emplace_back(f, std::move(theta));
@@ -118,15 +147,11 @@ GpModel::fit(const std::vector<Configuration>& xs,
     if (best_theta.empty())
         best_theta = default_hyperparams().to_vector();
 
-    hp_ = GpHyperparams::from_vector(best_theta);
     // Clamp to the same box the objective used so the posterior matrix is
     // exactly the one the optimizer scored (and numerically factorizable).
-    for (double& v : hp_.log_lengthscales)
-        v = std::clamp(v, -kThetaBound, kThetaBound);
-    hp_.log_outputscale = std::clamp(hp_.log_outputscale, -kThetaBound,
-                                     kThetaBound);
-    hp_.log_noise = std::clamp(hp_.log_noise, -kThetaBound * 2, kThetaBound);
+    hp_ = clamped(GpHyperparams::from_vector(best_theta));
     warm_start_ = hp_;
+    last_fit_nll_evals_ = nll_evals;
 
     refresh_posterior();
 }
@@ -140,6 +165,16 @@ GpModel::fit_with_hyperparams(const std::vector<Configuration>& xs,
         throw std::runtime_error(
             "GpModel::fit_with_hyperparams needs >= 2 matching points");
 
+    set_training_data(xs, ys);
+    hp_ = hp;
+    warm_start_ = hp_;
+    refresh_posterior();
+}
+
+void
+GpModel::set_training_data(const std::vector<Configuration>& xs,
+                           const std::vector<double>& ys)
+{
     xs_ = xs;
     standardizer_.fit(ys);
     ys_std_.resize(ys.size());
@@ -148,6 +183,15 @@ GpModel::fit_with_hyperparams(const std::vector<Configuration>& xs,
 
     std::size_t n = xs_.size();
     std::size_t d = space_->num_params();
+    for (KernelDim& kd : dims_) {
+        kd.coords.clear();
+        kd.index.clear();
+        kd.outside = 0;
+    }
+    for (const Configuration& x : xs_)
+        push_kernel_inputs(x);
+
+    // Pairwise per-dimension distances.
     tensor_.n = n;
     tensor_.dists.assign(d, Matrix(n, n));
     for (std::size_t k = 0; k < d; ++k) {
@@ -159,10 +203,22 @@ GpModel::fit_with_hyperparams(const std::vector<Configuration>& xs,
             }
         }
     }
+}
 
-    hp_ = hp;
-    warm_start_ = hp_;
-    refresh_posterior();
+void
+GpModel::push_kernel_inputs(const Configuration& x)
+{
+    for (std::size_t k = 0; k < dims_.size(); ++k) {
+        const Parameter& p = space_->param(k);
+        KernelDim& kd = dims_[k];
+        if (p.kind() != ParamKind::kPermutation)
+            kd.coords.push_back(p.coordinate(x[k]));
+        if (kd.values > 0) {
+            std::size_t a = std::min(p.index_of(x[k]), kd.values);
+            kd.index.push_back(a);
+            kd.outside += a == kd.values ? 1 : 0;
+        }
+    }
 }
 
 void
@@ -172,6 +228,15 @@ GpModel::refresh_posterior()
     lengthscales_.resize(d);
     for (std::size_t k = 0; k < d; ++k)
         lengthscales_[k] = std::exp(hp_.log_lengthscales[k]);
+    outputscale_ = std::exp(hp_.log_outputscale);
+    for (std::size_t k = 0; k < d; ++k) {
+        KernelDim& kd = dims_[k];
+        kd.table.resize(kd.distances.size());
+        for (std::size_t i = 0; i < kd.distances.size(); ++i) {
+            double v = kd.distances[i] / lengthscales_[k];
+            kd.table[i] = v * v;
+        }
+    }
     // Permutation semimetrics are not strict metrics, so the kernel matrix
     // can be indefinite; after jitter rescues the factorization the solve
     // may still be badly conditioned (huge alpha => wild extrapolation).
@@ -180,7 +245,6 @@ GpModel::refresh_posterior()
     Matrix kmat = kernel_matrix(tensor_, hp_);
     double boost = 0.0;
     double jitter = 0.0;
-    double s2 = std::exp(hp_.log_outputscale);
     for (int attempt = 0; attempt < 10; ++attempt) {
         Matrix kj = kmat;
         for (std::size_t i = 0; i < kj.rows(); ++i)
@@ -195,7 +259,8 @@ GpModel::refresh_posterior()
         }
         if (finite && amax <= 1e4)
             break;
-        boost = boost == 0.0 ? 1e-4 * std::max(s2, 1.0) : boost * 10.0;
+        boost = boost == 0.0 ? 1e-4 * std::max(outputscale_, 1.0)
+                             : boost * 10.0;
     }
     // Record the total shift baked into the factored diagonal so extend()
     // appends rows of the *same* matrix the factor represents.
@@ -203,22 +268,65 @@ GpModel::refresh_posterior()
     fitted_ = true;
 }
 
-std::vector<double>
-GpModel::cross_covariances(const Configuration& x) const
+void
+GpModel::cross_covariances(const Configuration& x,
+                           std::vector<double>& out) const
 {
+    // r^2 accumulates one dimension at a time over the whole row. Each
+    // entry still starts from 0.0 and adds dimensions 0..d-1 in order, so
+    // it is the same sum as a per-pair loop over the dimensions; the
+    // candidate's coordinate (or value index) is computed once per
+    // dimension. A table entry is the term itself: for in-domain values,
+    // value_at(index_of(v)) is v.
     std::size_t n = xs_.size();
-    std::size_t d = space_->num_params();
-    double s2 = std::exp(hp_.log_outputscale);
-    std::vector<double> kvec(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double r2 = 0.0;
-        for (std::size_t k = 0; k < d; ++k) {
-            double v = space_->dim_distance(k, x, xs_[i]) / lengthscales_[k];
-            r2 += v * v;
+    out.assign(n, 0.0);
+    double* r2 = out.data();
+    for (std::size_t k = 0; k < dims_.size(); ++k) {
+        const Parameter& p = space_->param(k);
+        const KernelDim& kd = dims_[k];
+        if (kd.values > 0 && kd.outside == 0) {
+            std::size_t a = p.index_of(x[k]);
+            if (a < kd.values) {
+                const double* row = kd.table.data() + a * kd.values;
+                const std::size_t* idx = kd.index.data();
+                for (std::size_t i = 0; i < n; ++i)
+                    r2[i] += row[idx[i]];
+                continue;
+            }
         }
-        kvec[i] = s2 * matern52(std::sqrt(r2));
+        double ls = lengthscales_[k];
+        auto accumulate = [&](auto&& dist) {
+            for (std::size_t i = 0; i < n; ++i) {
+                double v = dist(i) / ls;
+                r2[i] += v * v;
+            }
+        };
+        const double* col = kd.coords.data();
+        switch (p.kind()) {
+          case ParamKind::kPermutation:
+            accumulate([&](std::size_t i) {
+                return p.distance(x[k], xs_[i][k]);
+            });
+            break;
+          case ParamKind::kCategorical: {
+            double c = p.coordinate(x[k]);
+            accumulate([&](std::size_t i) {
+                return CategoricalParameter::coordinate_distance(c, col[i]);
+            });
+            break;
+          }
+          default: {
+            double c = p.coordinate(x[k]);
+            double span = p.coordinate_span();
+            accumulate([&](std::size_t i) {
+                return OrderedParameter::coordinate_distance(c, col[i], span);
+            });
+            break;
+          }
+        }
     }
-    return kvec;
+    for (std::size_t i = 0; i < n; ++i)
+        r2[i] = outputscale_ * matern52(std::sqrt(r2[i]));
 }
 
 bool
@@ -226,10 +334,10 @@ GpModel::extend(const Configuration& x, double y)
 {
     if (!fitted_)
         return false;
-    double s2 = std::exp(hp_.log_outputscale);
     double noise = std::exp(hp_.log_noise);
-    std::vector<double> cross = cross_covariances(x);
-    double diag = s2 + noise + diag_shift_;
+    std::vector<double> cross;
+    cross_covariances(x, cross);
+    double diag = outputscale_ + noise + diag_shift_;
 
     // Appending a near-duplicate of an existing point can make the bordered
     // matrix numerically semidefinite even though the base factor is fine.
@@ -240,6 +348,7 @@ GpModel::extend(const Configuration& x, double y)
     for (int attempt = 0; attempt < 6; ++attempt) {
         if (chol_->append(cross, diag)) {
             xs_.push_back(x);
+            push_kernel_inputs(x);
             ys_std_.push_back(standardizer_.transform(y));
             alpha_ = chol_->solve(ys_std_);
             bool finite = true;
@@ -248,10 +357,7 @@ GpModel::extend(const Configuration& x, double y)
             if (finite)
                 return true;
             // Roll back the bad row and report failure.
-            chol_->shrink(chol_->size() - 1);
-            xs_.pop_back();
-            ys_std_.pop_back();
-            alpha_ = chol_->solve(ys_std_);
+            truncate(xs_.size() - 1);
             return false;
         }
         diag += extra;
@@ -268,6 +374,15 @@ GpModel::truncate(std::size_t k)
     if (k < 2)
         throw std::runtime_error("GpModel::truncate below 2 points");
     xs_.resize(k);
+    for (KernelDim& kd : dims_) {
+        if (!kd.coords.empty())
+            kd.coords.resize(k);
+        if (kd.values > 0) {
+            for (std::size_t i = k; i < kd.index.size(); ++i)
+                kd.outside -= kd.index[i] == kd.values ? 1 : 0;
+            kd.index.resize(k);
+        }
+    }
     ys_std_.resize(k);
     chol_->shrink(k);
     alpha_ = chol_->solve(ys_std_);
@@ -287,107 +402,143 @@ GpModel::data_nll_per_point() const
 double
 GpModel::nll(const std::vector<double>& theta, std::vector<double>* grad) const
 {
+    NllPoint pt;
+    double value = nll_value(theta, &pt);
+    if (grad)
+        nll_gradient(pt, grad);
+    return value;
+}
+
+double
+GpModel::nll_value(const std::vector<double>& theta, NllPoint* pt) const
+{
     std::size_t n = tensor_.n;
     std::size_t d = tensor_.dims();
-    GpHyperparams hp = GpHyperparams::from_vector(theta);
-
-    if (grad)
-        grad->assign(theta.size(), 0.0);
+    pt->theta = theta;
 
     // Soft box to keep exp() finite.
     double penalty = 0.0;
-    for (std::size_t k = 0; k < theta.size(); ++k) {
+    for (double t : theta) {
         double g = 0.0;
-        penalty += box_penalty(theta[k], &g);
-        if (grad)
-            (*grad)[k] += g;
+        penalty += box_penalty(t, &g);
     }
     // Clamp for the kernel evaluation itself.
-    GpHyperparams hpc = hp;
-    for (double& v : hpc.log_lengthscales)
-        v = std::clamp(v, -kThetaBound, kThetaBound);
-    hpc.log_outputscale = std::clamp(hpc.log_outputscale, -kThetaBound,
-                                     kThetaBound);
-    hpc.log_noise = std::clamp(hpc.log_noise, -kThetaBound * 2, kThetaBound);
+    pt->hpc = clamped(GpHyperparams::from_vector(theta));
 
-    Matrix kmat = kernel_matrix(tensor_, hpc);
-    auto chol = cholesky(kmat);
-    if (!chol)
+    Matrix kmat = kernel_matrix(tensor_, pt->hpc);
+    pt->chol = cholesky(kmat);
+    if (!pt->chol)
         return std::numeric_limits<double>::infinity();
 
-    std::vector<double> alpha = chol->solve(ys_std_);
-    double data_fit = 0.5 * dot(ys_std_, alpha);
-    double nll_val = data_fit + 0.5 * chol->log_det() +
+    pt->alpha = pt->chol->solve(ys_std_);
+    double data_fit = 0.5 * dot(ys_std_, pt->alpha);
+    double nll_val = data_fit + 0.5 * pt->chol->log_det() +
                      0.5 * static_cast<double>(n) * kLogTwoPi + penalty;
 
-    // Priors (MAP in log space; density includes the log-space Jacobian):
-    // -log p(theta) = -shape*theta + rate*exp(theta) + const.
-    auto add_prior = [&](std::size_t idx, double shape, double rate) {
-        double t = theta[idx];
-        double v = std::exp(std::clamp(t, -kThetaBound * 2, kThetaBound));
-        nll_val += -shape * t + rate * v;
-        if (grad)
-            (*grad)[idx] += -shape + rate * v;
-    };
     if (opt_.use_priors) {
+        double g = 0.0;
         for (std::size_t k = 0; k < d; ++k)
-            add_prior(k, opt_.lengthscale_shape, opt_.lengthscale_rate);
-        add_prior(d, opt_.outputscale_shape, opt_.outputscale_rate);
-        add_prior(d + 1, opt_.noise_shape, opt_.noise_rate);
+            nll_val += neg_log_prior(theta[k], opt_.lengthscale_shape,
+                                     opt_.lengthscale_rate, &g);
+        nll_val += neg_log_prior(theta[d], opt_.outputscale_shape,
+                                 opt_.outputscale_rate, &g);
+        nll_val += neg_log_prior(theta[d + 1], opt_.noise_shape,
+                                 opt_.noise_rate, &g);
+    }
+    return nll_val;
+}
+
+void
+GpModel::nll_gradient(const NllPoint& pt, std::vector<double>* grad) const
+{
+    std::size_t n = tensor_.n;
+    std::size_t d = tensor_.dims();
+    const std::vector<double>& theta = pt.theta;
+    const GpHyperparams& hpc = pt.hpc;
+    const std::vector<double>& alpha = pt.alpha;
+
+    grad->assign(theta.size(), 0.0);
+    for (std::size_t k = 0; k < theta.size(); ++k) {
+        double g = 0.0;
+        box_penalty(theta[k], &g);
+        (*grad)[k] += g;
+    }
+    if (!pt.chol)
+        return;  // the value is +inf; only the box pulls back
+    if (opt_.use_priors) {
+        double g = 0.0;
+        for (std::size_t k = 0; k < d; ++k) {
+            neg_log_prior(theta[k], opt_.lengthscale_shape,
+                          opt_.lengthscale_rate, &g);
+            (*grad)[k] += g;
+        }
+        neg_log_prior(theta[d], opt_.outputscale_shape,
+                      opt_.outputscale_rate, &g);
+        (*grad)[d] += g;
+        neg_log_prior(theta[d + 1], opt_.noise_shape, opt_.noise_rate, &g);
+        (*grad)[d + 1] += g;
     }
 
-    if (!grad)
-        return nll_val;
-
-    // dNLL/dtheta = -0.5 tr((alpha alpha' - K^{-1}) dK/dtheta).
-    Matrix kinv = chol->inverse();
-    Matrix a(n, n);
-    for (std::size_t i = 0; i < n; ++i)
+    // dNLL/dtheta = -0.5 tr((alpha alpha' - K^{-1}) dK/dtheta), with
+    // a = alpha alpha' - K^{-1} built in K^{-1}'s storage.
+    Matrix a = pt.chol->inverse();
+    for (std::size_t i = 0; i < n; ++i) {
+        double* ai = a.row(i);
         for (std::size_t j = 0; j < n; ++j)
-            a(i, j) = alpha[i] * alpha[j] - kinv(i, j);
+            ai[j] = alpha[i] * alpha[j] - ai[j];
+    }
 
     double s2 = std::exp(hpc.log_outputscale);
     double noise = std::exp(hpc.log_noise);
     std::vector<double> ls(d);
-    for (std::size_t k = 0; k < d; ++k)
-        ls[k] = std::exp(hpc.log_lengthscales[k]);
-
-    // Precompute scaled distances r_ij once.
-    Matrix r(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = i + 1; j < n; ++j) {
-            double v = scaled_distance(tensor_, i, j, ls);
-            r(i, j) = v;
-            r(j, i) = v;
-        }
-
-    // Lengthscale gradients.
+    std::vector<double> l2(d);
     for (std::size_t k = 0; k < d; ++k) {
-        double acc = 0.0;
-        double l2 = ls[k] * ls[k];
-        for (std::size_t i = 0; i < n; ++i) {
+        ls[k] = std::exp(hpc.log_lengthscales[k]);
+        l2[k] = ls[k] * ls[k];
+    }
+
+    // One sweep over the upper-triangle pairs, a row at a time: each
+    // pair's scaled distance r and its Matern exponential are computed
+    // once and shared by every lengthscale term and the output-scale term
+    // (dK/dlog s2 = s2 * matern(r), including the diagonal s2). Every
+    // accumulator still adds its terms in (i, j) order, so each sum is the
+    // one a separate loop per hyperparameter would produce.
+    std::vector<double> acc_ls(d, 0.0);
+    double acc_s2 = 0.0;
+    std::vector<double> r2(n);
+    std::vector<double> factor(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double* ai = a.row(i);
+        std::fill(r2.begin() + static_cast<std::ptrdiff_t>(i), r2.end(), 0.0);
+        for (std::size_t k = 0; k < d; ++k) {
+            const double* dk = tensor_.dists[k].row(i);
             for (std::size_t j = i + 1; j < n; ++j) {
-                double dd = tensor_.dists[k](i, j);
-                if (dd == 0.0)
-                    continue;
-                double dk = s2 * matern52_dlog_lengthscale_factor(r(i, j)) *
-                            (dd * dd) / l2;
-                acc += 2.0 * a(i, j) * dk;  // symmetric off-diagonal pair
+                double v = dk[j] / ls[k];
+                r2[j] += v * v;
             }
         }
-        (*grad)[k] += -0.5 * acc;
-    }
-
-    // Output scale: dK/dlog s2 = s2 * matern(r) (including the diagonal s2).
-    {
-        double acc = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            acc += a(i, i) * s2;
-            for (std::size_t j = i + 1; j < n; ++j)
-                acc += 2.0 * a(i, j) * s2 * matern52(r(i, j));
+        acc_s2 += ai[i] * s2;
+        for (std::size_t j = i + 1; j < n; ++j) {
+            Matern52Terms m = matern52_terms(std::sqrt(r2[j]));
+            factor[j] = m.dlog_lengthscale_factor;
+            acc_s2 += 2.0 * ai[j] * s2 * m.value;
         }
-        (*grad)[d] += -0.5 * acc;
+        for (std::size_t k = 0; k < d; ++k) {
+            const double* dk = tensor_.dists[k].row(i);
+            double acc = acc_ls[k];
+            for (std::size_t j = i + 1; j < n; ++j) {
+                double dd = dk[j];
+                if (dd == 0.0)
+                    continue;
+                double dkj = s2 * factor[j] * (dd * dd) / l2[k];
+                acc += 2.0 * ai[j] * dkj;  // symmetric off-diagonal pair
+            }
+            acc_ls[k] = acc;
+        }
     }
+    for (std::size_t k = 0; k < d; ++k)
+        (*grad)[k] += -0.5 * acc_ls[k];
+    (*grad)[d] += -0.5 * acc_s2;
 
     // Noise: dK/dlog noise = noise * I.
     {
@@ -396,8 +547,6 @@ GpModel::nll(const std::vector<double>& theta, std::vector<double>* grad) const
             acc += a(i, i);
         (*grad)[d + 1] += -0.5 * acc * noise;
     }
-
-    return nll_val;
 }
 
 double
@@ -419,11 +568,14 @@ GpModel::predict(const Configuration& x) const
     if (!fitted_)
         throw std::runtime_error("GpModel::predict called before fit");
 
-    double s2 = std::exp(hp_.log_outputscale);
-    std::vector<double> kvec = cross_covariances(x);
-    double mean_std = dot(kvec, alpha_);
-    std::vector<double> v = chol_->solve_lower(kvec);
-    double var_std = s2 - dot(v, v);
+    // One scratch row per thread, reused across calls: predict() runs
+    // about a thousand times per suggestion, and it is const, so callers
+    // on different threads must not share the buffer.
+    thread_local std::vector<double> row;
+    cross_covariances(x, row);
+    double mean_std = dot(row, alpha_);
+    chol_->solve_lower_in_place(row);  // k -> L^{-1} k
+    double var_std = outputscale_ - dot(row, row);
     var_std = std::max(var_std, 1e-12);
 
     GpPrediction p;

@@ -15,6 +15,15 @@
  * Objective values are standardized internally; any log-transform of the
  * objective is applied by the caller (the tuner), so the ablation switches
  * compose cleanly.
+ *
+ * Hot path: the model keeps every training point's per-dimension
+ * coordinates (Parameter::coordinate), so a kernel row costs one
+ * coordinate() call per dimension for the candidate instead of n x d
+ * virtual distance() calls; small discrete dimensions go further and look
+ * their squared scaled distances up in a per-fit table. Every fast path
+ * reproduces the straightforward arithmetic bit for bit — same
+ * operations, same summation order — so suggestions do not depend on
+ * which path computed them (tests/test_gp_hotpath.cpp pins this).
  */
 
 #include <optional>
@@ -58,7 +67,10 @@ struct GpPrediction {
 /** Gaussian-process regression model. */
 class GpModel {
  public:
-  /** @param space the search space providing per-dimension distances. */
+  /** @param space the search space providing per-dimension distances;
+   *  it must outlive the model and keep its parameters unchanged (the
+   *  model caches distances between the values of small discrete
+   *  parameters here). */
   explicit GpModel(const SearchSpace& space, GpOptions opt = GpOptions{});
 
   /**
@@ -133,24 +145,84 @@ class GpModel {
   /** Number of training points. */
   std::size_t size() const { return xs_.size(); }
 
+  /** Marginal-likelihood evaluations (with or without gradient) the last
+   *  fit() spent on hyperparameter optimization. */
+  std::size_t last_fit_nll_evals() const { return last_fit_nll_evals_; }
+
+  // Read-only posterior state, for parity tests and diagnostics
+  // (factor() requires fitted()).
+  const std::vector<Configuration>& inputs() const { return xs_; }
+  const std::vector<double>& weights() const { return alpha_; }
+  const CholeskyFactor& factor() const { return *chol_; }
+  const Standardizer& standardizer() const { return standardizer_; }
+
  private:
-  /** NLL + negative log priors and its gradient at theta (log space). */
+  /** What nll_gradient() needs from the nll_value() call at one theta. */
+  struct NllPoint {
+    std::vector<double> theta;
+    GpHyperparams hpc;                   ///< theta clamped to the soft box
+    std::optional<CholeskyFactor> chol;  ///< empty when K did not factorize
+    std::vector<double> alpha;           ///< K^{-1} y
+  };
+
+  /** NLL + negative log priors at theta (log space); *pt keeps what the
+   *  gradient at theta needs. */
+  double nll_value(const std::vector<double>& theta, NllPoint* pt) const;
+
+  /** Gradient of nll_value() at pt->theta, into *grad. */
+  void nll_gradient(const NllPoint& pt, std::vector<double>* grad) const;
+
+  /** nll_value(), plus nll_gradient() into *grad when grad is non-null. */
   double nll(const std::vector<double>& theta,
              std::vector<double>* grad) const;
 
   GpHyperparams default_hyperparams() const;
 
-  /** Rebuild tensor_, chol_, alpha_ (and diag_shift_) from xs_/ys_std_
-   *  under the current hp_; shared tail of fit paths. */
+  /** Store (xs, ys) as the training set: inputs, their kernel inputs per
+   *  dimension, the standardized outputs and the pairwise distance
+   *  tensor; shared head of the fit paths. */
+  void set_training_data(const std::vector<Configuration>& xs,
+                         const std::vector<double>& ys);
+
+  /** Rebuild chol_, alpha_, the distance tables (and diag_shift_) from
+   *  tensor_/ys_std_ under the current hp_; shared tail of the fit
+   *  paths. */
   void refresh_posterior();
 
-  /** Kernel cross-covariances k(x, xs_[i]) under the fitted scales. */
-  std::vector<double> cross_covariances(const Configuration& x) const;
+  /** Append x to every dimension's kernel inputs. */
+  void push_kernel_inputs(const Configuration& x);
+
+  /** Kernel cross-covariances k(x, xs_[i]) under the fitted scales,
+   *  written to out (resized to size()). */
+  void cross_covariances(const Configuration& x,
+                         std::vector<double>& out) const;
 
   const SearchSpace* space_;
   GpOptions opt_;
 
+  /**
+   * One dimension's view of the training inputs, for kernel rows. Every
+   * kind but a permutation keeps the training coordinates (permutation
+   * distances need the values themselves). A discrete dimension with few
+   * values also keeps each training point's value index and, under the
+   * fitted lengthscale l, the table of (distance(a, b) / l)^2 over every
+   * pair of values, so its share of a kernel row is one lookup per
+   * training point.
+   */
+  struct KernelDim {
+    std::size_t values = 0;      ///< m when tabulated, else 0
+    std::vector<double> coords;  ///< coordinate per training point
+    /** Value index per training point; m for a value outside the domain,
+     *  which sends the whole dimension down the untabulated path. */
+    std::vector<std::size_t> index;
+    std::size_t outside = 0;     ///< training points with index m
+    /** m x m distance(value_at(a), value_at(b)), built at construction. */
+    std::vector<double> distances;
+    std::vector<double> table;   ///< m x m, row = candidate's value
+  };
+
   std::vector<Configuration> xs_;
+  std::vector<KernelDim> dims_;
   std::vector<double> ys_std_;
   Standardizer standardizer_;
   DistanceTensor tensor_;
@@ -160,8 +232,10 @@ class GpModel {
   std::optional<CholeskyFactor> chol_;
   std::vector<double> alpha_;
   std::vector<double> lengthscales_;  // exp of fitted log lengthscales
+  double outputscale_ = 1.0;          // exp of fitted log output scale
   double diag_shift_ = 0.0;           // boost + jitter baked into chol_
   bool fitted_ = false;
+  std::size_t last_fit_nll_evals_ = 0;
 };
 
 }  // namespace baco

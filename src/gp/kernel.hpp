@@ -37,13 +37,19 @@ struct GpHyperparams {
 /** Matérn-5/2 correlation value at distance r >= 0 (unit variance). */
 double matern52(double r);
 
-/**
- * d k / d r^2 expressed through the identity
- * dk/d(log l_d) = s2 * (5/3) * (1 + sqrt5 r) exp(-sqrt5 r) * d_d^2 / l_d^2,
- * used by the analytic marginal-likelihood gradient. This helper returns the
- * factor (5/3) * (1 + sqrt5 r) * exp(-sqrt5 r).
- */
-double matern52_dlog_lengthscale_factor(double r);
+/** The two Matérn-5/2 terms the marginal-likelihood gradient needs. */
+struct Matern52Terms {
+  double value;  ///< matern52(r), bit for bit
+  /**
+   * (5/3) * (1 + sqrt5 r) * exp(-sqrt5 r): d k / d r^2 expressed through
+   * the identity dk/d(log l_d) = s2 * factor * d_d^2 / l_d^2.
+   */
+  double dlog_lengthscale_factor;
+};
+
+/** Both terms at distance r from one exp(-sqrt5 r), computed once per
+ *  training pair by the gradient. */
+Matern52Terms matern52_terms(double r);
 
 /**
  * Per-dimension pairwise distances for a training set. dists[d] is the
@@ -55,13 +61,6 @@ struct DistanceTensor {
 
   std::size_t dims() const { return dists.size(); }
 };
-
-/**
- * Scaled distance r between rows i, j of the tensor under lengthscales.
- * ls[d] are *linear* (not log) lengthscales.
- */
-double scaled_distance(const DistanceTensor& t, std::size_t i, std::size_t j,
-                       const std::vector<double>& ls);
 
 /**
  * Kernel matrix K = s2 * matern52(R) + noise * I over the training tensor.

@@ -25,16 +25,28 @@ LbfgsResult
 lbfgs_minimize(const ObjectiveFn& f, std::vector<double> x0,
                const LbfgsOptions& opt)
 {
+    std::vector<double> last_grad(x0.size(), 0.0);
+    SplitObjectiveFn split{
+        [&](const std::vector<double>& x) { return f(x, last_grad); },
+        [&](std::vector<double>& grad) { grad = last_grad; }};
+    return lbfgs_minimize(split, std::move(x0), opt);
+}
+
+LbfgsResult
+lbfgs_minimize(const SplitObjectiveFn& f, std::vector<double> x0,
+               const LbfgsOptions& opt)
+{
     std::size_t n = x0.size();
     LbfgsResult res;
     res.x = std::move(x0);
 
     std::vector<double> grad(n, 0.0);
-    double fx = f(res.x, grad);
+    double fx = f.value(res.x);
     if (!std::isfinite(fx)) {
         res.f = fx;
         return res;
     }
+    f.gradient(grad);
 
     struct Pair {
       std::vector<double> s, y;
@@ -105,13 +117,14 @@ lbfgs_minimize(const ObjectiveFn& f, std::vector<double> x0,
             for (int ls = 0; ls < opt.max_line_search; ++ls) {
                 for (std::size_t i = 0; i < n; ++i)
                     x_new[i] = res.x[i] + step * dir[i];
-                f_new = f(x_new, grad_new);
+                f_new = f.value(x_new);
                 if (!std::isfinite(f_new) ||
                     f_new > fx + c1 * step * descent) {
                     hi = step;  // too long
                     step = 0.5 * (lo + hi);
                     continue;
                 }
+                f.gradient(grad_new);
                 if (armijo_step < 0.0 || f_new < armijo_f) {
                     armijo_step = step;
                     armijo_f = f_new;

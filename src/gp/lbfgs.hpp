@@ -19,6 +19,19 @@ using ObjectiveFn =
     std::function<double(const std::vector<double>& x,
                          std::vector<double>& grad)>;
 
+/**
+ * Objective as two calls: value(x) returns f(x), and gradient(grad) fills
+ * grad (resized as needed) with the gradient at the point of the latest
+ * value() call. L-BFGS asks for a gradient only where it uses one — the
+ * start point and line-search trials that pass the sufficient-decrease
+ * test — so an objective whose gradient costs more than its value (the GP
+ * marginal likelihood) skips it at rejected trial steps.
+ */
+struct SplitObjectiveFn {
+  std::function<double(const std::vector<double>& x)> value;
+  std::function<void(std::vector<double>& grad)> gradient;
+};
+
 /** L-BFGS knobs. */
 struct LbfgsOptions {
   int max_iters = 50;       ///< outer iterations
@@ -46,6 +59,11 @@ struct LbfgsResult {
  * non-positive s'y are skipped for stability. Robust to objectives that
  * return non-finite values during line search (the step is shrunk).
  */
+LbfgsResult lbfgs_minimize(const SplitObjectiveFn& f, std::vector<double> x0,
+                           const LbfgsOptions& opt = LbfgsOptions{});
+
+/** The same search for an objective that computes f and its gradient in
+ *  one call. */
 LbfgsResult lbfgs_minimize(const ObjectiveFn& f, std::vector<double> x0,
                            const LbfgsOptions& opt = LbfgsOptions{});
 

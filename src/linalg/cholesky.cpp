@@ -18,16 +18,24 @@ constexpr double kMinPivotRatio = 1e-12;
 std::vector<double>
 CholeskyFactor::solve_lower(const std::vector<double>& b) const
 {
+    std::vector<double> z = b;
+    solve_lower_in_place(z);
+    return z;
+}
+
+void
+CholeskyFactor::solve_lower_in_place(std::vector<double>& b) const
+{
     std::size_t n = l_.rows();
     assert(b.size() == n);
-    std::vector<double> z(n, 0.0);
     // Row-oriented forward substitution: row i of L is contiguous, so the
-    // inner reduction is a streaming dot product.
+    // inner reduction is a streaming dot product. Entry i is read once,
+    // after entries 0..i-1 already hold the solution.
+    double* z = b.data();
     for (std::size_t i = 0; i < n; ++i) {
         const double* li = l_.row(i);
-        z[i] = (b[i] - dot_n(li, z.data(), i)) / li[i];
+        z[i] = (z[i] - dot_n(li, z, i)) / li[i];
     }
-    return z;
 }
 
 std::vector<double>
@@ -86,7 +94,80 @@ CholeskyFactor::log_det() const
 Matrix
 CholeskyFactor::inverse() const
 {
-    return solve_matrix(Matrix::identity(l_.rows()));
+    // solve_matrix(I) solves column j as z = L^{-1} e_j, then x = L^{-T} z.
+    // Here every column runs through the same operations in the same order,
+    // but all columns advance together, so the inner loops sweep rows of
+    // the result (contiguous, vectorizable) instead of one column's entries.
+    std::size_t n = l_.rows();
+    Matrix x(n, n, 0.0);
+
+    // Forward: row i of Z = L^{-1} is z_ij = (e_j[i] - dot_n(L_i, z_.j, i))
+    // / L_ii. dot_n keeps four partial sums (k mod 4 for the unrolled
+    // prefix, lane 0 for the tail) combined as (s0 + s1) + (s2 + s3); the
+    // four lane rows below replay exactly that. Z is lower triangular:
+    // column j's entries above row j are +0, so its terms for k < j are
+    // +-0 added to lanes that still hold +0 — a no-op that is skipped.
+    std::vector<double> lanes(4 * n);
+    double* lane[4] = {lanes.data(), lanes.data() + n, lanes.data() + 2 * n,
+                       lanes.data() + 3 * n};
+    for (std::size_t i = 0; i < n; ++i) {
+        const double* li = l_.row(i);
+        std::fill(lanes.begin(), lanes.end(), 0.0);
+        std::size_t unrolled = i - i % 4;
+        for (std::size_t k = 0; k < i; ++k) {
+            double* acc = lane[k < unrolled ? k % 4 : 0];
+            const double* zk = x.row(k);
+            double lik = li[k];
+            for (std::size_t j = 0; j <= k; ++j)
+                acc[j] += lik * zk[j];
+        }
+        double* zi = x.row(i);
+        for (std::size_t j = 0; j <= i; ++j) {
+            double s = (lane[0][j] + lane[1][j]) + (lane[2][j] + lane[3][j]);
+            zi[j] = ((j == i ? 1.0 : 0.0) - s) / li[i];
+        }
+    }
+
+    // Backward, solve_upper's saxpy form on all columns at once: pivot row
+    // p is final once divided by L_pp, then every row k < p subtracts L_pk
+    // times it, for p = n-1 down to 0. Pivots go in groups of four: the
+    // group's own rows are finished one pivot at a time, then each row
+    // above the group takes the four subtractions in one pass, still in
+    // descending pivot order.
+    for (std::size_t hi = n; hi > 0;) {
+        std::size_t lo = hi >= 4 ? hi - 4 : 0;
+        for (std::size_t p = hi; p-- > lo;) {
+            const double* lp = l_.row(p);
+            double* xp = x.row(p);
+            for (std::size_t j = 0; j < n; ++j)
+                xp[j] = xp[j] / lp[p];
+            for (std::size_t k = lo; k < p; ++k) {
+                double* xk = x.row(k);
+                double lpk = lp[k];
+                for (std::size_t j = 0; j < n; ++j)
+                    xk[j] -= lpk * xp[j];
+            }
+        }
+        // lo > 0 only for a full group of four.
+        if (lo > 0) {
+            const double* x3 = x.row(lo + 3);
+            const double* x2 = x.row(lo + 2);
+            const double* x1 = x.row(lo + 1);
+            const double* x0 = x.row(lo);
+            for (std::size_t k = 0; k < lo; ++k) {
+                double* xk = x.row(k);
+                double a3 = l_(lo + 3, k);
+                double a2 = l_(lo + 2, k);
+                double a1 = l_(lo + 1, k);
+                double a0 = l_(lo, k);
+                for (std::size_t j = 0; j < n; ++j)
+                    xk[j] = (((xk[j] - a3 * x3[j]) - a2 * x2[j]) - a1 * x1[j]) -
+                            a0 * x0[j];
+            }
+        }
+        hi = lo;
+    }
+    return x;
 }
 
 bool

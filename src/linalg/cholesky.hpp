@@ -39,6 +39,9 @@ class CholeskyFactor {
   /** Solve L z = b (forward substitution). */
   std::vector<double> solve_lower(const std::vector<double>& b) const;
 
+  /** solve_lower() overwriting b with z, for callers that reuse a buffer. */
+  void solve_lower_in_place(std::vector<double>& b) const;
+
   /** Solve L^T z = b (backward substitution). */
   std::vector<double> solve_upper(const std::vector<double>& b) const;
 
@@ -51,7 +54,11 @@ class CholeskyFactor {
   /** log |A| = 2 * sum_i log L_ii. */
   double log_det() const;
 
-  /** A^{-1} computed via solves against the identity. */
+  /**
+   * A^{-1}, bit-identical to solve_matrix(Matrix::identity(n)) but without
+   * per-column temporaries: the identity's columns are solved together,
+   * one row of the result at a time.
+   */
   Matrix inverse() const;
 
   /**

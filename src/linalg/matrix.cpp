@@ -84,25 +84,6 @@ dot(const std::vector<double>& a, const std::vector<double>& b)
     return dot_n(a.data(), b.data(), a.size());
 }
 
-double
-dot_n(const double* a, const double* b, std::size_t n)
-{
-    // Four independent accumulators: without -ffast-math a compiler may not
-    // reorder a single-accumulator reduction, so the unroll is what lets it
-    // keep multiple FMAs in flight (and auto-vectorize where available).
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        s0 += a[i] * b[i];
-        s1 += a[i + 1] * b[i + 1];
-        s2 += a[i + 2] * b[i + 2];
-        s3 += a[i + 3] * b[i + 3];
-    }
-    for (; i < n; ++i)
-        s0 += a[i] * b[i];
-    return (s0 + s1) + (s2 + s3);
-}
-
 std::vector<double>
 axpy(const std::vector<double>& a, double s, const std::vector<double>& b)
 {

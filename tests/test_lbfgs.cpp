@@ -106,5 +106,47 @@ TEST(Lbfgs, RespectsIterationBudget)
     EXPECT_LE(r.iterations, 3);
 }
 
+TEST(Lbfgs, SplitObjectiveSkipsRejectedGradientsAndMatchesCombined)
+{
+    auto value = [](const std::vector<double>& x) {
+        double a = 1.0 - x[0];
+        double b = x[1] - x[0] * x[0];
+        return a * a + 100.0 * b * b;
+    };
+    auto gradient = [](const std::vector<double>& x, std::vector<double>& g) {
+        double a = 1.0 - x[0];
+        double b = x[1] - x[0] * x[0];
+        g.assign({-2.0 * a - 400.0 * x[0] * b, 200.0 * b});
+    };
+    ObjectiveFn combined = [&](const std::vector<double>& x,
+                               std::vector<double>& g) {
+        gradient(x, g);
+        return value(x);
+    };
+    int values = 0;
+    int gradients = 0;
+    std::vector<double> last;
+    SplitObjectiveFn split{
+        [&](const std::vector<double>& x) {
+            ++values;
+            last = x;
+            return value(x);
+        },
+        [&](std::vector<double>& g) {
+            ++gradients;
+            gradient(last, g);
+        }};
+    LbfgsOptions opt;
+    opt.max_iters = 300;
+    LbfgsResult a = lbfgs_minimize(combined, {-1.2, 1.0}, opt);
+    LbfgsResult b = lbfgs_minimize(split, {-1.2, 1.0}, opt);
+    // Gradients at rejected trial steps were never used: skipping them
+    // leaves the search bit-identical.
+    EXPECT_EQ(a.x, b.x);
+    EXPECT_EQ(a.f, b.f);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_LT(gradients, values);
+}
+
 }  // namespace
 }  // namespace baco

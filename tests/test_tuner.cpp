@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/tuner.hpp"
+#include "obs/metrics.hpp"
 
 namespace baco {
 namespace {
@@ -303,6 +304,30 @@ TEST(Tuner, ContinuousParameterSupport)
     Tuner tuner(s, opt);
     TuningHistory h = tuner.run(eval);
     EXPECT_LT(h.best_value, 0.15);
+}
+
+TEST(Tuner, PublishesWorkCounts)
+{
+    // Candidates scored per acquisition and NLL evaluations per refit:
+    // the units that acquisition and model-fit seconds divide into.
+    SearchSpace s = synthetic_space();
+    TunerOptions opt;
+    opt.budget = 20;
+    opt.doe_samples = 8;
+    opt.seed = 4;
+    obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+    TuningHistory h = Tuner(s, opt).run(synthetic_eval);
+    obs::MetricsSnapshot delta =
+        obs::MetricsRegistry::global().snapshot().delta_since(before);
+    ASSERT_EQ(h.size(), 20u);
+    // Every model-based suggestion scores at least the whole random pool.
+    EXPECT_GE(delta.value("tuner.acquisition_candidates_total"),
+              12.0 * opt.ls.random_samples);
+    // Every refit screens multistart_samples draws, then runs L-BFGS.
+    double refits = delta.value("tuner.model_refits_total");
+    EXPECT_GE(refits, 1.0);
+    EXPECT_GE(delta.value("tuner.model_nll_evals_total"),
+              refits * (opt.gp.multistart_samples + 1));
 }
 
 TEST(Tuner, TracksTimingBreakdown)
