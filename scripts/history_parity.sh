@@ -40,12 +40,13 @@ if command -v ccache >/dev/null 2>&1; then
     CMAKE_EXTRA+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
 
-# build_digest SOURCE_DIR BUILD_DIR OUTPUT
+# build_digest SOURCE_DIR BUILD_DIR OUTPUT; any failure exits 2, so that
+# 1 always means "differs".
 build_digest() {
     cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release -DBUILD_TESTING=OFF \
-          "${CMAKE_EXTRA[@]}" >&2
-    cmake --build "$2" --target baco_history_digest -j >&2
-    "$2/baco_history_digest" > "$3"
+          "${CMAKE_EXTRA[@]}" >&2 || exit 2
+    cmake --build "$2" --target baco_history_digest -j >&2 || exit 2
+    "$2/baco_history_digest" > "$3" || exit 2
     if [ ! -s "$3" ]; then
         echo "history_parity: $2/baco_history_digest printed nothing" >&2
         exit 2
@@ -56,7 +57,7 @@ if ! git worktree add --detach "$TMP/base" "$BASE_REF" >&2; then
     echo "history_parity: cannot check out $BASE_REF" >&2
     exit 2
 fi
-cp tools/baco_history_digest.cpp "$TMP/base/tools/"
+cp tools/baco_history_digest.cpp "$TMP/base/tools/" || exit 2
 build_digest "$TMP/base" "$TMP/base-build" "$TMP/base.txt"
 build_digest "$ROOT" "$TMP/head-build" "$TMP/head.txt"
 

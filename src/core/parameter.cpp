@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <numeric>
 #include <sstream>
@@ -123,7 +124,7 @@ OrderedParameter::OrderedParameter(std::string name, ParamKind kind,
 double
 OrderedParameter::distance(const ParamValue& a, const ParamValue& b) const
 {
-    return coordinate_distance(coordinate(a), coordinate(b), span_);
+    return std::abs(coordinate(a) - coordinate(b)) / span_;
 }
 
 void
@@ -368,13 +369,7 @@ CategoricalParameter::neighbors(const ParamValue& v, RngEngine&) const
 double
 CategoricalParameter::distance(const ParamValue& a, const ParamValue& b) const
 {
-    return coordinate_distance(coordinate(a), coordinate(b));
-}
-
-double
-CategoricalParameter::coordinate(const ParamValue& v) const
-{
-    return static_cast<double>(as_int(v));
+    return (as_int(a) == as_int(b)) ? 0.0 : 1.0;
 }
 
 double
@@ -451,6 +446,19 @@ permutation_rank(const Permutation& p)
     return rank;
 }
 
+/** Whether p holds each of 0..size-1 exactly once (size <= 64). */
+bool
+is_valid_permutation(const Permutation& p)
+{
+    std::uint64_t seen = 0;
+    for (int x : p) {
+        if (x < 0 || x >= static_cast<int>(p.size()) || ((seen >> x) & 1u))
+            return false;
+        seen |= std::uint64_t{1} << x;
+    }
+    return true;
+}
+
 }  // namespace
 
 PermutationParameter::PermutationParameter(std::string name, int m,
@@ -478,7 +486,7 @@ std::size_t
 PermutationParameter::index_of(const ParamValue& v) const
 {
     const Permutation& p = as_permutation(v);
-    if (static_cast<int>(p.size()) != m_)
+    if (static_cast<int>(p.size()) != m_ || !is_valid_permutation(p))
         return factorial_;
     return permutation_rank(p);
 }
@@ -518,13 +526,6 @@ double
 PermutationParameter::distance(const ParamValue& a, const ParamValue& b) const
 {
     return permutation_distance(as_permutation(a), as_permutation(b), metric_);
-}
-
-double
-PermutationParameter::coordinate(const ParamValue&) const
-{
-    throw std::runtime_error("permutation parameter '" + name() +
-                             "' has no scalar coordinate");
 }
 
 double

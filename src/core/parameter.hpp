@@ -9,12 +9,6 @@
  * discrete), propose neighbours for local search, measure a normalized
  * distance between two of its values (feeding the GP kernel), and encode a
  * value as numeric features (feeding the random forests).
- *
- * Every kind except permutations also maps a value to one scalar
- * *coordinate*, from which its distance follows: |a - b| / span for the
- * ordered kinds and a 0/1 match for categoricals. The GP encodes each
- * configuration's coordinates once and builds kernel rows from them
- * instead of calling distance() per training point.
  */
 
 #include <cmath>
@@ -77,17 +71,6 @@ class Parameter {
   virtual double distance(const ParamValue& a, const ParamValue& b) const = 0;
 
   /**
-   * Scalar coordinate of v: the value (its log on log-scale parameters)
-   * for the ordered kinds, the index for categoricals. Permutations have
-   * none and throw.
-   */
-  virtual double coordinate(const ParamValue& v) const = 0;
-
-  /** Width of the coordinate range that distance() normalizes by (1.0
-   *  for the kinds whose distance is not a coordinate difference). */
-  virtual double coordinate_span() const { return 1.0; }
-
-  /**
    * Numeric value used by the constraint-expression evaluator. Ordered
    * parameters return their value; categoricals their index. Permutations
    * have no scalar meaning and must not appear in scalar expressions.
@@ -118,15 +101,8 @@ class OrderedParameter : public Parameter {
  public:
   bool log_scale() const { return log_scale_; }
 
-  /** The ordered kinds' distance between two coordinates: the single
-   *  definition behind distance() and the GP's kernel-row fast path. */
-  static double coordinate_distance(double a, double b, double span)
-  {
-      return std::abs(a - b) / span;
-  }
-
+  /** |coordinate(a) - coordinate(b)| / coordinate_span(). */
   double distance(const ParamValue& a, const ParamValue& b) const final;
-  double coordinate_span() const final { return span_; }
   std::size_t num_features() const final { return 1; }
   void encode(const ParamValue& v, std::vector<double>& out) const final;
 
@@ -137,6 +113,12 @@ class OrderedParameter : public Parameter {
                    double lo, double hi);
 
   double transform(double x) const { return log_scale_ ? std::log(x) : x; }
+
+  /** v's position on the line: the value, or its log when log-scaled. */
+  virtual double coordinate(const ParamValue& v) const = 0;
+
+  /** Width of the coordinate range, which distances are normalized by. */
+  double coordinate_span() const { return span_; }
 
  private:
   bool log_scale_;
@@ -162,8 +144,10 @@ class RealParameter : public OrderedParameter {
   ParamValue sample(RngEngine& rng) const override;
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
-  double coordinate(const ParamValue& v) const override;
   double numeric_value(const ParamValue& v) const override;
+
+ protected:
+  double coordinate(const ParamValue& v) const override;
 
  private:
   double lo_, hi_;
@@ -184,8 +168,10 @@ class IntegerParameter : public OrderedParameter {
   ParamValue sample(RngEngine& rng) const override;
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
-  double coordinate(const ParamValue& v) const override;
   double numeric_value(const ParamValue& v) const override;
+
+ protected:
+  double coordinate(const ParamValue& v) const override;
 
  private:
   std::int64_t lo_, hi_;
@@ -209,8 +195,10 @@ class OrdinalParameter : public OrderedParameter {
   ParamValue sample(RngEngine& rng) const override;
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
-  double coordinate(const ParamValue& v) const override;
   double numeric_value(const ParamValue& v) const override;
+
+ protected:
+  double coordinate(const ParamValue& v) const override;
 
  private:
   std::vector<std::int64_t> values_;
@@ -226,14 +214,6 @@ class CategoricalParameter : public Parameter {
 
   const std::vector<std::string>& categories() const { return categories_; }
 
-  /** Hamming distance between two coordinates (category indices): the
-   *  single definition behind distance() and the GP's kernel-row fast
-   *  path. */
-  static double coordinate_distance(double a, double b)
-  {
-      return a == b ? 0.0 : 1.0;
-  }
-
   std::size_t num_values() const override { return categories_.size(); }
   ParamValue value_at(std::size_t i) const override;
   std::size_t index_of(const ParamValue& v) const override;
@@ -241,7 +221,6 @@ class CategoricalParameter : public Parameter {
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
   double distance(const ParamValue& a, const ParamValue& b) const override;
-  double coordinate(const ParamValue& v) const override;
   double numeric_value(const ParamValue& v) const override;
   std::size_t num_features() const override { return categories_.size(); }
   void encode(const ParamValue& v, std::vector<double>& out) const override;
@@ -276,7 +255,6 @@ class PermutationParameter : public Parameter {
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
   double distance(const ParamValue& a, const ParamValue& b) const override;
-  double coordinate(const ParamValue& v) const override;
   double numeric_value(const ParamValue& v) const override;
   std::size_t num_features() const override { return static_cast<std::size_t>(m_); }
   void encode(const ParamValue& v, std::vector<double>& out) const override;

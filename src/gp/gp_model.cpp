@@ -184,7 +184,6 @@ GpModel::set_training_data(const std::vector<Configuration>& xs,
     std::size_t n = xs_.size();
     std::size_t d = space_->num_params();
     for (KernelDim& kd : dims_) {
-        kd.coords.clear();
         kd.index.clear();
         kd.outside = 0;
     }
@@ -209,15 +208,12 @@ void
 GpModel::push_kernel_inputs(const Configuration& x)
 {
     for (std::size_t k = 0; k < dims_.size(); ++k) {
-        const Parameter& p = space_->param(k);
         KernelDim& kd = dims_[k];
-        if (p.kind() != ParamKind::kPermutation)
-            kd.coords.push_back(p.coordinate(x[k]));
-        if (kd.values > 0) {
-            std::size_t a = std::min(p.index_of(x[k]), kd.values);
-            kd.index.push_back(a);
-            kd.outside += a == kd.values ? 1 : 0;
-        }
+        if (kd.values == 0)
+            continue;
+        std::size_t a = std::min(space_->param(k).index_of(x[k]), kd.values);
+        kd.index.push_back(a);
+        kd.outside += a == kd.values ? 1 : 0;
     }
 }
 
@@ -274,9 +270,8 @@ GpModel::cross_covariances(const Configuration& x,
 {
     // r^2 accumulates one dimension at a time over the whole row. Each
     // entry still starts from 0.0 and adds dimensions 0..d-1 in order, so
-    // it is the same sum as a per-pair loop over the dimensions; the
-    // candidate's coordinate (or value index) is computed once per
-    // dimension. A table entry is the term itself: for in-domain values,
+    // it is the same sum as a per-pair loop over the dimensions. A table
+    // entry is the term itself: for in-domain values,
     // value_at(index_of(v)) is v.
     std::size_t n = xs_.size();
     out.assign(n, 0.0);
@@ -295,34 +290,9 @@ GpModel::cross_covariances(const Configuration& x,
             }
         }
         double ls = lengthscales_[k];
-        auto accumulate = [&](auto&& dist) {
-            for (std::size_t i = 0; i < n; ++i) {
-                double v = dist(i) / ls;
-                r2[i] += v * v;
-            }
-        };
-        const double* col = kd.coords.data();
-        switch (p.kind()) {
-          case ParamKind::kPermutation:
-            accumulate([&](std::size_t i) {
-                return p.distance(x[k], xs_[i][k]);
-            });
-            break;
-          case ParamKind::kCategorical: {
-            double c = p.coordinate(x[k]);
-            accumulate([&](std::size_t i) {
-                return CategoricalParameter::coordinate_distance(c, col[i]);
-            });
-            break;
-          }
-          default: {
-            double c = p.coordinate(x[k]);
-            double span = p.coordinate_span();
-            accumulate([&](std::size_t i) {
-                return OrderedParameter::coordinate_distance(c, col[i], span);
-            });
-            break;
-          }
+        for (std::size_t i = 0; i < n; ++i) {
+            double v = p.distance(x[k], xs_[i][k]) / ls;
+            r2[i] += v * v;
         }
     }
     for (std::size_t i = 0; i < n; ++i)
@@ -375,13 +345,11 @@ GpModel::truncate(std::size_t k)
         throw std::runtime_error("GpModel::truncate below 2 points");
     xs_.resize(k);
     for (KernelDim& kd : dims_) {
-        if (!kd.coords.empty())
-            kd.coords.resize(k);
-        if (kd.values > 0) {
-            for (std::size_t i = k; i < kd.index.size(); ++i)
-                kd.outside -= kd.index[i] == kd.values ? 1 : 0;
-            kd.index.resize(k);
-        }
+        if (kd.values == 0)
+            continue;
+        for (std::size_t i = k; i < kd.index.size(); ++i)
+            kd.outside -= kd.index[i] == kd.values ? 1 : 0;
+        kd.index.resize(k);
     }
     ys_std_.resize(k);
     chol_->shrink(k);

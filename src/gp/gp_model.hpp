@@ -16,14 +16,14 @@
  * objective is applied by the caller (the tuner), so the ablation switches
  * compose cleanly.
  *
- * Hot path: the model keeps every training point's per-dimension
- * coordinates (Parameter::coordinate), so a kernel row costs one
- * coordinate() call per dimension for the candidate instead of n x d
- * virtual distance() calls; small discrete dimensions go further and look
- * their squared scaled distances up in a per-fit table. Every fast path
- * reproduces the straightforward arithmetic bit for bit — same
- * operations, same summation order — so suggestions do not depend on
- * which path computed them (tests/test_gp_hotpath.cpp pins this).
+ * Hot path: for every discrete dimension with few values the model keeps
+ * each training point's value index and, per fit, a table of squared
+ * scaled distances between values, so that dimension's share of a kernel
+ * row is one index_of() for the candidate and one lookup per training
+ * point instead of n virtual distance() calls. The fast path reproduces
+ * the straightforward arithmetic bit for bit — same operations, same
+ * summation order — so suggestions do not depend on which path computed
+ * them (tests/test_gp_hotpath.cpp pins this).
  */
 
 #include <optional>
@@ -178,8 +178,8 @@ class GpModel {
 
   GpHyperparams default_hyperparams() const;
 
-  /** Store (xs, ys) as the training set: inputs, their kernel inputs per
-   *  dimension, the standardized outputs and the pairwise distance
+  /** Store (xs, ys) as the training set: inputs, their value indices in
+   *  the tabulated dimensions, the standardized outputs and the pairwise distance
    *  tensor; shared head of the fit paths. */
   void set_training_data(const std::vector<Configuration>& xs,
                          const std::vector<double>& ys);
@@ -189,7 +189,7 @@ class GpModel {
    *  paths. */
   void refresh_posterior();
 
-  /** Append x to every dimension's kernel inputs. */
+  /** Append x's value index to every tabulated dimension. */
   void push_kernel_inputs(const Configuration& x);
 
   /** Kernel cross-covariances k(x, xs_[i]) under the fitted scales,
@@ -201,19 +201,16 @@ class GpModel {
   GpOptions opt_;
 
   /**
-   * One dimension's view of the training inputs, for kernel rows. Every
-   * kind but a permutation keeps the training coordinates (permutation
-   * distances need the values themselves). A discrete dimension with few
-   * values also keeps each training point's value index and, under the
-   * fitted lengthscale l, the table of (distance(a, b) / l)^2 over every
-   * pair of values, so its share of a kernel row is one lookup per
-   * training point.
+   * A discrete dimension with few values, tabulated for kernel rows: each
+   * training point's value index and, under the fitted lengthscale l, the
+   * table of (distance(a, b) / l)^2 over every pair of values, so the
+   * dimension's share of a kernel row is one lookup per training point.
+   * Other dimensions (values == 0) call distance() per training point.
    */
   struct KernelDim {
     std::size_t values = 0;      ///< m when tabulated, else 0
-    std::vector<double> coords;  ///< coordinate per training point
     /** Value index per training point; m for a value outside the domain,
-     *  which sends the whole dimension down the untabulated path. */
+     *  which sends the whole dimension down the distance() path. */
     std::vector<std::size_t> index;
     std::size_t outside = 0;     ///< training points with index m
     /** m x m distance(value_at(a), value_at(b)), built at construction. */

@@ -22,17 +22,6 @@ inf_norm(const std::vector<double>& v)
 }  // namespace
 
 LbfgsResult
-lbfgs_minimize(const ObjectiveFn& f, std::vector<double> x0,
-               const LbfgsOptions& opt)
-{
-    std::vector<double> last_grad(x0.size(), 0.0);
-    SplitObjectiveFn split{
-        [&](const std::vector<double>& x) { return f(x, last_grad); },
-        [&](std::vector<double>& grad) { grad = last_grad; }};
-    return lbfgs_minimize(split, std::move(x0), opt);
-}
-
-LbfgsResult
 lbfgs_minimize(const SplitObjectiveFn& f, std::vector<double> x0,
                const LbfgsOptions& opt)
 {

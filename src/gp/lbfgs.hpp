@@ -13,13 +13,6 @@
 namespace baco {
 
 /**
- * Objective callback: returns f(x) and fills grad (same size as x).
- */
-using ObjectiveFn =
-    std::function<double(const std::vector<double>& x,
-                         std::vector<double>& grad)>;
-
-/**
  * Objective as two calls: value(x) returns f(x), and gradient(grad) fills
  * grad (resized as needed) with the gradient at the point of the latest
  * value() call. L-BFGS asks for a gradient only where it uses one — the
@@ -60,11 +53,6 @@ struct LbfgsResult {
  * return non-finite values during line search (the step is shrunk).
  */
 LbfgsResult lbfgs_minimize(const SplitObjectiveFn& f, std::vector<double> x0,
-                           const LbfgsOptions& opt = LbfgsOptions{});
-
-/** The same search for an objective that computes f and its gradient in
- *  one call. */
-LbfgsResult lbfgs_minimize(const ObjectiveFn& f, std::vector<double> x0,
                            const LbfgsOptions& opt = LbfgsOptions{});
 
 }  // namespace baco

@@ -1,5 +1,5 @@
-// Bit-identity of the GP hot path. Kernel rows built from cached
-// coordinates, the fused marginal-likelihood gradient, the in-place
+// Bit-identity of the GP hot path. Kernel rows built from per-fit
+// distance tables, the fused marginal-likelihood gradient, the in-place
 // triangular solve and CholeskyFactor::inverse() each replace a
 // straightforward computation and promise its exact bits, because any
 // drift would change BaCO's suggestions. Every check compares against a
@@ -205,7 +205,7 @@ TEST(GpHotPath, PredictMatchesReferenceThroughExtendAndTruncate)
         ASSERT_EQ(bits(now.var), bits(pre_refusal[p].var));
     }
 
-    // Appends after the rollback see consistent cached coordinates.
+    // Appends after the rollback see consistent cached value indices.
     for (std::size_t i = 34; i < 40; ++i)
         ASSERT_TRUE(gp.extend(xs[i], ys[i]));
     expect_predict_matches_reference(gp, s, 73, "extend after rollback");
@@ -226,19 +226,26 @@ TEST(GpHotPath, PredictMatchesReferenceThroughExtendAndTruncate)
 TEST(GpHotPath, PredictMatchesReferenceWithValuesOutsideTheDomain)
 {
     // Values a discrete parameter does not list have no table entry: a
-    // training point holding one sends its dimension down the coordinate
-    // path until it is truncated away, and such a candidate takes the
-    // coordinate path on its own.
+    // training point holding one sends its dimension down the distance()
+    // path until it is truncated away, and such a candidate takes that
+    // path on its own. A permutation-length vector that is not a
+    // permutation (a repeated or out-of-range element) is outside the
+    // domain too, not an alias of some listed permutation.
     SearchSpace s = mixed_space();
     std::size_t i_lin = s.index_of("i_lin");
     std::size_t o_lin = s.index_of("o_lin");
     std::size_t cat = s.index_of("c");
+    std::size_t kendall = s.index_of("p_kendall");
+    std::size_t spearman = s.index_of("p_spearman");
+    std::size_t hamming = s.index_of("p_hamming");
     std::vector<Configuration> xs;
     std::vector<double> ys;
     make_data(s, 30, 8, &xs, &ys);
     Configuration odd = xs[29];
     odd[o_lin] = std::int64_t{5};
     odd[cat] = std::int64_t{7};
+    odd[kendall] = Permutation{0, 0, 1, 2};
+    odd[hamming] = Permutation{3, 2, 1, 1};
 
     GpModel gp(s);
     RngEngine rng(8);
@@ -249,6 +256,11 @@ TEST(GpHotPath, PredictMatchesReferenceWithValuesOutsideTheDomain)
         probe[p][o_lin] = std::int64_t{2};
         probe[p][i_lin] = std::int64_t{25};
         probe[p][cat] = std::int64_t{-1};
+    }
+    for (std::size_t p = 10; p < 20; ++p) {
+        probe[p][kendall] = Permutation{0, 0, 1, 2};
+        probe[p][spearman] = Permutation{0, 1, 2, 3, 7};
+        probe[p][hamming] = Permutation{2, 2, 2, 2};
     }
     auto check = [&](const char* where) {
         for (const Configuration& x : probe) {
@@ -506,32 +518,26 @@ TEST(GpHotPath, InPlaceLowerSolveMatchesReference)
     }
 }
 
-// ---- Coordinates. --------------------------------------------------------
+// ---- Ordered distances. --------------------------------------------------
 
-/** Every pair of values: distance() is the coordinate difference over the
- *  span, and both equal the closed form (transform(a) - transform(b)) /
- *  (transform(hi) - transform(lo)) distance() had before coordinates. */
+/** Every pair of values: distance() equals the closed form
+ *  |t(a) - t(b)| / (t(hi) - t(lo)), t = log on log-scale parameters, that
+ *  each ordered kind computed before they shared one definition. */
 void
 expect_ordered_distances(const Parameter& p, const std::vector<ParamValue>& vs,
                          double lo, double hi, bool log_scale)
 {
     auto t = [log_scale](double x) { return log_scale ? std::log(x) : x; };
     double span = (lo == hi) ? 1.0 : t(hi) - t(lo);
-    ASSERT_EQ(bits(p.coordinate_span()), bits(span)) << p.name();
     for (const ParamValue& a : vs) {
-        ASSERT_EQ(bits(p.coordinate(a)), bits(t(as_real(a)))) << p.name();
         for (const ParamValue& b : vs) {
-            double dist = p.distance(a, b);
-            double via_coordinates =
-                std::abs(p.coordinate(a) - p.coordinate(b)) / p.coordinate_span();
             double closed_form = std::abs(t(as_real(a)) - t(as_real(b))) / span;
-            ASSERT_EQ(bits(dist), bits(via_coordinates)) << p.name();
-            ASSERT_EQ(bits(dist), bits(closed_form)) << p.name();
+            ASSERT_EQ(bits(p.distance(a, b)), bits(closed_form)) << p.name();
         }
     }
 }
 
-TEST(GpHotPath, OrderedDistanceIsCoordinateDifferenceOverSpan)
+TEST(GpHotPath, OrderedDistanceMatchesClosedForm)
 {
     SearchSpace s = mixed_space();
     for (std::size_t k = 0; k < s.num_params(); ++k) {
@@ -556,29 +562,6 @@ TEST(GpHotPath, OrderedDistanceIsCoordinateDifferenceOverSpan)
                                      as_real(vs.back()), op.log_scale());
         }
     }
-}
-
-TEST(GpHotPath, CategoricalDistanceIsCoordinateMatch)
-{
-    CategoricalParameter p("c", {"x", "y", "z", "w"});
-    EXPECT_EQ(p.coordinate_span(), 1.0);
-    for (std::size_t i = 0; i < p.num_values(); ++i) {
-        ParamValue a = p.value_at(i);
-        EXPECT_EQ(p.coordinate(a), static_cast<double>(i));
-        for (std::size_t j = 0; j < p.num_values(); ++j) {
-            ParamValue b = p.value_at(j);
-            EXPECT_EQ(bits(p.distance(a, b)), bits(i == j ? 0.0 : 1.0));
-            EXPECT_EQ(bits(p.distance(a, b)),
-                      bits(CategoricalParameter::coordinate_distance(
-                          p.coordinate(a), p.coordinate(b))));
-        }
-    }
-}
-
-TEST(GpHotPath, PermutationsHaveNoCoordinate)
-{
-    PermutationParameter p("p", 4);
-    EXPECT_THROW(p.coordinate(p.value_at(3)), std::runtime_error);
 }
 
 }  // namespace

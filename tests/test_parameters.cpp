@@ -122,6 +122,17 @@ TEST(PermutationParameter, EnumerationIsLexicographicAndBijective)
     EXPECT_EQ(seen.size(), 24u);
 }
 
+TEST(PermutationParameter, IndexOfRejectsNonPermutations)
+{
+    PermutationParameter p("perm", 4);
+    std::size_t outside = p.num_values();
+    EXPECT_EQ(p.index_of(Permutation{0, 0, 1, 2}), outside);  // repeat
+    EXPECT_EQ(p.index_of(Permutation{0, 1, 2, 4}), outside);  // out of range
+    EXPECT_EQ(p.index_of(Permutation{-1, 0, 1, 2}), outside);
+    EXPECT_EQ(p.index_of(Permutation{0, 1, 2}), outside);     // too short
+    EXPECT_EQ(p.index_of(Permutation{0, 1, 3, 2}), 1u);
+}
+
 TEST(PermutationParameter, NeighborsIncludeAdjacentTranspositions)
 {
     RngEngine rng(5);
