@@ -1,11 +1,11 @@
 // Async-mode utilization harness: on a synthetic benchmark with
 // heavy-tailed per-configuration evaluation times (delays drawn 1x-20x,
 // the shape CATBench reports for compiler evaluation), 4 workers driven
-// tell-as-results-land must reach the same best-found quality as the
-// barriered batch engine at >= 1.5x lower wall-clock. The model-based
-// BaCO row (async + suggest-ahead pipelining) must clear the same 1.5x
-// bar. Exit code 0 only when all hold, so scripts/check.sh can gate on
-// it.
+// tell-as-results-land must reach the same best-found quality as
+// barrier rounds of 4 at >= 1.5x lower wall-clock — both the one drive()
+// on a 4-thread pool. The model-based BaCO row (async + suggest-ahead)
+// must clear the same 1.5x bar. Exit code 0 only when all hold, so
+// scripts/check.sh can gate on it.
 //
 // Usage: async_utilization [--reps N] [--seed S] [--json [PATH]]
 //
@@ -19,8 +19,8 @@
 #include <iostream>
 #include <thread>
 
+#include "exec/drive.hpp"
 #include "harness_util.hpp"
-#include "exec/eval_engine.hpp"
 #include "obs/metrics.hpp"
 #include "suite/report.hpp"
 #include "suite/runner.hpp"
@@ -91,15 +91,16 @@ run_mode(const SearchSpace& space, Method m, int budget, std::uint64_t seed,
     using Clock = std::chrono::steady_clock;
     std::unique_ptr<AskTellTuner> tuner =
         make_ask_tell(space, m, budget, /*doe_samples=*/8, seed);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = async;
-    eopt.suggest_ahead = suggest_ahead;
-    EvalEngine engine(eopt);
+    ThreadPoolExecutor exec(slow_eval, tuner->run_seed(),
+                            /*num_threads=*/4);
+    DriveOptions opt;
+    opt.batch_size = 4;
+    opt.async_mode = async;
+    opt.suggest_ahead = suggest_ahead;
     obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
     auto t0 = Clock::now();
-    TuningHistory h = engine.run(*tuner, slow_eval);
+    drive(*tuner, exec, opt);
+    TuningHistory h = tuner->take_history();
     Run r;
     r.wall = std::chrono::duration<double>(Clock::now() - t0).count();
     obs::MetricsSnapshot delta =
@@ -181,7 +182,7 @@ main(int argc, char** argv)
             quality_ok = false;
     }
 
-    // Model-based row: async with suggest-ahead pipelining vs batched.
+    // Model-based row: async with suggest-ahead vs batched.
     // Constant-liar fantasies make the async search path diverge from
     // the batched one by design, so there is no quality-parity check;
     // the gate is utilization — with the incremental GP path and the

@@ -420,10 +420,13 @@ run_trace_leg(const std::string& worker_bin, const std::string& trace_path,
         std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
             *space, suite::Method::kUniform, /*budget=*/24,
             /*doe_samples=*/8, seed);
-        BatchSpec spec;
-        spec.benchmark = kBench;
-        spec.run_seed = seed;
-        coordinator.drive(*tuner, spec, /*batch_size=*/4);
+        {
+            CoordinatorExecutor exec(coordinator, kBench, seed,
+                                     /*max_inflight=*/4);
+            DriveOptions opt;
+            opt.batch_size = 4;
+            drive(*tuner, exec, opt);
+        }
         // shutdown() drains the workers' goodbye frames — the final
         // span shipment — before the export below.
         coordinator.shutdown();

@@ -3,10 +3,10 @@
 // modelled kernel evaluation time (the sum of simulated runtimes, which is
 // what dominates on the paper's real testbed).
 //
-// A second section tracks the exec-engine speedup: the same repetition
+// A second section tracks the exec-layer speedup: the same repetition
 // sweep run sequentially vs fanned out over the work-stealing thread pool
-// (and BaCO itself at batch size 4), so the batched engine's wall-clock
-// win is part of the bench trajectory.
+// (and BaCO itself as a Batched(4) study), so the batched drive's
+// wall-clock win is part of the bench trajectory.
 //
 // Usage: table10_wall_clock [--reps N] [--seed S] [--json [PATH]]
 //
@@ -20,6 +20,7 @@
 #include <map>
 #include <thread>
 
+#include "api/study.hpp"
 #include "harness_util.hpp"
 #include "suite/registry.hpp"
 #include "suite/report.hpp"
@@ -139,10 +140,14 @@ main(int argc, char** argv)
             run_method(b, Method::kBaco, b.full_budget, args.seed);
         });
         double run_batch = wall([&] {
-            EvalEngineOptions eopt;
-            eopt.batch_size = 4;
-            run_method_batched(b, Method::kBaco, b.full_budget, args.seed,
-                               eopt);
+            StudyBuilder()
+                .benchmark(b)
+                .method(method_name(Method::kBaco))
+                .budget(b.full_budget)
+                .seed(args.seed)
+                .execution(ExecutionPolicy::Batched(4))
+                .build()
+                .run();
         });
         engine_table.add_row({name, "single run, batch=4", fmt(run_seq, 2),
                               fmt(run_batch, 2),

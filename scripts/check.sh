@@ -9,9 +9,9 @@
 #             socket leg (2 concurrent unix-socket clients must match
 #             2 sequential stdio runs bit-for-bit)
 #   bench     bench_async_utilization with --json: tell-as-results-land
-#             must beat the batched engine >= 1.5x on heavy-tailed
+#             must beat barrier rounds >= 1.5x on heavy-tailed
 #             delays — for the Uniform mean AND the BaCO row with
-#             suggest-ahead pipelining; bench_suggest_latency:
+#             suggest-ahead; bench_suggest_latency:
 #             per-method suggest() p50/p99 vs history length with the
 #             obs instrumentation pin, plus the >= 5x incremental-vs-
 #             scratch p50 gate at the deepest history level;

@@ -4,8 +4,9 @@
 #
 # Builds tools/baco_history_digest twice — at BASE_REF, checked out in a
 # temporary git worktree, and at the working tree — runs both and compares
-# the outputs: every observation of BaCO on every registry benchmark x 2
-# seeds at full budget, values as hexfloats. A change that claims to leave
+# the outputs: every observation of BaCO on every registry benchmark at
+# full budget — serially at 2 seeds, and at seed 1 in Batched(4) and
+# Distributed(2, 4) barrier rounds — values as hexfloats. A change that claims to leave
 # the search untouched (a performance change) must report "identical";
 # algorithmic changes legitimately differ, so the verdict is information,
 # not a gate.

@@ -33,8 +33,8 @@
 #include "core/tuner.hpp"
 #include "exec/ask_tell.hpp"
 #include "exec/checkpoint.hpp"
+#include "exec/drive.hpp"
 #include "exec/eval_cache.hpp"
-#include "exec/eval_engine.hpp"
 #include "suite/benchmark.hpp"
 #include "suite/registry.hpp"
 

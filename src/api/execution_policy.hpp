@@ -30,8 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "core/thread_annotations.hpp"
-
 namespace baco {
 
 namespace serve {
@@ -42,8 +40,8 @@ class Coordinator;
 struct ExecutionPolicy {
   enum class Mode {
     kSerial,       ///< one evaluation at a time (Tuner::run semantics)
-    kBatched,      ///< constant-liar batches on a thread pool (EvalEngine)
-    kAsync,        ///< tell-as-results-land, bounded in-flight (EvalEngine)
+    kBatched,      ///< constant-liar batches on a thread pool
+    kAsync,        ///< tell-as-results-land, bounded in-flight, on a pool
     kDistributed,  ///< sharded across serve workers (Coordinator)
   };
 
@@ -77,17 +75,6 @@ struct ExecutionPolicy {
    */
   serve::Coordinator* fleet = nullptr;
 
-  /**
-   * Distributed(Attached): optional strict serialization of fleet use
-   * for the run's whole duration. The Coordinator multiplexes
-   * concurrent runs internally (fair scheduling + admission control),
-   * so sharing a fleet no longer requires a lock — pass one only when
-   * this study must observe the fleet with no other tenant's work in
-   * flight (e.g. wall-clock benchmarking against an otherwise idle
-   * fleet).
-   */
-  Mutex* fleet_lock = nullptr;
-
   /** Distributed: drive tell-as-results-land across the fleet. */
   bool async = false;
 
@@ -98,14 +85,14 @@ struct ExecutionPolicy {
   int straggler_ms = -1;
 
   /**
-   * Async / Distributed(async=true): suggest-ahead pipelining — while
-   * evaluations are in flight, the next suggestion (surrogate refresh +
-   * acquisition search) is precomputed on a spare lane so freed slots
-   * refill immediately instead of idling on the tuner. The speculative
-   * suggestion treats the in-flight set as constant-liar fantasies
-   * exactly like a synchronous refill; it just runs one observation
-   * early. Ignored with fewer than two slots (nothing to overlap — the
-   * run stays bit-for-bit identical to the non-pipelined driver).
+   * Async / Distributed(async=true), owned or attached fleet:
+   * suggest-ahead — once every slot is busy, the next suggestion
+   * (surrogate refresh + acquisition search) is computed ahead on the
+   * driving thread, so the slot that frees next refills without waiting
+   * for the tuner. The prefetched suggestion treats the in-flight set as
+   * constant-liar fantasies exactly like a refill; it just runs one
+   * observation early. Ignored with fewer than two slots (the run stays
+   * bit-for-bit identical to the serial loop).
    */
   bool suggest_ahead = false;
 
@@ -162,19 +149,17 @@ struct ExecutionPolicy {
   }
 
   /** Sharded over an externally owned, pre-registered fleet. The
-   *  Coordinator schedules concurrent tenants fairly on its own;
-   *  fleet_lock (see the field) is only for runs that need the fleet
-   *  exclusively. */
+   *  Coordinator schedules concurrent tenants fairly on its own, and
+   *  the whole study is one of its runs. */
   static ExecutionPolicy
   Attached(serve::Coordinator* fleet, int batch_size = 4,
-           bool async = false, Mutex* fleet_lock = nullptr)
+           bool async = false)
   {
       ExecutionPolicy p;
       p.mode = Mode::kDistributed;
       p.fleet = fleet;
       p.batch_size = batch_size;
       p.async = async;
-      p.fleet_lock = fleet_lock;
       return p;
   }
 };

@@ -1,14 +1,13 @@
 #include "api/study.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "api/method_registry.hpp"
+#include "exec/drive.hpp"
 #include "exec/eval_cache.hpp"
-#include "exec/eval_engine.hpp"
 #include "obs/trace.hpp"
 #include "serve/coordinator.hpp"
 #include "serve/transport.hpp"
@@ -18,144 +17,6 @@
 namespace baco {
 
 namespace {
-
-/**
- * Synthesizes per-evaluation events for the deterministic drivers
- * (serial/batched/distributed-sync), which report whole observed batches:
- * after each round, one event per new history entry, in history order.
- */
-class EventEmitter {
- public:
-    EventEmitter(AskTellTuner& tuner, const StudyEventFn& fn)
-        : tuner_(tuner),
-          fn_(fn),
-          seen_(tuner.history().size()),
-          best_(tuner.history().best_value)
-    {
-    }
-
-    void
-    flush()
-    {
-        if (!fn_)
-            return;
-        const TuningHistory& h = tuner_.history();
-        for (; seen_ < h.observations.size(); ++seen_) {
-            const Observation& o = h.observations[seen_];
-            if (o.feasible && o.value < best_)
-                best_ = o.value;
-            AsyncEvent ev;
-            ev.index = seen_;
-            ev.config = o.config;
-            ev.result = EvalResult{o.value, o.feasible};
-            ev.evals = seen_ + 1;
-            ev.best = best_;
-            fn_(ev);
-        }
-    }
-
- private:
-    AskTellTuner& tuner_;
-    const StudyEventFn& fn_;
-    std::size_t seen_;
-    double best_;
-};
-
-/** EvalEngine options for the in-process modes of a request. */
-EvalEngineOptions
-engine_options(const ExecRequest& req)
-{
-    EvalEngineOptions eopt;
-    // Serial never has more than one evaluation in flight; a single
-    // pool lane avoids spawning hardware_concurrency idle workers.
-    eopt.num_threads = req.policy.mode == ExecutionPolicy::Mode::kSerial
-                           ? 1
-                           : req.policy.num_threads;
-    eopt.batch_size = std::max(1, req.policy.batch_size);
-    eopt.async_mode = req.policy.mode == ExecutionPolicy::Mode::kAsync;
-    eopt.suggest_ahead = req.policy.suggest_ahead;
-    eopt.cache = req.cache;
-    eopt.cache_namespace = req.cache_namespace;
-    eopt.checkpoint_path = req.checkpoint_path;
-    return eopt;
-}
-
-/**
- * Re-dispatch the in-flight evaluations of a resumed async checkpoint
- * under their original indices before any new round — each is told
- * exactly once regardless of which ExecutionPolicy the resumed study
- * picked. eval_one(pending) produces the result — evaluating under
- * eval_rng_for(seed, index), without consulting the cache (the drain
- * already did; a second lookup would double-count misses).
- *
- * The drain runs one evaluation at a time: telling each result before
- * dispatching the next keeps the checkpoint's exactly-once bookkeeping
- * trivial, at the cost of serialized re-evaluation of a (bounded by
- * the killed run's in-flight cap) backlog. Fanning it across the
- * pool/fleet is safe in principle — the (seed, index) streams are
- * independent — and worth doing if resume latency ever matters.
- */
-template <typename EvalOne>
-void
-drain_resume_pending(AskTellTuner& tuner, const ExecRequest& req,
-                     EvalOne&& eval_one)
-{
-    const std::vector<PendingEval>& pending = req.resume_pending;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        const PendingEval& p = pending[i];
-        AsyncEvent ev;
-        ev.index = p.index;
-        ev.config = p.config;
-        if (req.cache) {
-            if (auto hit = req.cache->lookup(req.cache_namespace,
-                                             p.config)) {
-                ev.result = *hit;
-                ev.from_cache = true;
-            }
-        }
-        if (!ev.from_cache)
-            ev.result = eval_one(p, &ev.eval_seconds);
-        // Checkpoints written mid-drain keep the not-yet-drained tail
-        // as pending, so a second crash still re-dispatches exactly
-        // the work that remains.
-        std::vector<PendingEval> still_pending(pending.begin() + i + 1,
-                                               pending.end());
-        tell_async_result(tuner, std::move(ev), req.cache,
-                          req.cache_namespace, req.checkpoint_path,
-                          still_pending, req.on_event);
-    }
-}
-
-/**
- * Stepwise round driver shared by the deterministic modes: advancing one
- * round at a time produces the identical suggest()/observe() sequence as
- * a single full drive (each round asks min(batch, remaining cap)), and
- * gives the emitter a per-round hook.
- */
-template <typename DriveRound>
-void
-drive_rounds(AskTellTuner& tuner, const ExecRequest& req, int batch_size,
-             DriveRound&& drive_round)
-{
-    EventEmitter emitter(tuner, req.on_event);
-    // Drained resume-pending tells count toward the eval cap, exactly
-    // as the async drivers count them — same request, same number of
-    // tells under every policy.
-    int done = static_cast<int>(req.resume_pending.size());
-    while (tuner.remaining() > 0 &&
-           (req.max_evals < 0 || done < req.max_evals)) {
-        int step = batch_size;
-        if (req.max_evals >= 0)
-            step = std::min(step, req.max_evals - done);
-        std::size_t before = tuner.history().size();
-        drive_round(step);
-        std::size_t grew = tuner.history().size() - before;
-        if (grew == 0)
-            break;  // the tuner stopped suggesting
-        done += static_cast<int>(grew);
-        emitter.flush();
-    }
-}
 
 /**
  * Attach one ExecutionPolicy::Remote worker: "cmd:ARGV..." forks the
@@ -204,66 +65,40 @@ void
 execute(AskTellTuner& tuner, const ExecRequest& req)
 {
     const ExecutionPolicy& p = req.policy;
-    const int batch =
-        std::max(1, p.mode == ExecutionPolicy::Mode::kSerial
-                        ? 1
-                        : p.batch_size);
+    DriveOptions opt;
+    opt.batch_size = p.mode == ExecutionPolicy::Mode::kSerial
+                         ? 1
+                         : std::max(1, p.batch_size);
+    opt.async_mode = p.mode == ExecutionPolicy::Mode::kAsync ||
+                     (p.mode == ExecutionPolicy::Mode::kDistributed &&
+                      p.async);
+    opt.suggest_ahead = p.suggest_ahead;
+    opt.max_evals = req.max_evals;
+    opt.cache = req.cache;
+    opt.cache_namespace = req.cache_namespace;
+    opt.checkpoint_path = req.checkpoint_path;
+    opt.on_event = req.on_event;
+    opt.resume_pending = req.resume_pending;
 
     if (p.mode == ExecutionPolicy::Mode::kDistributed) {
         if (!req.coordinator)
             throw std::invalid_argument(
                 "distributed execution requires a coordinator with "
                 "attached workers");
-        serve::BatchSpec spec;
-        spec.benchmark = req.benchmark;
-        spec.run_seed = tuner.run_seed();
-        spec.cache = req.cache;
-        spec.cache_namespace = req.cache_namespace;
-        if (p.async) {
-            req.coordinator->drive_async(tuner, spec, batch, req.max_evals,
-                                         req.checkpoint_path, req.on_event,
-                                         req.resume_pending);
-        } else {
-            drain_resume_pending(
-                tuner, req,
-                [&](const PendingEval& pe, double* seconds) {
-                    serve::BatchSpec one = spec;
-                    one.first_index = pe.index;
-                    one.cache = nullptr;  // the drain already looked up
-                    return req.coordinator
-                        ->evaluate_batch(one, {pe.config}, seconds)
-                        .front();
-                });
-            drive_rounds(tuner, req, batch, [&](int step) {
-                req.coordinator->drive(tuner, spec, batch, step,
-                                       req.checkpoint_path);
-            });
-        }
+        serve::CoordinatorExecutor exec(*req.coordinator, req.benchmark,
+                                        tuner.run_seed(), opt.batch_size);
+        drive(tuner, exec, std::move(opt));
         return;
     }
-
     if (!req.objective)
         throw std::invalid_argument(
             "in-process execution requires an objective");
-    EvalEngine engine(engine_options(req));
-    if (p.mode == ExecutionPolicy::Mode::kAsync) {
-        engine.drive_async(tuner, req.objective, req.max_evals,
-                           req.on_event, req.resume_pending);
-        return;
-    }
-    drain_resume_pending(
-        tuner, req, [&](const PendingEval& pe, double* seconds) {
-            RngEngine rng = eval_rng_for(tuner.run_seed(), pe.index);
-            auto t0 = std::chrono::steady_clock::now();
-            EvalResult r = req.objective(pe.config, rng);
-            *seconds += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-            return r;
-        });
-    drive_rounds(tuner, req, batch, [&](int step) {
-        engine.drive(tuner, req.objective, step);
-    });
+    // Serial never has more than one evaluation in flight: one lane
+    // evaluates inline instead of spawning idle workers.
+    ThreadPoolExecutor exec(
+        req.objective, tuner.run_seed(),
+        p.mode == ExecutionPolicy::Mode::kSerial ? 1 : p.num_threads);
+    drive(tuner, exec, std::move(opt));
 }
 
 // ---------------------------------------------------------------------------
@@ -288,16 +123,7 @@ Study::run()
         if (policy_.fleet) {
             // Attached fleet: externally owned — drive it, don't shut
             // it down (other studies/clients may share it). The
-            // Coordinator multiplexes concurrent tenants itself; the
-            // optional fleet_lock is only for runs that need the fleet
-            // with nothing else in flight.
-            // std::unique_lock over the annotated Mutex: conditional
-            // acquisition is outside what the static analysis can
-            // express, so this site trades the compile-time proof for
-            // the movable handle (see thread_annotations.hpp policy).
-            std::unique_lock<Mutex> fleet_guard;
-            if (policy_.fleet_lock)
-                fleet_guard = std::unique_lock<Mutex>(*policy_.fleet_lock);
+            // Coordinator multiplexes concurrent tenants itself.
             req.coordinator = policy_.fleet;
             execute(*tuner_, req);
             return finalize(tuner_->take_history());
@@ -305,7 +131,6 @@ Study::run()
         serve::CoordinatorOptions copt;
         copt.max_inflight_per_worker = policy_.max_inflight_per_worker;
         copt.straggler_ms = policy_.straggler_ms;
-        copt.suggest_ahead = policy_.suggest_ahead;
         serve::Coordinator coordinator(copt);
         std::vector<std::thread> worker_threads;
         std::vector<int> worker_pids;
@@ -368,18 +193,14 @@ Study::tell(const std::vector<Configuration>& configs,
             "re-dispatch and double-tell them");
     if (configs.size() != results.size())
         throw std::invalid_argument("tell: configs/results size mismatch");
-    if (cache_) {
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            cache_->insert(cache_namespace_, configs[i], results[i]);
+    std::vector<AsyncEvent> events(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        events[i].index = tuner_->history().size() + i;
+        events[i].config = configs[i];
+        events[i].result = results[i];
     }
-    // The emitter snapshots the incumbent before the observe, so the
-    // per-result events carry the same as-if-serial evals/best
-    // counters the run() drivers emit.
-    EventEmitter emitter(*tuner_, on_event_);
-    tuner_->observe(configs, results);
-    emitter.flush();
-    if (!checkpoint_path_.empty())
-        save_checkpoint(checkpoint_path_, *tuner_, resume_pending_);
+    tell_results(*tuner_, std::move(events), tell_options(),
+                 resume_pending_);
 }
 
 void
@@ -394,16 +215,25 @@ Study::tell_pending(const PendingEval& p, const EvalResult& result,
     if (it == resume_pending_.end())
         throw std::invalid_argument(
             "tell_pending: evaluation index is not pending");
-    AsyncEvent ev;
-    ev.index = it->index;
-    ev.config = std::move(it->config);
-    ev.result = result;
-    ev.eval_seconds = eval_seconds;
+    std::vector<AsyncEvent> events(1);
+    events[0].index = it->index;
+    events[0].config = std::move(it->config);
+    events[0].result = result;
+    events[0].eval_seconds = eval_seconds;
     resume_pending_.erase(it);
-    // The exec layer's shared per-tell sequence (cache, observe,
-    // eval-time charge, checkpoint with the undrained rest, event).
-    tell_async_result(*tuner_, std::move(ev), cache_, cache_namespace_,
-                      checkpoint_path_, resume_pending_, on_event_);
+    tell_results(*tuner_, std::move(events), tell_options(),
+                 resume_pending_);
+}
+
+DriveOptions
+Study::tell_options() const
+{
+    DriveOptions opt;
+    opt.cache = cache_;
+    opt.cache_namespace = cache_namespace_;
+    opt.checkpoint_path = checkpoint_path_;
+    opt.on_event = on_event_;
+    return opt;
 }
 
 void

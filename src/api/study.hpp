@@ -5,8 +5,8 @@
  * @file
  * The baco::Study front-door API: one declarative entry point — a search
  * space, an objective, a method name and an ExecutionPolicy — over every
- * execution back-end the framework has (serial loop, batched EvalEngine,
- * fully asynchronous engine, distributed Coordinator fleet).
+ * execution back-end the framework has (serial loop, batched and fully
+ * asynchronous thread-pool drives, distributed Coordinator fleet).
  *
  *   Study study = StudyBuilder()
  *                     .benchmark("SpMM/scircuit")   // or an inline space
@@ -24,9 +24,10 @@
  * ask-tell exchange and result() finalizes without driving.
  *
  * The lower-level execute() dispatcher — an ExecutionPolicy applied to an
- * *existing* ask-tell tuner — is what Study::run(), the suite's
- * run_method_* wrappers and the serve layer's server-side async runs all
- * share, so local and remote execution cannot drift.
+ * *existing* ask-tell tuner — is what Study::run() and the serve layer's
+ * server-side async runs share. It only picks an Executor; every policy
+ * then runs the one exec-layer drive() loop, so local and remote
+ * execution cannot drift.
  */
 
 #include <cstdint>
@@ -38,6 +39,7 @@
 #include "api/execution_policy.hpp"
 #include "exec/ask_tell.hpp"
 #include "exec/checkpoint.hpp"
+#include "exec/drive.hpp"
 #include "obs/metrics.hpp"
 #include "suite/benchmark.hpp"
 
@@ -51,17 +53,18 @@ class Coordinator;
 }
 
 /**
- * Per-evaluation observer. Fires after every tell, in history order for
- * deterministic modes and completion order for asynchronous ones.
- * eval_seconds and from_cache are populated only by the asynchronous
- * drivers (batched rounds time whole batches, not single evaluations).
+ * Per-evaluation observer. Fires once per told result, after the tell
+ * and its checkpoint, in history order for deterministic modes and
+ * completion order for asynchronous ones. Every policy fills the same
+ * fields: eval_seconds is the evaluation's own black-box time and
+ * from_cache marks results answered by the cache.
  */
 using StudyEventFn = AsyncResultFn;
 
 /**
  * One execution request against an existing ask-tell tuner: the shared
- * dispatcher behind Study::run(), the suite wrappers and the serve
- * layer's server-side async runs.
+ * dispatcher behind Study::run() and the serve layer's server-side async
+ * runs.
  */
 struct ExecRequest {
   ExecutionPolicy policy;
@@ -82,18 +85,19 @@ struct ExecRequest {
   StudyEventFn on_event;
   /**
    * In-flight evaluations of a resumed async checkpoint. Every policy
-   * re-dispatches them under their original indices before any new
-   * round — each is told exactly once even when the resumed run picked
-   * a different ExecutionPolicy than the one that was killed.
+   * re-dispatches them under their original indices before anything new
+   * is suggested — each is told exactly once even when the resumed run
+   * picked a different ExecutionPolicy than the one that was killed.
    */
   std::vector<PendingEval> resume_pending;
 };
 
 /**
- * Drive `tuner` under the request's ExecutionPolicy. Serial and batched
- * modes reproduce EvalEngine (and, at batch 1, the serial loop)
- * bit-for-bit; async maps to EvalEngine::drive_async; distributed maps
- * to the Coordinator (which must be supplied with live workers).
+ * Drive `tuner` under the request's ExecutionPolicy: pick the Executor
+ * (a thread pool — one lane for Serial — or the coordinator's fleet,
+ * which must have live workers) and run drive() on it. Serial, Batched
+ * and synchronous Distributed runs are barrier rounds; Async and
+ * Distributed(async=true) tell results as they land.
  * @throws std::invalid_argument on an unusable request (distributed
  * without a coordinator, in-process without an objective).
  */
@@ -156,10 +160,11 @@ class Study {
    *  (under eval_rng_for(seed, pending.index)) and handed to
    *  tell_pending() first, so it is told exactly once. */
   std::vector<Configuration> ask(int n = 1);
-  /** Report results for an ask()ed batch, in ask() order. Feeds the
-   *  cache (when attached) and fires on_event per result with the
-   *  same as-if-serial evals/best counters run() emits. Like ask(),
-   *  throws std::logic_error while resume_pending() is undrained. */
+  /** Report results for an ask()ed batch, in ask() order, through
+   *  drive()'s tell step: cache (when attached), observe, checkpoint,
+   *  then on_event per result with the same as-if-serial evals/best
+   *  counters run() emits. Like ask(), throws std::logic_error while
+   *  resume_pending() is undrained. */
   void tell(const std::vector<Configuration>& configs,
             const std::vector<EvalResult>& results);
   /** Single-result tell. */
@@ -173,10 +178,9 @@ class Study {
       return resume_pending_;
   }
   /** Report the result of one resume_pending() evaluation: tells it
-   *  under its original index (through the exec layer's shared
-   *  per-tell sequence) and keeps the not-yet-drained rest in the
-   *  checkpoint. @throws std::invalid_argument when p's index is not
-   *  pending. */
+   *  under its original index (through drive()'s tell step) and keeps
+   *  the not-yet-drained rest in the checkpoint.
+   *  @throws std::invalid_argument when p's index is not pending. */
   void tell_pending(const PendingEval& p, const EvalResult& result,
                     double eval_seconds = 0.0);
 
@@ -197,6 +201,8 @@ class Study {
 
   void ensure_not_finalized() const;
   StudyResult finalize(TuningHistory history);
+  /** The tell step's cache, checkpoint and event options. */
+  DriveOptions tell_options() const;
 
   std::string trace_path_;        ///< empty = tracing stays off
   obs::MetricsSnapshot metrics0_; ///< registry state at build()

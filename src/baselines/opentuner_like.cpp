@@ -11,6 +11,7 @@
 
 #include "core/chain_of_trees.hpp"
 #include "core/tuner_metrics.hpp"
+#include "exec/drive.hpp"
 #include "obs/trace.hpp"
 #include "exec/jsonl.hpp"
 

@@ -12,8 +12,8 @@
  *   Chain-of-Trees, used to study the bias discussed in Sec. 4.2.
  *
  * Both are exposed through the ask-tell interface (RandomSearchTuner), so
- * the batched EvalEngine can drive them; the run_* free functions keep the
- * original one-call API.
+ * any drive (exec/drive.hpp) can run them; the run_* free functions keep
+ * the original one-call API.
  */
 
 #include <memory>

@@ -11,6 +11,7 @@
 #include "core/acquisition.hpp"
 #include "core/chain_of_trees.hpp"
 #include "core/tuner_metrics.hpp"
+#include "exec/drive.hpp"
 #include "obs/trace.hpp"
 #include "gp/gp_model.hpp"
 #include "rf/random_forest.hpp"

@@ -7,7 +7,7 @@
  * annotated mutex primitives every lock in this codebase goes through.
  *
  * The serving stack is deeply concurrent — a work-stealing ThreadPool,
- * the async EvalEngine, the multi-client Acceptor, the lock-striped
+ * the drive's landing queue, the multi-client Acceptor, the lock-striped
  * SessionManager, the Coordinator's WorkerHealth registry — and its
  * locking discipline used to be enforced only by TSAN runs over the
  * interleavings the test suite happens to produce. These annotations

@@ -14,6 +14,7 @@
 #include "core/chain_of_trees.hpp"
 #include "core/feasibility_model.hpp"
 #include "core/tuner_metrics.hpp"
+#include "exec/drive.hpp"
 #include "obs/trace.hpp"
 #include "rf/random_forest.hpp"
 

@@ -11,8 +11,8 @@
  * The tuner exposes the ask-tell interface (exec/ask_tell.hpp): suggest(n)
  * proposes the next batch — using the constant-liar fantasy heuristic to
  * keep batch members diverse — and observe() feeds results back. run() is
- * a thin serial driver; the batched EvalEngine drives the same object
- * concurrently.
+ * the serial drive (exec/drive.hpp); the batched and asynchronous drives
+ * run the same object concurrently.
  *
  * Every design choice studied in the paper's ablations (Sec. 5.3) is an
  * explicit switch in TunerOptions, so BaCO-- and the Fig. 9/10 variants are

@@ -1,6 +1,5 @@
 #include "exec/ask_tell.hpp"
 
-#include <chrono>
 #include <sstream>
 
 namespace baco {
@@ -70,33 +69,6 @@ AskTellBase::restore_rng(RngEngine& rng, const std::string& state)
     std::istringstream iss(state);
     iss >> rng.engine();
     return !iss.fail();
-}
-
-TuningHistory
-drive_serial(AskTellTuner& tuner, const BlackBoxFn& objective)
-{
-    using Clock = std::chrono::steady_clock;
-    while (tuner.remaining() > 0) {
-        std::vector<Configuration> batch = tuner.suggest(1);
-        if (batch.empty())
-            break;
-        std::uint64_t index = tuner.history().size();
-        std::vector<EvalResult> results;
-        results.reserve(batch.size());
-        double eval_seconds = 0.0;
-        for (const Configuration& c : batch) {
-            RngEngine rng = eval_rng_for(tuner.run_seed(), index++);
-            auto t0 = Clock::now();
-            results.push_back(objective(c, rng));
-            eval_seconds +=
-                std::chrono::duration<double>(Clock::now() - t0).count();
-        }
-        tuner.observe(batch, results);
-        // Charge black-box time separately so tuner_seconds stays pure
-        // search overhead.
-        tuner.mutable_history().eval_seconds += eval_seconds;
-    }
-    return tuner.take_history();
 }
 
 }  // namespace baco

@@ -8,10 +8,10 @@
  *
  * A tuner no longer owns the evaluation loop. Instead it answers
  * suggest(n) with up to n configurations to try next and is told the
- * results through observe(). Any driver — the serial loop, the batched
- * EvalEngine, or an external system — can run the exchange, which is what
- * makes batching, caching and checkpoint/resume orthogonal to the search
- * method itself.
+ * results through observe(). Any driver — drive() (exec/drive.hpp) on a
+ * thread pool or a worker fleet, or an external system — can run the
+ * exchange, which is what makes batching, caching and checkpoint/resume
+ * orthogonal to the search method itself.
  *
  * Determinism contract: a tuner draws only from its own sampler RNG, and
  * every black-box evaluation gets an independent RNG stream derived from
@@ -145,15 +145,8 @@ class AskTellBase : public AskTellTuner {
 };
 
 /**
- * The plain sequential driver: suggest(1) / evaluate / observe until the
- * budget is exhausted. EvalEngine at batch size 1 reproduces this loop
- * bit-for-bit.
- */
-TuningHistory drive_serial(AskTellTuner& tuner, const BlackBoxFn& objective);
-
-/**
- * One result landing in an asynchronous drive (EvalEngine::drive_async,
- * Coordinator::drive_async), reported right after the tuner was told.
+ * One told result of a drive (exec/drive.hpp), reported right after the
+ * tuner was told and the checkpoint written.
  */
 struct AsyncEvent {
   std::uint64_t index = 0;  ///< evaluation index (noise-stream key)
@@ -165,7 +158,7 @@ struct AsyncEvent {
   bool from_cache = false;
 };
 
-/** Per-result callback of the asynchronous drivers (may be empty). */
+/** Per-result callback of a drive (may be empty). */
 using AsyncResultFn = std::function<void(const AsyncEvent&)>;
 
 }  // namespace baco

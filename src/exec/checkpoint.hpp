@@ -63,7 +63,7 @@ std::optional<CheckpointData> load_checkpoint(const std::string& path);
  * Load path and restore the tuner from it. Returns false when the file is
  * absent/corrupt or the tuner does not support resume. When pending is
  * non-null it receives the checkpoint's in-flight evaluations, which the
- * caller is expected to re-dispatch (see EvalEngine::drive_async); when
+ * caller is expected to re-dispatch (DriveOptions::resume_pending); when
  * null they are dropped and the resumed tuner re-suggests fresh work.
  */
 bool resume_from_checkpoint(const std::string& path, AskTellTuner& tuner,

@@ -8,7 +8,7 @@
  * Compiler evaluations are expensive (compile + run), so repeat
  * configurations — within a run, across suite repetitions, or across
  * separate tuning sessions via save()/load() — are short-circuited. The
- * cache is thread-safe; EvalEngine consults it before dispatching work.
+ * cache is thread-safe; drive() consults it before dispatching work.
  *
  * Entries can be namespaced by benchmark identity (benchmark name plus a
  * structural fingerprint of its search space, see namespace_key), so one

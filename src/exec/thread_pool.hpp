@@ -13,7 +13,7 @@
  * no scheduling nondeterminism to single-threaded runs.
  *
  * Besides the barrier-style run(), the pool supports fire-and-forget
- * submit() for asynchronous pipelines (the EvalEngine's async mode):
+ * submit() for asynchronous pipelines (ThreadPoolExecutor, exec/drive.hpp):
  * submitted tasks run on the worker threads while the caller keeps going,
  * and wait_idle() blocks until everything outstanding has drained.
  *
@@ -50,7 +50,7 @@ class ThreadPool {
   /**
    * Tasks enqueued but not yet picked up by any lane (sums the per-lane
    * deques). A sample, not a fence: concurrent submits/steals may move
-   * tasks while the lanes are walked. Feeds the engine's queue gauges.
+   * tasks while the lanes are walked. Feeds the drive's queue gauges.
    */
   int queue_depth() const;
 

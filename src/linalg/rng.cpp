@@ -33,13 +33,6 @@ RngEngine::lognormal_factor(double sigma)
     return std::exp(normal(0.0, sigma));
 }
 
-double
-RngEngine::gamma(double shape, double scale)
-{
-    std::gamma_distribution<double> dist(shape, scale);
-    return dist(gen_);
-}
-
 bool
 RngEngine::bernoulli(double p)
 {

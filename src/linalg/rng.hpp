@@ -36,9 +36,6 @@ class RngEngine {
   /** Log-normal multiplicative noise factor: exp(N(0, sigma)). */
   double lognormal_factor(double sigma);
 
-  /** Gamma(shape, scale) draw. */
-  double gamma(double shape, double scale);
-
   /** Bernoulli draw with success probability p. */
   bool bernoulli(double p);
 

@@ -147,8 +147,8 @@ struct EventLog::Impl {
   LogLevel min_level BACO_GUARDED_BY(mutex) = LogLevel::kWarn;
   /** nullptr = stderr (never closed). */
   std::FILE* file BACO_GUARDED_BY(mutex) = nullptr;
-  /** events/second below kError; <=0 unlimited. */
-  int rate_limit BACO_GUARDED_BY(mutex) = 500;
+  /** Events per second below kError before the rest are dropped. */
+  static constexpr int kRateLimit = 500;
   std::uint64_t window_start_s BACO_GUARDED_BY(mutex) = 0;
   int window_count BACO_GUARDED_BY(mutex) = 0;
   std::uint64_t dropped BACO_GUARDED_BY(mutex) = 0;
@@ -182,13 +182,6 @@ EventLog::configure(LogLevel min_level, const std::string& path)
         impl_->file = std::fopen(path.c_str(), "a");
 }
 
-void
-EventLog::set_rate_limit(int events_per_second)
-{
-    MutexLock lock(impl_->mutex);
-    impl_->rate_limit = events_per_second;
-}
-
 bool
 EventLog::enabled(LogLevel level) const
 {
@@ -206,13 +199,13 @@ EventLog::write(LogLevel level, const char* component, const char* event,
         if (level < impl_->min_level)
             return;
         // Per-second budget; errors always pass.
-        if (level < LogLevel::kError && impl_->rate_limit > 0) {
+        if (level < LogLevel::kError) {
             std::uint64_t now_s = steady_seconds();
             if (now_s != impl_->window_start_s) {
                 impl_->window_start_s = now_s;
                 impl_->window_count = 0;
             }
-            if (impl_->window_count >= impl_->rate_limit) {
+            if (impl_->window_count >= Impl::kRateLimit) {
                 ++impl_->dropped;
                 MetricsRegistry::global()
                     .counter("obs.log.dropped_total")

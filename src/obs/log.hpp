@@ -69,9 +69,6 @@ class EventLog {
    */
   void configure(LogLevel min_level, const std::string& path = "");
 
-  /** Events per second before rate limiting kicks in (<= 0: unlimited). */
-  void set_rate_limit(int events_per_second);
-
   bool enabled(LogLevel level) const;
 
   /** Emit one event line (no-op below the configured level). */

@@ -388,25 +388,6 @@ Trace::export_chrome(const std::string& path)
     return ok;
 }
 
-bool
-Trace::export_jsonl(const std::string& path)
-{
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    for (const TraceEvent& e : collect()) {
-        std::fprintf(
-            f,
-            "{\"name\": \"%s\", \"cat\": \"%s\", \"tid\": %llu, "
-            "\"ts_us\": %llu, \"dur_us\": %llu}\n",
-            json_escape(e.name).c_str(), json_escape(e.category).c_str(),
-            static_cast<unsigned long long>(e.thread_id),
-            static_cast<unsigned long long>(e.start_us),
-            static_cast<unsigned long long>(e.duration_us));
-    }
-    return std::fclose(f) == 0;
-}
-
 #if !defined(BACO_OBS_TRACE_OFF)
 
 Span::Span(const char* name, const char* category)

@@ -99,9 +99,6 @@ class Trace {
    * in the span args. Returns false on I/O failure.
    */
   static bool export_chrome(const std::string& path);
-  /** Local events only, one JSON object per line: name, cat, tid, ts_us,
-   *  dur_us. */
-  static bool export_jsonl(const std::string& path);
 };
 
 #if defined(BACO_OBS_TRACE_OFF)

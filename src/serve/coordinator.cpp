@@ -10,9 +10,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "exec/checkpoint.hpp"
-#include "exec/eval_cache.hpp"
-#include "exec/eval_engine.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "serve/protocol.hpp"
@@ -36,9 +33,6 @@ struct CoordMetrics {
   obs::Counter& worker_errors = counter("coord.worker_errors_total");
   obs::Counter& workers_lost = counter("coord.workers_lost_total");
   obs::Counter& redispatched = counter("coord.straggler_redispatch_total");
-  /** Suggest-ahead pipeline accounting (drive_async). */
-  obs::Counter& ahead_launched = counter("coord.suggest_ahead_total");
-  obs::Counter& ahead_used = counter("coord.suggest_ahead_used_total");
   obs::Histogram& roundtrip = hist("coord.roundtrip_seconds");
   obs::Gauge& inflight_peak = gauge("coord.inflight_peak");
   // Run-multiplexing surface (admission control + scheduler).
@@ -421,23 +415,21 @@ Coordinator::end_run(std::uint64_t run_id)
 }
 
 void
-Coordinator::submit_tasks(
-    std::uint64_t run_id, const BatchSpec& spec,
-    std::vector<std::pair<std::uint64_t, Configuration>> tasks)
+Coordinator::submit_task(std::uint64_t run_id, const std::string& benchmark,
+                         std::uint64_t run_seed, std::uint64_t key,
+                         const Configuration& config)
 {
     MutexLock lock(mu_);
     auto it = runs_.find(run_id);
     if (it == runs_.end())
         throw std::logic_error("coordinator: submit on an ended run");
     RunState& run = *it->second;
-    run.benchmark = spec.benchmark;
-    run.run_seed = spec.run_seed;
-    for (auto& [key, config] : tasks) {
-        RunState::TaskRec t;
-        t.config = std::move(config);
-        run.tasks.emplace(key, std::move(t));
-        run.ready.push_back(key);
-    }
+    run.benchmark = benchmark;
+    run.run_seed = run_seed;
+    RunState::TaskRec t;
+    t.config = config;
+    run.tasks.emplace(key, std::move(t));
+    run.ready.push_back(key);
     dispatch_ready();
 }
 
@@ -938,293 +930,50 @@ Coordinator::stale_workers() const
 }
 
 // ---------------------------------------------------------------------
-// Drivers: batch, round-driven and fully asynchronous runs.
+// CoordinatorExecutor: one drive's evaluations as one fleet run.
 // ---------------------------------------------------------------------
 
-std::vector<EvalResult>
-Coordinator::evaluate_batch(const BatchSpec& spec,
-                            const std::vector<Configuration>& configs,
-                            double* eval_seconds)
+CoordinatorExecutor::CoordinatorExecutor(Coordinator& coordinator,
+                                         std::string benchmark,
+                                         std::uint64_t run_seed,
+                                         int max_inflight)
+    : coordinator_(coordinator),
+      lease_(coordinator.begin_run(max_inflight)),
+      benchmark_(std::move(benchmark)),
+      run_seed_(run_seed)
 {
-    RunLease lease = begin_run();
-    return evaluate_batch(lease, spec, configs, eval_seconds);
-}
-
-std::vector<EvalResult>
-Coordinator::evaluate_batch(const RunLease& lease, const BatchSpec& spec,
-                            const std::vector<Configuration>& configs,
-                            double* eval_seconds)
-{
-    const std::size_t n = configs.size();
-    std::vector<EvalResult> results(n);
-    if (n == 0)
-        return results;
-    if (!lease)
-        throw std::logic_error("coordinator: evaluate_batch without a run");
-    obs::Span batch_span("coord.evaluate_batch", "coord");
-
-    std::vector<char> from_cache(n, 0);
-    std::size_t done_count = 0;
-    std::vector<std::pair<std::uint64_t, Configuration>> misses;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (spec.cache) {
-            if (auto hit =
-                    spec.cache->lookup(spec.cache_namespace, configs[i])) {
-                from_cache[i] = 1;
-                results[i] = *hit;
-                ++done_count;
-                continue;
-            }
-        }
-        misses.emplace_back(spec.first_index + i, configs[i]);
-    }
-    if (!misses.empty())
-        submit_tasks(lease.id(), spec, std::move(misses));
-
-    while (done_count < n) {
-        std::vector<LandedEval> landed =
-            wait_landed(lease.id(), opt_.poll_ms);
-        if (landed.empty())
-            sweep();
-        for (LandedEval& l : landed) {
-            if (l.failed) {
-                throw std::runtime_error(
-                    "coordinator: evaluation failed: " + l.error);
-            }
-            std::size_t i =
-                static_cast<std::size_t>(l.key - spec.first_index);
-            if (i >= n || from_cache[i])
-                continue;
-            results[i] = l.result;
-            if (eval_seconds)
-                *eval_seconds += l.eval_seconds;
-            ++done_count;
-        }
-    }
-
-    if (spec.cache) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!from_cache[i])
-                spec.cache->insert(spec.cache_namespace, configs[i],
-                                   results[i]);
-        }
-    }
-    return results;
 }
 
 void
-Coordinator::drive(AskTellTuner& tuner, const BatchSpec& spec,
-                   int batch_size, int max_evals,
-                   const std::string& checkpoint_path)
+CoordinatorExecutor::submit(std::uint64_t index, const Configuration& config)
 {
-    if (batch_size < 1)
-        batch_size = 1;
-    // One run (one admission slot, one wire run id) for the whole drive:
-    // rounds share the lease so a multi-round drive cannot be starved
-    // between its own batches by admission control.
-    RunLease lease = begin_run();
-    int done = 0;
-    while (tuner.remaining() > 0 && (max_evals < 0 || done < max_evals)) {
-        int want = batch_size;
-        if (max_evals >= 0)
-            want = std::min(want, max_evals - done);
-        std::vector<Configuration> batch = tuner.suggest(want);
-        if (batch.empty())
-            break;
-        BatchSpec round = spec;
-        round.first_index = tuner.history().size();
-        double eval_seconds = 0.0;
-        std::vector<EvalResult> results =
-            evaluate_batch(lease, round, batch, &eval_seconds);
-        tuner.observe(batch, results);
-        tuner.mutable_history().eval_seconds += eval_seconds;
-        done += static_cast<int>(batch.size());
-        if (!checkpoint_path.empty())
-            save_checkpoint(checkpoint_path, tuner);
-    }
+    coordinator_.submit_task(lease_.id(), benchmark_, run_seed_, index,
+                             config);
 }
 
-TuningHistory
-Coordinator::run(AskTellTuner& tuner, const BatchSpec& spec, int batch_size)
+Landed
+CoordinatorExecutor::wait_any()
 {
-    drive(tuner, spec, batch_size, -1);
-    return tuner.take_history();
-}
-
-void
-Coordinator::drive_async(AskTellTuner& tuner, const BatchSpec& spec,
-                         int slots, int max_evals,
-                         const std::string& checkpoint_path,
-                         const AsyncResultFn& on_result,
-                         std::vector<PendingEval> resume_pending)
-{
-    if (slots < 1)
-        slots = 1;
-    obs::Span drive_span("coord.drive_async", "coord");
-    RunLease lease = begin_run(/*max_inflight=*/slots);
-
-    // Driver-side view of the in-flight evaluations (the checkpoint
-    // payload and the constant-liar pending list); the scheduler core
-    // owns the dispatch state.
-    std::map<std::uint64_t, Configuration> active;
-    int told = 0;
-
-    // ---- Suggest-ahead pipeline (opt_.suggest_ahead, slots >= 2). ----
-    // The speculative call runs on a dedicated side lane; the tuner is
-    // single-threaded state, so every tuner access below must absorb the
-    // speculation first (collect_ahead). The drain guard makes sure the
-    // side task has finished before this frame unwinds on any throw.
-    const bool use_ahead = opt_.suggest_ahead && slots >= 2;
-    std::unique_ptr<ThreadPool> ahead_pool;
-    if (use_ahead)
-        ahead_pool = std::make_unique<ThreadPool>(1);
-    SuggestAhead ahead;
-    std::deque<Configuration> ready;  // prefetched, not yet dispatched
-    bool tuner_dry = false;
-    auto collect_ahead = [&] {
-        if (!ahead.active())
-            return;
-        std::vector<Configuration> got = ahead.collect();
+    while (landed_.empty()) {
+        std::vector<Coordinator::LandedEval> got = coordinator_.wait_landed(
+            lease_.id(), coordinator_.opt_.poll_ms);
         if (got.empty())
-            tuner_dry = true;
-        for (Configuration& c : got)
-            ready.push_back(std::move(c));
-    };
-    struct AheadDrain {
-        SuggestAhead& a;
-        ~AheadDrain()
-        {
-            if (a.active()) {
-                try {
-                    a.collect();
-                } catch (...) {
-                }
+            coordinator_.sweep();
+        for (Coordinator::LandedEval& e : got) {
+            Landed l;
+            l.index = e.key;
+            l.result = e.result;
+            l.eval_seconds = e.eval_seconds;
+            if (e.failed) {
+                l.error = std::make_exception_ptr(std::runtime_error(
+                    "coordinator: evaluation failed: " + e.error));
             }
-        }
-    } ahead_drain{ahead};
-
-    // Indices are dealt sequentially over the run: observed + in-flight
-    // always cover a prefix of the index space.
-    std::uint64_t next_index = tuner.history().size();
-    std::vector<std::pair<std::uint64_t, Configuration>> initial;
-    for (PendingEval& p : resume_pending) {
-        next_index = std::max(next_index, p.index + 1);
-        active.emplace(p.index, p.config);
-        initial.emplace_back(p.index, std::move(p.config));
-    }
-    next_index =
-        std::max(next_index, tuner.history().size() + active.size());
-    if (!initial.empty())
-        submit_tasks(lease.id(), spec, std::move(initial));
-
-    // Observe one landed result: cache it, tell the tuner, checkpoint
-    // the run with the work still in flight, notify the caller — the
-    // same per-tell sequence as EvalEngine's async drive.
-    auto tell = [&](std::uint64_t index, Configuration config,
-                    const EvalResult& r, double seconds, bool from_cache) {
-        collect_ahead();  // serialize: never tell while a suggest runs
-        std::vector<PendingEval> still_pending;
-        if (!checkpoint_path.empty()) {
-            still_pending.reserve(active.size());
-            for (const auto& [i, c] : active)
-                still_pending.push_back(PendingEval{i, c});
-        }
-        AsyncEvent ev;
-        ev.index = index;
-        ev.config = std::move(config);
-        ev.result = r;
-        ev.eval_seconds = seconds;
-        ev.from_cache = from_cache;
-        tell_async_result(tuner, std::move(ev), spec.cache,
-                          spec.cache_namespace, checkpoint_path,
-                          still_pending, on_result);
-        ++told;
-    };
-
-    for (;;) {
-        // ---- Refill free slots from the tuner (never barrier). ----
-        while (static_cast<int>(active.size()) < slots &&
-               (max_evals < 0 ||
-                told + static_cast<int>(active.size()) < max_evals)) {
-            Configuration config;
-            if (!ready.empty()) {
-                config = std::move(ready.front());
-                ready.pop_front();
-                CoordMetrics::get().ahead_used.add();
-            } else if (!tuner_dry) {
-                collect_ahead();
-                if (!ready.empty())
-                    continue;  // re-check caps with the prefetched config
-                std::vector<Configuration> pending;
-                pending.reserve(active.size());
-                for (const auto& [index, c] : active)
-                    pending.push_back(c);
-                std::vector<Configuration> next =
-                    tuner.suggest_with_pending(1, pending);
-                if (next.empty())
-                    break;
-                config = std::move(next.front());
-            } else {
-                break;
-            }
-            std::uint64_t index = next_index++;
-            if (spec.cache) {
-                if (auto hit =
-                        spec.cache->lookup(spec.cache_namespace, config)) {
-                    // A cache hit lands instantly; its slot never opens.
-                    tell(index, std::move(config), *hit, 0.0, true);
-                    continue;
-                }
-            }
-            active.emplace(index, config);
-            submit_tasks(lease.id(), spec, {{index, std::move(config)}});
-        }
-        if (active.empty())
-            break;
-
-        // ---- Overlap the next suggestion with the in-flight work. Only
-        // launched when the prefetch could actually be dispatched later
-        // (budget and caps leave room): a suggestion consumes tuner RNG
-        // and dedup state, so an undispatchable one would be lost.
-        if (use_ahead && !ahead.active() && !tuner_dry && !active.empty() &&
-            ready.empty() &&
-            (max_evals < 0 ||
-             told + static_cast<int>(active.size()) < max_evals) &&
-            tuner.remaining() > static_cast<int>(active.size())) {
-            std::vector<Configuration> pending;
-            pending.reserve(active.size());
-            for (const auto& [index, c] : active)
-                pending.push_back(c);
-            CoordMetrics::get().ahead_launched.add();
-            ahead.launch(*ahead_pool, tuner, std::move(pending));
-        }
-
-        // ---- Collect arrivals; tell each one the moment it lands. ----
-        std::vector<LandedEval> landed =
-            wait_landed(lease.id(), opt_.poll_ms);
-        if (landed.empty())
-            sweep();
-        for (LandedEval& l : landed) {
-            if (l.failed) {
-                throw std::runtime_error(
-                    "coordinator: evaluation failed: " + l.error);
-            }
-            auto it = active.find(l.key);
-            if (it == active.end())
-                continue;
-            Configuration config = std::move(it->second);
-            active.erase(it);
-            tell(l.key, std::move(config), l.result, l.eval_seconds,
-                 false);
+            landed_.push_back(std::move(l));
         }
     }
-}
-
-TuningHistory
-Coordinator::run_async(AskTellTuner& tuner, const BatchSpec& spec, int slots)
-{
-    drive_async(tuner, spec, slots, -1);
-    return tuner.take_history();
+    Landed l = std::move(landed_.front());
+    landed_.pop_front();
+    return l;
 }
 
 }  // namespace baco::serve

@@ -6,9 +6,10 @@
  * The run-multiplexed multi-worker evaluation coordinator.
  *
  * A Coordinator owns transports to registered workers and shards
- * evaluation batches across them — each batch is produced by a tuner's
- * constant-liar machinery, so the coordinator is a drop-in replacement
- * for EvalEngine::evaluate_batch across process/host boundaries.
+ * evaluations across them. A drive reaches the fleet through a
+ * CoordinatorExecutor (the exec layer's Executor interface), so the same
+ * drive() loop that runs a tuner on a thread pool runs it across
+ * process and host boundaries.
  *
  * Concurrency model: the coordinator multiplexes any number of
  * concurrent *runs* over one shared fleet. A run is opened with
@@ -22,13 +23,11 @@
  * Admission control (max_active_runs) refuses runs past the cap with a
  * CoordinatorBusy error after an optional bounded wait.
  *
- * Scheduling stays shard-deterministic per run: results are assembled
- * in batch order and each evaluation's noise stream is derived
- * worker-side from (run seed, evaluation index), so the assembled
- * history is independent of which worker ran what, in which order, and
- * of whatever other runs shared the fleet — a coordinator-driven run
- * reproduces the same-seed EvalEngine run bit-for-bit, concurrent or
- * not.
+ * Scheduling stays shard-deterministic per run: each evaluation's noise
+ * stream is derived worker-side from (run seed, evaluation index), so a
+ * result is independent of which worker ran it, in which order, and of
+ * whatever other runs shared the fleet — a fleet drive reproduces the
+ * same-seed thread-pool drive bit-for-bit, concurrent or not.
  *
  * Robustness: per-worker backpressure (at most `capacity` frames in
  * flight per worker), straggler re-dispatch (a task outstanding longer
@@ -40,20 +39,12 @@
  * late-hello path — and is immediately re-leased to active runs, which
  * is how their re-queued shards drain).
  *
- * drive_async() is the tell-as-results-land counterpart of drive(): the
- * fleet never barriers on a full batch — each result frame is told to
- * the tuner the moment it arrives and the freed slot is refilled via
- * suggest_with_pending(), so a straggling compile on one worker never
- * idles the rest of the fleet. Same determinism trade as
- * EvalEngine::drive_async: per-result reproducibility, but multi-slot
- * history order depends on arrival order.
- *
  * Fleet health: every received frame refreshes the worker's last-seen
  * time in a WorkerHealth registry (its own mutex, so health() is safe
  * from stats/dump threads while a drive runs). Workers advertising a
  * heartbeat interval in their hello send heartbeat frames when idle
  * between requests; a worker holding outstanding work that goes silent
- * for heartbeat_grace intervals is declared dead by the drivers' sweep
+ * for heartbeat_grace intervals is declared dead by the executors' sweep
  * — its shards re-queue through the same path as a closed transport,
  * instead of the run wedging on a blocked read.
  */
@@ -70,12 +61,7 @@
 #include <vector>
 
 #include "core/thread_annotations.hpp"
-#include "exec/ask_tell.hpp"
-#include "exec/checkpoint.hpp"
-
-namespace baco {
-class EvalCache;
-}
+#include "exec/drive.hpp"
 
 namespace baco::serve {
 
@@ -101,14 +87,6 @@ struct CoordinatorOptions {
    */
   int heartbeat_grace = 2;
   /**
-   * Suggest-ahead pipelining for drive_async(): precompute the next
-   * suggestion on a side thread while the fleet evaluates, so a freed
-   * slot refills without waiting on the tuner's refit + acquisition.
-   * Same semantics and caveats as EvalEngineOptions::suggest_ahead;
-   * ignored when slots < 2.
-   */
-  bool suggest_ahead = false;
-  /**
    * Admission control: maximum concurrently active runs; a begin_run()
    * past the cap throws CoordinatorBusy. 0 = unlimited.
    */
@@ -119,17 +97,6 @@ struct CoordinatorOptions {
    * immediately.
    */
   int admission_wait_ms = 0;
-};
-
-/** Everything identifying one sharded batch. */
-struct BatchSpec {
-  /** Registry benchmark name (workers resolve it independently). */
-  std::string benchmark;
-  std::uint64_t run_seed = 0;
-  std::uint64_t first_index = 0;
-  /** Optional shared cache consulted before dispatch (not owned). */
-  EvalCache* cache = nullptr;
-  std::string cache_namespace;
 };
 
 /** Point-in-time view of one worker's health (see Coordinator::health). */
@@ -158,7 +125,7 @@ class CoordinatorBusy : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/** Shards evaluation batches of concurrent runs across a worker fleet. */
+/** Shards the evaluations of concurrent runs across a worker fleet. */
 class Coordinator {
  public:
   explicit Coordinator(CoordinatorOptions opt = CoordinatorOptions{});
@@ -268,63 +235,6 @@ class Coordinator {
   std::vector<RunStatsSnapshot> run_stats() const BACO_EXCLUDES(mu_);
 
   /**
-   * Evaluate one batch across the worker fleet under `lease`'s run.
-   * Results are returned in input order; evaluation i uses
-   * eval_rng_for(run_seed, first_index+i) worker-side. Cache hits skip
-   * dispatch entirely. *eval_seconds (optional) accumulates the summed
-   * per-evaluation durations.
-   * @throws std::runtime_error when no live worker remains or an
-   * evaluation keeps failing.
-   */
-  std::vector<EvalResult> evaluate_batch(
-      const RunLease& lease, const BatchSpec& spec,
-      const std::vector<Configuration>& configs,
-      double* eval_seconds = nullptr);
-
-  /**
-   * evaluate_batch under a transient single-batch run (subject to
-   * admission control like any other run).
-   */
-  std::vector<EvalResult> evaluate_batch(
-      const BatchSpec& spec, const std::vector<Configuration>& configs,
-      double* eval_seconds = nullptr);
-
-  /**
-   * Drive an ask-tell tuner through the worker fleet, batch_size
-   * configurations per round, like EvalEngine::drive. The whole drive
-   * is one run (one admission slot, one wire run id). When
-   * checkpoint_path is nonempty a resume checkpoint is rewritten after
-   * every observed batch.
-   */
-  void drive(AskTellTuner& tuner, const BatchSpec& spec, int batch_size,
-             int max_evals = -1, const std::string& checkpoint_path = {});
-
-  /** drive() to budget exhaustion, then take the finalized history. */
-  TuningHistory run(AskTellTuner& tuner, const BatchSpec& spec,
-                    int batch_size);
-
-  /**
-   * Fully asynchronous drive: keep up to `slots` evaluations in flight
-   * across the fleet (per-worker capacity still applies), tell each
-   * result as it arrives, refill freed slots via suggest_with_pending().
-   * The whole drive is one run with max_inflight = slots.
-   * Checkpoints (when checkpoint_path is nonempty) record the in-flight
-   * evaluations; resume_pending re-dispatches those of a killed run.
-   * on_result (optional) fires after every tell, in arrival order.
-   * @throws std::runtime_error when no live worker remains or an
-   * evaluation keeps failing.
-   */
-  void drive_async(AskTellTuner& tuner, const BatchSpec& spec, int slots,
-                   int max_evals = -1,
-                   const std::string& checkpoint_path = {},
-                   const AsyncResultFn& on_result = {},
-                   std::vector<PendingEval> resume_pending = {});
-
-  /** drive_async() to budget exhaustion, then take the history. */
-  TuningHistory run_async(AskTellTuner& tuner, const BatchSpec& spec,
-                          int slots);
-
-  /**
    * Send shutdown to every live worker, wait briefly for their goodbye
    * frames (final eval counts + trace spans), close the transports and
    * join the reader threads. Idempotent.
@@ -332,6 +242,7 @@ class Coordinator {
   void shutdown();
 
  private:
+  friend class CoordinatorExecutor;
   struct Worker;
   struct RunState;
 
@@ -367,11 +278,10 @@ class Coordinator {
   /** Close a run: drop its state, wake admission waiters (RunLease). */
   void end_run(std::uint64_t run) BACO_EXCLUDES(mu_);
 
-  /** Add tasks to a run's queue and kick the scheduler. */
-  void submit_tasks(
-      std::uint64_t run, const BatchSpec& spec,
-      std::vector<std::pair<std::uint64_t, Configuration>> tasks)
-      BACO_EXCLUDES(mu_);
+  /** Add one task to a run's queue and kick the scheduler. */
+  void submit_task(std::uint64_t run, const std::string& benchmark,
+                   std::uint64_t run_seed, std::uint64_t key,
+                   const Configuration& config) BACO_EXCLUDES(mu_);
 
   /**
    * Move the run's landed results out, waiting up to timeout_ms for the
@@ -465,6 +375,32 @@ class Coordinator {
   mutable Mutex health_mutex_;
   /** Index-parallel with workers_. */
   std::vector<HealthState> health_ BACO_GUARDED_BY(health_mutex_);
+};
+
+/**
+ * Executor over a Coordinator's fleet. The whole drive is one run: the
+ * constructor takes its RunLease — so admission control happens once, up
+ * front — and destruction ends it. max_inflight caps the run's live
+ * tasks (0 = bounded only by fleet capacity).
+ * @throws CoordinatorBusy from the constructor when the run cap is
+ * reached.
+ */
+class CoordinatorExecutor final : public Executor {
+ public:
+  CoordinatorExecutor(Coordinator& coordinator, std::string benchmark,
+                      std::uint64_t run_seed, int max_inflight = 0);
+
+  void submit(std::uint64_t index, const Configuration& config) override;
+  /** A task that kept failing lands with an error. @throws
+   *  std::runtime_error when tasks remain but no live worker does. */
+  Landed wait_any() override;
+
+ private:
+  Coordinator& coordinator_;
+  Coordinator::RunLease lease_;
+  std::string benchmark_;  ///< registry name the workers resolve
+  std::uint64_t run_seed_;
+  std::deque<Landed> landed_;  ///< landed, not yet handed over
 };
 
 }  // namespace baco::serve

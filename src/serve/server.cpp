@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 
 #include "api/study.hpp"
@@ -11,7 +12,6 @@
 #include "serve/coordinator.hpp"
 #include "serve/stats_util.hpp"
 #include "serve/transport.hpp"
-#include "serve/worker.hpp"
 #include "suite/registry.hpp"
 
 namespace baco::serve {
@@ -132,18 +132,18 @@ handle_server_stats(const Message& req, const ServerContext& ctx)
 
 /**
  * Async server-side drive of one session: tell-as-results-land over the
- * coordinator's fleet (or the in-process EvalEngine without workers),
- * streaming one result frame per landed evaluation to the client. The
- * Coordinator multiplexes concurrent runs itself — drive_async opens
- * its own run lease (subject to admission control), so nothing here
+ * coordinator's fleet (or a thread pool without workers), streaming one
+ * result frame per landed evaluation to the client. The Coordinator
+ * multiplexes concurrent runs itself — the drive's executor opens its
+ * own run lease (subject to admission control), so nothing here
  * serializes connections against each other.
  */
 Message
-handle_run_async(const Message& req, const ServerContext& ctx,
+handle_async_run(const Message& req, const ServerContext& ctx,
                  Transport& stream)
 {
     // The request's n is the in-flight cap AND (without workers) the
-    // engine's thread count — clamp the client-supplied value so one
+    // pool's thread count — clamp the client-supplied value so one
     // frame cannot make the server spawn an unbounded thread fleet.
     constexpr int kMaxAsyncSlots = 64;
     const int slots = std::clamp(
@@ -169,7 +169,7 @@ handle_run_async(const Message& req, const ServerContext& ctx,
         if (!stream.send(encode(frame))) {
             // The client is gone: abort the drive instead of burning
             // the session's remaining budget into a dead pipe. (The
-            // engine drains its in-flight work before rethrowing; the
+            // drive drains its in-flight work before rethrowing; the
             // coordinator absorbs late worker replies as benign.)
             throw std::runtime_error(
                 "client disconnected during async run");
@@ -186,8 +186,7 @@ handle_run_async(const Message& req, const ServerContext& ctx,
             done.best = info.best;
             // Server-side runs dispatch through the same execute() the
             // local Study front door uses: the coordinator's fleet when
-            // workers are attached, the in-process async engine
-            // otherwise.
+            // workers are attached, a thread pool otherwise.
             ExecRequest run;
             if (sharded) {
                 run.policy = ExecutionPolicy::Distributed(
@@ -219,6 +218,8 @@ handle_run_async(const Message& req, const ServerContext& ctx,
  * Server-side drive of one session: suggest, evaluate (sharded over the
  * coordinator when workers are attached, in-process otherwise), observe;
  * repeat until the budget — or the request's eval cap — is exhausted.
+ * Suggest and observe go through the session manager (its outstanding
+ * batch and checkpoint), which is why this is not a drive() of its own.
  */
 Message
 handle_run(const Message& req, const ServerContext& ctx)
@@ -230,16 +231,19 @@ handle_run(const Message& req, const ServerContext& ctx)
     const int batch = std::max(1, req.n);
     const int max_evals = req.budget > 0 ? req.budget : -1;
     bool sharded = ctx.coordinator && ctx.coordinator->num_workers() > 0;
-    // One run lease for the whole request: every round of this run is
-    // scheduled fairly against other tenants' rounds, and admission
-    // control (CoordinatorBusy → "busy" error frame) happens here, up
-    // front, not halfway through the run.
-    Coordinator::RunLease lease;
-    if (sharded)
-        lease = ctx.coordinator->begin_run(/*max_inflight=*/batch);
-    const Benchmark* local_bench = nullptr;
-    if (!sharded)
-        local_bench = &suite::find_benchmark(info->benchmark);
+    // Rounds evaluate on the same executors a drive uses: the fleet as
+    // one run for the whole request — scheduled fairly against other
+    // tenants, with admission control (CoordinatorBusy → "busy" error
+    // frame) up front, not halfway through the run — or inline.
+    std::unique_ptr<Executor> exec;
+    if (sharded) {
+        exec = std::make_unique<CoordinatorExecutor>(
+            *ctx.coordinator, info->benchmark, info->seed,
+            /*max_inflight=*/batch);
+    } else {
+        exec = std::make_unique<ThreadPoolExecutor>(
+            suite::find_benchmark(info->benchmark).evaluate, info->seed);
+    }
 
     int done = 0;
     Message last_ok;
@@ -276,32 +280,28 @@ handle_run(const Message& req, const ServerContext& ctx)
         tell.type = MsgType::kObserve;
         tell.id = req.id;
         tell.session = req.session;
+        // The observe caches what the round evaluates.
         double eval_seconds = 0.0;
-        std::vector<EvalResult> results;
+        std::vector<EvalResult> results(configs.configs.size());
         EvalCache* cache = ctx.sessions->cache();
-        if (sharded) {
-            BatchSpec spec;
-            spec.benchmark = info->benchmark;
-            spec.run_seed = info->seed;
-            spec.first_index = configs.index;
-            spec.cache = cache;
-            spec.cache_namespace = info->cache_namespace;
-            results = ctx.coordinator->evaluate_batch(
-                lease, spec, configs.configs, &eval_seconds);
-        } else {
-            results.reserve(configs.configs.size());
-            for (std::size_t i = 0; i < configs.configs.size(); ++i) {
-                const Configuration& c = configs.configs[i];
-                if (cache) {
-                    if (auto hit = cache->lookup(info->cache_namespace, c)) {
-                        results.push_back(*hit);
-                        continue;
-                    }
+        std::size_t outstanding = 0;
+        for (std::size_t i = 0; i < configs.configs.size(); ++i) {
+            const Configuration& c = configs.configs[i];
+            if (cache) {
+                if (auto hit = cache->lookup(info->cache_namespace, c)) {
+                    results[i] = *hit;
+                    continue;
                 }
-                results.push_back(evaluate_on(*local_bench, c, info->seed,
-                                              configs.index + i,
-                                              &eval_seconds));
             }
+            exec->submit(configs.index + i, c);
+            ++outstanding;
+        }
+        for (; outstanding > 0; --outstanding) {
+            Landed l = exec->wait_any();
+            if (l.error)
+                std::rethrow_exception(l.error);
+            results[l.index - configs.index] = l.result;
+            eval_seconds += l.eval_seconds;
         }
         tell.eval_seconds = eval_seconds;
         tell.results.reserve(results.size());
@@ -395,7 +395,7 @@ serve_connection(Transport& transport, const ServerContext& ctx,
         } else if (req.type == MsgType::kRun) {
             try {
                 reply = (req.async || ctx.async_runs)
-                            ? handle_run_async(req, ctx, transport)
+                            ? handle_async_run(req, ctx, transport)
                             : handle_run(req, ctx);
             } catch (const CoordinatorBusy& e) {
                 // Admission refusal: a machine-readable code so clients

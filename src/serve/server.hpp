@@ -19,8 +19,8 @@
  * A run request with "async":true (or a server started with async runs
  * forced on) is driven tell-as-results-land instead: evaluations stream
  * through the api layer's execute() dispatcher — the same one behind
- * baco::Study — onto Coordinator::drive_async (or the EvalEngine's async
- * mode when no workers are attached), and the server emits one result
+ * baco::Study — into one drive() over the coordinator's fleet (or a
+ * thread pool when no workers are attached), and the server emits one result
  * frame per landed evaluation — index, value, feasibility, history size
  * and incumbent — before the final done frame, so the client watches the
  * run progress instead of waiting out the slowest compile.

@@ -3,8 +3,8 @@
 
 /**
  * @file
- * The evaluation worker client: the remote half of the coordinator's
- * sharded evaluate_batch().
+ * The evaluation worker client: the remote half of a drive's
+ * CoordinatorExecutor.
  *
  * A worker registers over its transport with a hello frame (role=worker,
  * capacity), then answers evaluate frames: it looks the benchmark up in
@@ -13,7 +13,7 @@
  * replies with a result frame. Because the noise stream is a pure
  * function of (seed, index), any worker — local thread, child process or
  * remote host — produces the exact same result for the same evaluation,
- * which is what makes sharded runs reproduce EvalEngine histories.
+ * which is what makes sharded runs reproduce thread-pool histories.
  */
 
 #include <cstdint>
@@ -48,7 +48,8 @@ struct WorkerOptions {
 };
 
 /**
- * Evaluate one configuration of a benchmark exactly as EvalEngine would:
+ * Evaluate one configuration of a benchmark exactly as a thread-pool
+ * drive would:
  * under eval_rng_for(run_seed, index), timing the black box into
  * *eval_seconds (optional).
  */

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "api/method_registry.hpp"
-#include "api/study.hpp"
+#include "exec/drive.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace baco::suite {
@@ -28,20 +27,6 @@ method_name(Method m)
       case Method::kCotSampling: return "CoT";
     }
     return "?";
-}
-
-std::optional<Method>
-method_by_name(const std::string& name)
-{
-    static const Method kAll[] = {
-        Method::kBaco,    Method::kBacoMinusMinus, Method::kAtfOpenTuner,
-        Method::kYtopt,   Method::kYtoptGp,        Method::kUniform,
-        Method::kCotSampling,
-    };
-    for (Method m : kAll)
-        if (method_name(m) == name)
-            return m;
-    return std::nullopt;
 }
 
 const std::vector<Method>&
@@ -78,67 +63,6 @@ run_method(const Benchmark& b, Method m, int budget, std::uint64_t seed,
     return drive_serial(*tuner, b.evaluate);
 }
 
-namespace {
-
-/** The shared Study assembly behind the deprecated run_method_* trio. */
-StudyBuilder
-study_for(const Benchmark& b, Method m, int budget, std::uint64_t seed,
-          const SpaceVariant& variant)
-{
-    StudyBuilder sb;
-    sb.benchmark(b)
-        .variant(variant)
-        .method(method_name(m))
-        .budget(budget)
-        .doe(b.doe_samples)
-        .seed(seed);
-    return sb;
-}
-
-}  // namespace
-
-TuningHistory
-run_method_batched(const Benchmark& b, Method m, int budget,
-                   std::uint64_t seed, const EvalEngineOptions& exec,
-                   const SpaceVariant& variant)
-{
-    if (budget <= 0)  // legacy semantic: an exhausted budget, not the
-        return {};    // StudyBuilder's benchmark-default fallback
-    // The engine honored exec.async_mode here before the Study
-    // refactor (drive() dispatches to drive_async), so the wrapper
-    // keeps doing it.
-    return study_for(b, m, budget, seed, variant)
-        .execution(exec.async_mode
-                       ? ExecutionPolicy::Async(exec.batch_size,
-                                                exec.num_threads)
-                       : ExecutionPolicy::Batched(exec.batch_size,
-                                                  exec.num_threads))
-        .cache(exec.cache, exec.cache_max_entries)
-        .cache_namespace(exec.cache_namespace)
-        .checkpoint(exec.checkpoint_path)
-        .build()
-        .run()
-        .history;
-}
-
-TuningHistory
-run_method_async(const Benchmark& b, Method m, int budget,
-                 std::uint64_t seed, const EvalEngineOptions& exec,
-                 const SpaceVariant& variant)
-{
-    if (budget <= 0)
-        return {};
-    return study_for(b, m, budget, seed, variant)
-        .execution(
-            ExecutionPolicy::Async(exec.batch_size, exec.num_threads))
-        .cache(exec.cache, exec.cache_max_entries)
-        .cache_namespace(exec.cache_namespace)
-        .checkpoint(exec.checkpoint_path)
-        .build()
-        .run()
-        .history;
-}
-
 TuningHistory
 run_baco_custom(const Benchmark& b, TunerOptions opt,
                 const SpaceVariant& variant)
@@ -146,26 +70,6 @@ run_baco_custom(const Benchmark& b, TunerOptions opt,
     std::shared_ptr<SearchSpace> space = b.make_space(variant);
     Tuner tuner(*space, opt);
     return tuner.run(b.evaluate);
-}
-
-TuningHistory
-run_method_distributed(const Benchmark& b, Method m, int budget,
-                       std::uint64_t seed, const DistributedOptions& opt,
-                       const SpaceVariant& variant)
-{
-    if (budget <= 0)
-        return {};
-    ExecutionPolicy policy = ExecutionPolicy::Distributed(
-        opt.workers, opt.batch_size, opt.async);
-    policy.max_inflight_per_worker = opt.max_inflight_per_worker;
-    policy.straggler_ms = opt.straggler_ms;
-    return study_for(b, m, budget, seed, variant)
-        .execution(policy)
-        .cache(opt.cache)
-        .checkpoint(opt.checkpoint_path)
-        .build()
-        .run()
-        .history;
 }
 
 double

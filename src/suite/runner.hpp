@@ -10,22 +10,17 @@
  *
  * Every method is constructed through the MethodRegistry (the enum here
  * resolves by display name), so the same code path serves the serial
- * loop, the batched EvalEngine, the thread-pool fan-out of seed
- * repetitions (run_repetitions_parallel), and the serve protocol.
- *
- * The run_method_{batched,async,distributed} trio is deprecated: each is
- * now a one-line wrapper over the baco::Study front door (api/study.hpp),
- * kept for the bench harnesses and older call sites. New code should
- * build a Study and pick an ExecutionPolicy instead.
+ * loop, the thread-pool fan-out of seed repetitions
+ * (run_repetitions_parallel), and the serve protocol. Batched,
+ * asynchronous and distributed runs go through the baco::Study front
+ * door (api/study.hpp) with an ExecutionPolicy.
  */
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/tuner.hpp"
-#include "exec/eval_engine.hpp"
 #include "suite/benchmark.hpp"
 
 namespace baco::suite {
@@ -43,10 +38,6 @@ enum class Method {
 
 /** Display name ("BaCO", "ATF", "Ytopt", ...). */
 std::string method_name(Method m);
-
-/** Inverse of method_name. (The serve protocol resolves method strings
- *  through the MethodRegistry now; this survives for enum callers.) */
-std::optional<Method> method_by_name(const std::string& name);
 
 /** The paper's five headline competitors (Fig. 5-7, Tables 5-9). */
 const std::vector<Method>& headline_methods();
@@ -66,66 +57,9 @@ TuningHistory run_method(const Benchmark& b, Method m, int budget,
                          std::uint64_t seed,
                          const SpaceVariant& variant = SpaceVariant{});
 
-/**
- * Run one method once through the batched EvalEngine. At
- * exec.batch_size == 1 this matches run_method bit-for-bit; larger batches
- * evaluate concurrently with reproducible (seed-determined) histories.
- * @deprecated Wrapper over baco::Study with ExecutionPolicy::Batched.
- */
-TuningHistory run_method_batched(const Benchmark& b, Method m, int budget,
-                                 std::uint64_t seed,
-                                 const EvalEngineOptions& exec,
-                                 const SpaceVariant& variant = SpaceVariant{});
-
-/**
- * Run one method once through the EvalEngine's tell-as-results-land
- * async mode (exec.async_mode is forced on; exec.batch_size is the
- * in-flight cap). At batch_size 1 this still matches run_method
- * bit-for-bit; larger caps trade history-order reproducibility for
- * utilization — no slot ever idles on a straggling evaluation.
- * @deprecated Wrapper over baco::Study with ExecutionPolicy::Async.
- */
-TuningHistory run_method_async(const Benchmark& b, Method m, int budget,
-                               std::uint64_t seed,
-                               const EvalEngineOptions& exec,
-                               const SpaceVariant& variant = SpaceVariant{});
-
 /** Run BaCO with fully custom options (ablation studies). */
 TuningHistory run_baco_custom(const Benchmark& b, TunerOptions opt,
                               const SpaceVariant& variant = SpaceVariant{});
-
-/** Knobs for the distributed (coordinator + workers) execution path. */
-struct DistributedOptions {
-  /** In-process loopback evaluation workers to spawn. */
-  int workers = 2;
-  /** Configurations per suggest() round (constant-liar sharded batch);
-   *  in async mode, the fleet-wide in-flight cap. */
-  int batch_size = 4;
-  /** Drive tell-as-results-land (Coordinator::drive_async) instead of
-   *  barriering on each sharded batch. */
-  bool async = false;
-  /** Per-worker in-flight cap (coordinator backpressure). */
-  int max_inflight_per_worker = 2;
-  /** Straggler re-dispatch deadline in ms; <= 0 disables. */
-  int straggler_ms = -1;
-  /** When nonempty, rewrite a resume checkpoint after every batch. */
-  std::string checkpoint_path;
-  /** Optional shared cache, namespaced by benchmark identity. */
-  EvalCache* cache = nullptr;
-};
-
-/**
- * Run one method through the serve-layer Coordinator with
- * opt.workers in-process loopback workers. The benchmark must be a
- * registry benchmark (workers resolve it by name). Shard-deterministic:
- * matches run_method_batched with the same seed and batch size
- * bit-for-bit, and run_method itself at batch_size == 1.
- * @deprecated Wrapper over baco::Study with ExecutionPolicy::Distributed.
- */
-TuningHistory run_method_distributed(
-    const Benchmark& b, Method m, int budget, std::uint64_t seed,
-    const DistributedOptions& opt = DistributedOptions{},
-    const SpaceVariant& variant = SpaceVariant{});
 
 /** Aggregated repetitions of one (benchmark, method) cell. */
 struct RepStats {

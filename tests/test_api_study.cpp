@@ -1,8 +1,9 @@
 // The baco::Study front-door API: seed-for-seed parity between
-// Study::run() and every legacy driver (serial Tuner::run, batched
-// EvalEngine, single-slot async, distributed Coordinator), the
-// MethodRegistry round-trip, the inline parameter DSL, the ask/tell
-// embedding surface, and the uniform cache/checkpoint/on_event options.
+// Study::run() under every policy and the reference loops (the serial
+// loop for Serial and single-slot Async, the barrier loop for Batched
+// and Distributed), the MethodRegistry round-trip, the inline parameter
+// DSL, the ask/tell embedding surface, and the uniform
+// cache/checkpoint/on_event options.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +11,13 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "api/baco.hpp"
 #include "baselines/random_search.hpp"
+#include "drive_reference.hpp"
+#include "obs/trace.hpp"
 #include "suite/runner.hpp"
 
 namespace baco {
@@ -47,15 +52,16 @@ legacy_tuner(const SearchSpace& space, int doe)
 }
 
 // ---------------------------------------------------------------------------
-// Seed-for-seed parity against all four legacy drivers.
+// Seed-for-seed parity against the reference loops, under all four
+// policies.
 // ---------------------------------------------------------------------------
 
 TEST(StudyParity, SerialMatchesTunerRunBitForBit)
 {
     const Benchmark& b = suite::find_benchmark(kBench);
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
-    TuningHistory reference =
-        drive_serial(*legacy_tuner(*space, b.doe_samples), b.evaluate);
+    TuningHistory reference = reference_serial_loop(
+        *legacy_tuner(*space, b.doe_samples), b.evaluate);
 
     StudyResult r = parity_study(ExecutionPolicy::Serial()).build().run();
     EXPECT_TRUE(histories_equal(reference, r.history));
@@ -65,15 +71,12 @@ TEST(StudyParity, SerialMatchesTunerRunBitForBit)
     EXPECT_EQ(r.seed, kSeed);
 }
 
-TEST(StudyParity, BatchedMatchesEvalEngineBitForBit)
+TEST(StudyParity, BatchedMatchesBarrierLoopBitForBit)
 {
     const Benchmark& b = suite::find_benchmark(kBench);
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
     auto tuner = legacy_tuner(*space, b.doe_samples);
-    EvalEngineOptions eopt;
-    eopt.batch_size = 4;
-    EvalEngine engine(eopt);
-    TuningHistory reference = engine.run(*tuner, b.evaluate);
+    TuningHistory reference = reference_batched_loop(*tuner, b.evaluate, 4);
 
     StudyResult r =
         parity_study(ExecutionPolicy::Batched(4)).build().run();
@@ -84,14 +87,33 @@ TEST(StudyParity, AsyncSingleSlotMatchesSerialBitForBit)
 {
     const Benchmark& b = suite::find_benchmark(kBench);
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
-    TuningHistory serial =
-        drive_serial(*legacy_tuner(*space, b.doe_samples), b.evaluate);
+    TuningHistory serial = reference_serial_loop(
+        *legacy_tuner(*space, b.doe_samples), b.evaluate);
 
     StudyResult r =
         parity_study(ExecutionPolicy::Async(/*slots=*/1, /*threads=*/2))
             .build()
             .run();
     EXPECT_TRUE(histories_equal(serial, r.history));
+}
+
+TEST(StudyParity, OneSlotMatchesSerialLoopUnderEveryPolicy)
+{
+    // serial == batched(1) == async(1) == distributed(1), each against
+    // the independent reference loop.
+    const Benchmark& b = suite::find_benchmark(kBench);
+    std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
+    TuningHistory serial = reference_serial_loop(
+        *legacy_tuner(*space, b.doe_samples), b.evaluate);
+    for (ExecutionPolicy policy :
+         {ExecutionPolicy::Batched(1, /*threads=*/2),
+          ExecutionPolicy::Async(1, /*threads=*/2),
+          ExecutionPolicy::Distributed(2, 1),
+          ExecutionPolicy::Distributed(2, 1, /*async=*/true)}) {
+        SCOPED_TRACE(execution_mode_name(policy.mode));
+        StudyResult r = parity_study(policy).build().run();
+        EXPECT_TRUE(histories_equal(serial, r.history));
+    }
 }
 
 TEST(StudyParity, AsyncMultiSlotExhaustsBudget)
@@ -105,14 +127,11 @@ TEST(StudyParity, AsyncMultiSlotExhaustsBudget)
 TEST(StudyParity, DistributedMatchesCoordinatorSelftestParity)
 {
     // The serve layer's parity contract: a 2-worker sharded fleet
-    // reproduces the same-seed batched EvalEngine run bit-for-bit.
+    // reproduces the same-seed barrier loop bit-for-bit.
     const Benchmark& b = suite::find_benchmark(kBench);
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
     auto tuner = legacy_tuner(*space, b.doe_samples);
-    EvalEngineOptions eopt;
-    eopt.batch_size = 4;
-    EvalEngine engine(eopt);
-    TuningHistory reference = engine.run(*tuner, b.evaluate);
+    TuningHistory reference = reference_batched_loop(*tuner, b.evaluate, 4);
 
     StudyResult r =
         parity_study(ExecutionPolicy::Distributed(/*workers=*/2,
@@ -121,20 +140,6 @@ TEST(StudyParity, DistributedMatchesCoordinatorSelftestParity)
             .run();
     EXPECT_TRUE(histories_equal(reference, r.history));
     EXPECT_EQ(r.mode, ExecutionPolicy::Mode::kDistributed);
-}
-
-TEST(StudyParity, DeprecatedSuiteWrappersStillMatchLegacySemantics)
-{
-    // run_method_batched is now a one-line Study wrapper; it must still
-    // equal the serial driver at batch 1.
-    const Benchmark& b = suite::find_benchmark(kBench);
-    TuningHistory serial =
-        suite::run_method(b, suite::Method::kBaco, kBudget, kSeed);
-    EvalEngineOptions eopt;
-    eopt.batch_size = 1;
-    TuningHistory batched = suite::run_method_batched(
-        b, suite::Method::kBaco, kBudget, kSeed, eopt);
-    EXPECT_TRUE(histories_equal(serial, batched));
 }
 
 // ---------------------------------------------------------------------------
@@ -334,6 +339,148 @@ TEST(Study, EventsFireInHistoryOrderAcrossPolicies)
             EXPECT_EQ(indices[i], i);  // history order
         EXPECT_DOUBLE_EQ(last_best, r.history.best_value);
     }
+}
+
+TEST(Study, CacheReplayReportsFromCacheOnEveryEventUnderEveryPolicy)
+{
+    // A second same-seed study against a warm cache is a pure replay:
+    // every event must say so, whichever policy drives it. (random
+    // search suggests the same sequence however asks are sliced, so
+    // even the multi-slot async replay hits on every configuration.)
+    for (ExecutionPolicy policy :
+         {ExecutionPolicy::Serial(), ExecutionPolicy::Batched(4),
+          ExecutionPolicy::Async(4), ExecutionPolicy::Distributed(2, 4)}) {
+        SCOPED_TRACE(execution_mode_name(policy.mode));
+        EvalCache cache;
+        parity_study(policy, "random").cache(&cache).build().run();
+        int events = 0;
+        int cached = 0;
+        StudyResult replay = parity_study(policy, "random")
+                                 .cache(&cache)
+                                 .on_event([&](const AsyncEvent& ev) {
+                                     ++events;
+                                     if (ev.from_cache)
+                                         ++cached;
+                                     EXPECT_EQ(ev.eval_seconds, 0.0);
+                                 })
+                                 .build()
+                                 .run();
+        EXPECT_EQ(replay.cache_hits, static_cast<std::uint64_t>(kBudget));
+        EXPECT_EQ(events, kBudget);
+        EXPECT_EQ(cached, kBudget);
+    }
+}
+
+TEST(Study, EventsFireAfterTheCheckpointUnderEveryPolicyAndTell)
+{
+    // Every tell checkpoints first and fires its events second, so an
+    // observer always finds its result on disk — run() under every
+    // policy and the ask/tell embedding alike.
+    std::string path = testing::TempDir() + "baco_api_study_events.ckpt";
+    int checked = 0;
+    auto on_disk = [&](const AsyncEvent& ev) {
+        std::optional<CheckpointData> data = load_checkpoint(path);
+        ASSERT_TRUE(data.has_value());
+        EXPECT_GE(data->history.size(), ev.evals);
+        ++checked;
+    };
+    for (ExecutionPolicy policy :
+         {ExecutionPolicy::Serial(), ExecutionPolicy::Batched(4),
+          ExecutionPolicy::Async(4), ExecutionPolicy::Distributed(2, 4)}) {
+        SCOPED_TRACE(execution_mode_name(policy.mode));
+        std::remove(path.c_str());
+        checked = 0;
+        parity_study(policy, "random")
+            .checkpoint(path)
+            .on_event(on_disk)
+            .build()
+            .run();
+        EXPECT_EQ(checked, kBudget);
+    }
+
+    std::remove(path.c_str());
+    checked = 0;
+    const Benchmark& b = suite::find_benchmark(kBench);
+    Study study = parity_study(ExecutionPolicy::Serial(), "random")
+                      .checkpoint(path)
+                      .on_event(on_disk)
+                      .build();
+    std::vector<Configuration> batch = study.ask(3);
+    std::vector<EvalResult> results;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        RngEngine rng = eval_rng_for(kSeed, i);
+        results.push_back(b.evaluate(batch[i], rng));
+    }
+    study.tell(batch, results);
+    EXPECT_EQ(checked, 3);
+    std::remove(path.c_str());
+}
+
+TEST(Study, RealAndLogScaledIntegerParametersRunInBounds)
+{
+    Study study = StudyBuilder()
+                      .real("alpha", 0.25, 2.0)
+                      .integer("n", 1, 1024, /*log_scale=*/true)
+                      .objective([](const Configuration& c, RngEngine&) {
+                          double alpha = as_real(c[0]);
+                          double n = static_cast<double>(as_int(c[1]));
+                          return EvalResult{
+                              (alpha - 1.0) * (alpha - 1.0) +
+                                  std::pow(std::log2(n / 64.0), 2),
+                              true};
+                      })
+                      .budget(10)
+                      .doe(4)
+                      .seed(9)
+                      .build();
+    const SearchSpace& space = study.space();
+    ASSERT_EQ(space.num_params(), 2u);
+    const auto& alpha = dynamic_cast<const RealParameter&>(space.param(0));
+    EXPECT_EQ(alpha.name(), "alpha");
+    EXPECT_FALSE(alpha.log_scale());
+    EXPECT_DOUBLE_EQ(alpha.lo(), 0.25);
+    EXPECT_DOUBLE_EQ(alpha.hi(), 2.0);
+    const auto& n = dynamic_cast<const IntegerParameter&>(space.param(1));
+    EXPECT_EQ(n.name(), "n");
+    EXPECT_TRUE(n.log_scale());
+    EXPECT_EQ(n.lo(), 1);
+    EXPECT_EQ(n.hi(), 1024);
+
+    StudyResult r = study.run();
+    ASSERT_EQ(r.history.size(), 10u);
+    for (const Observation& o : r.history.observations) {
+        EXPECT_GE(as_real(o.config[0]), 0.25);
+        EXPECT_LE(as_real(o.config[0]), 2.0);
+        EXPECT_GE(as_int(o.config[1]), 1);
+        EXPECT_LE(as_int(o.config[1]), 1024);
+    }
+    EXPECT_TRUE(r.history.best_config.has_value());
+}
+
+TEST(Study, TraceExportsTheStudysSpans)
+{
+    std::string path = testing::TempDir() + "baco_api_study_trace.json";
+    std::remove(path.c_str());
+    obs::Trace::clear();
+    dsl_study().trace(path).build().run();
+    EXPECT_FALSE(obs::Trace::enabled());  // finalization turns it off
+
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    ASSERT_NE(f, nullptr) << "no trace written to " << path;
+    std::string json;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+        json.append(buf, n);
+    std::fclose(f);
+    std::remove(path.c_str());
+    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+#if defined(BACO_OBS_TRACE_OFF)
+    GTEST_SKIP() << "tracing compiled out (-DBACO_OBS_TRACE=OFF): no spans";
+#else
+    EXPECT_NE(json.find("\"tuner.suggest\""), std::string::npos);
+    EXPECT_NE(json.find("\"engine.objective\""), std::string::npos);
+#endif
 }
 
 TEST(Study, BuildValidationRejectsInconsistentSpecs)
@@ -550,6 +697,23 @@ TEST(Study, AsyncCheckpointPendingResumesUnderEveryPolicy)
     make_pending_checkpoint();
     TuningHistory via_batched = resume_with(ExecutionPolicy::Batched(3));
 
+    // The independent reference: restore by hand, tell the in-flight
+    // evaluation under its own index, finish with the serial loop.
+    make_pending_checkpoint();
+    TuningHistory via_reference;
+    {
+        std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
+        std::unique_ptr<AskTellTuner> tuner =
+            legacy_tuner(*space, b.doe_samples);
+        std::vector<PendingEval> pending;
+        ASSERT_TRUE(resume_from_checkpoint(path, *tuner, &pending));
+        ASSERT_EQ(pending.size(), 1u);
+        RngEngine prng = eval_rng_for(kSeed, pending[0].index);
+        tuner->observe_one(pending[0].config,
+                           b.evaluate(pending[0].config, prng));
+        via_reference = reference_serial_loop(*tuner, b.evaluate);
+    }
+
     // The ask/tell embedding path handles the same checkpoint through
     // resume_pending()/tell_pending(): ask() refuses until the
     // in-flight work is drained, and the drained exchange reproduces
@@ -584,6 +748,7 @@ TEST(Study, AsyncCheckpointPendingResumesUnderEveryPolicy)
     // suggestions after the drain, but the drained evaluation itself
     // must land at its original index with its original noise stream.
     EXPECT_EQ(via_async.size(), static_cast<std::size_t>(kBudget));
+    EXPECT_TRUE(histories_equal(via_reference, via_async));
     EXPECT_TRUE(histories_equal(via_async, via_serial));
     EXPECT_TRUE(histories_equal(via_async, via_asktell));
     for (const TuningHistory* h : {&via_async, &via_serial, &via_batched}) {

@@ -16,11 +16,13 @@
 #include <sstream>
 #include <thread>
 
+#include "api/study.hpp"
 #include "baselines/random_search.hpp"
 #include "core/tuner.hpp"
+#include "drive_reference.hpp"
 #include "exec/checkpoint.hpp"
+#include "exec/drive.hpp"
 #include "exec/eval_cache.hpp"
-#include "exec/eval_engine.hpp"
 #include "obs/metrics.hpp"
 #include "suite/registry.hpp"
 #include "suite/runner.hpp"
@@ -71,14 +73,13 @@ TEST(AsyncEngine, SingleSlotMatchesSerialBitForBit)
     opt.doe_samples = 8;
     opt.seed = 42;
 
-    TuningHistory serial = Tuner(s, opt).run(synthetic_eval);
+    Tuner reference(s, opt);
+    TuningHistory serial = reference_serial_loop(reference, synthetic_eval);
 
     Tuner tuner(s, opt);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 3;
-    eopt.batch_size = 1;  // one slot: async degenerates to the serial loop
-    eopt.async_mode = true;
-    TuningHistory async = EvalEngine(eopt).run(tuner, synthetic_eval);
+    // One slot: async degenerates to the serial loop.
+    TuningHistory async =
+        pool_drive(tuner, synthetic_eval, 3, drive_options(1, true));
 
     ASSERT_EQ(serial.size(), async.size());
     EXPECT_TRUE(histories_equal(serial, async));
@@ -97,14 +98,11 @@ TEST(AsyncEngine, MultiSlotHistoryIsPermutationOfSerialForSampling)
     opt.seed = 9;
 
     RandomSearchTuner serial_tuner(s, opt, /*biased_walk=*/false);
-    TuningHistory serial = drive_serial(serial_tuner, synthetic_eval);
+    TuningHistory serial = reference_serial_loop(serial_tuner, synthetic_eval);
 
     RandomSearchTuner async_tuner(s, opt, /*biased_walk=*/false);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    TuningHistory async = EvalEngine(eopt).run(async_tuner, synthetic_eval);
+    TuningHistory async =
+        pool_drive(async_tuner, synthetic_eval, 4, drive_options(4, true));
 
     ASSERT_EQ(serial.size(), async.size());
     EXPECT_EQ(config_multiset(serial), config_multiset(async));
@@ -184,11 +182,7 @@ TEST(AsyncEngine, EverySuggestedConfigIsEventuallyToldUnderRandomJitter)
         return r;
     };
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    TuningHistory h = EvalEngine(eopt).run(tuner, jittered);
+    TuningHistory h = pool_drive(tuner, jittered, 4, drive_options(4, true));
 
     EXPECT_EQ(h.size(), 40u);
     EXPECT_EQ(tuner.suggested(), tuner.observed());
@@ -225,17 +219,13 @@ TEST(AsyncEngine, SlowestFirstScheduleDoesNotStarveSlots)
     };
 
     std::atomic<int> told_while_slow_running{0};
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    EvalEngine engine(eopt);
+    DriveOptions dopt = drive_options(4, true);
+    dopt.on_event = [&](const AsyncEvent&) {
+        if (!slow_done.load())
+            told_while_slow_running.fetch_add(1);
+    };
     auto t0 = Clock::now();
-    TuningHistory h = engine.run_async(
-        tuner, adversarial, [&](const AsyncEvent&) {
-            if (!slow_done.load())
-                told_while_slow_running.fetch_add(1);
-        });
+    TuningHistory h = pool_drive(tuner, adversarial, 4, dopt);
     double wall = std::chrono::duration<double>(Clock::now() - t0).count();
 
     EXPECT_EQ(h.size(), 24u);
@@ -274,20 +264,17 @@ TEST(AsyncEngine, KillResumeWithInFlightEvaluationsDoesNotDoubleTell)
     // in flight — exactly what a kill at that instant would leave behind.
     {
         Tuner tuner(s, opt);
-        EvalEngineOptions eopt;
-        eopt.num_threads = 4;
-        eopt.batch_size = 4;
-        eopt.async_mode = true;
-        eopt.checkpoint_path = ckpt;
-        EvalEngine engine(eopt);
+        DriveOptions dopt = drive_options(4, true);
+        dopt.checkpoint_path = ckpt;
         int told = 0;
-        engine.run_async(tuner, jittered, [&](const AsyncEvent&) {
+        dopt.on_event = [&](const AsyncEvent&) {
             if (++told == 8) {
                 std::ifstream in(ckpt, std::ios::binary);
                 std::ofstream out(snapshot, std::ios::binary);
                 out << in.rdbuf();
             }
-        });
+        };
+        pool_drive(tuner, jittered, 4, dopt);
     }
 
     std::optional<CheckpointData> snap = load_checkpoint(snapshot);
@@ -304,12 +291,9 @@ TEST(AsyncEngine, KillResumeWithInFlightEvaluationsDoesNotDoubleTell)
     for (const PendingEval& p : pending)
         pending_hashes.push_back(config_hash(p.config));
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    TuningHistory h =
-        EvalEngine(eopt).run_async(resumed, jittered, {}, std::move(pending));
+    DriveOptions dopt = drive_options(4, true);
+    dopt.resume_pending = std::move(pending);
+    TuningHistory h = pool_drive(resumed, jittered, 4, dopt);
 
     // No double-telling: exactly the budget was observed, every config
     // exactly once (the tuner dedups), and each formerly in-flight
@@ -333,23 +317,26 @@ TEST(AsyncEngine, SingleSlotKillResumeReproducesUninterruptedRun)
     opt.doe_samples = 6;
     opt.seed = 23;
 
-    TuningHistory uninterrupted = Tuner(s, opt).run(synthetic_eval);
+    Tuner reference(s, opt);
+    TuningHistory uninterrupted =
+        reference_serial_loop(reference, synthetic_eval);
 
     std::string ckpt = testing::TempDir() + "baco_async_ckpt1.jsonl";
     std::remove(ckpt.c_str());
-    EvalEngineOptions eopt;
-    eopt.batch_size = 1;
-    eopt.async_mode = true;
-    eopt.checkpoint_path = ckpt;
+    DriveOptions dopt = drive_options(1, true);
+    dopt.checkpoint_path = ckpt;
     {
         Tuner tuner(s, opt);
-        EvalEngine(eopt).drive_async(tuner, synthetic_eval, /*max_evals=*/7);
+        ThreadPoolExecutor exec(synthetic_eval, tuner.run_seed(), 0);
+        DriveOptions first = dopt;
+        first.max_evals = 7;
+        drive(tuner, exec, first);
     }
     Tuner resumed(s, opt);
     std::vector<PendingEval> pending;
     ASSERT_TRUE(resume_from_checkpoint(ckpt, resumed, &pending));
     EXPECT_TRUE(pending.empty());  // single slot: nothing was in flight
-    TuningHistory h = EvalEngine(eopt).run_async(resumed, synthetic_eval);
+    TuningHistory h = pool_drive(resumed, synthetic_eval, 0, dopt);
 
     EXPECT_TRUE(histories_equal(uninterrupted, h));
     std::remove(ckpt.c_str());
@@ -363,19 +350,16 @@ TEST(AsyncEngine, CacheShortCircuitsRepeatAsyncRuns)
     opt.budget = 16;
     opt.seed = 7;
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    eopt.cache = &cache;
-    eopt.cache_namespace = "async-test";
+    DriveOptions dopt = drive_options(4, true);
+    dopt.cache = &cache;
+    dopt.cache_namespace = "async-test";
 
     RandomSearchTuner first(s, opt, false);
-    TuningHistory h1 = EvalEngine(eopt).run(first, synthetic_eval);
+    TuningHistory h1 = pool_drive(first, synthetic_eval, 4, dopt);
     std::uint64_t hits_before = cache.hits();
 
     RandomSearchTuner second(s, opt, false);
-    TuningHistory h2 = EvalEngine(eopt).run(second, synthetic_eval);
+    TuningHistory h2 = pool_drive(second, synthetic_eval, 4, dopt);
 
     EXPECT_EQ(h2.size(), 16u);
     EXPECT_EQ(cache.hits(), hits_before + 16);
@@ -398,21 +382,18 @@ TEST(AsyncEngine, ObjectiveExceptionIsRethrownAfterDraining)
         return synthetic_eval(c, rng);
     };
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    EvalEngine engine(eopt);
-    EXPECT_THROW(engine.drive_async(tuner, flaky), std::runtime_error);
+    ThreadPoolExecutor exec(flaky, tuner.run_seed(), 4);
+    EXPECT_THROW(drive(tuner, exec, drive_options(4, true)),
+                 std::runtime_error);
     // Everything dispatched before the abort drained cleanly.
     EXPECT_LT(tuner.history().size(), 24u);
 }
 
 TEST(AsyncEngine, CallbackExceptionIsRethrownAfterDraining)
 {
-    // An exception from the caller's on_result callback (or the tuner)
-    // must drain the in-flight work before unwinding — the pool workers
-    // reference drive_async's stack until the last result lands.
+    // An exception from the caller's on_event callback (or the tuner)
+    // must drain the in-flight work before unwinding, and nothing may be
+    // told after it.
     SearchSpace s = synthetic_space();
     RandomSearchOptions opt;
     opt.budget = 24;
@@ -425,19 +406,14 @@ TEST(AsyncEngine, CallbackExceptionIsRethrownAfterDraining)
         return r;
     };
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    EvalEngine engine(eopt);
+    ThreadPoolExecutor exec(slowish, tuner.run_seed(), 4);
+    DriveOptions dopt = drive_options(4, true);
     int told = 0;
-    EXPECT_THROW(engine.drive_async(tuner, slowish, -1,
-                                    [&](const AsyncEvent&) {
-                                        if (++told == 3)
-                                            throw std::runtime_error(
-                                                "client went away");
-                                    }),
-                 std::runtime_error);
+    dopt.on_event = [&](const AsyncEvent&) {
+        if (++told == 3)
+            throw std::runtime_error("client went away");
+    };
+    EXPECT_THROW(drive(tuner, exec, dopt), std::runtime_error);
     // The abort happened at the 3rd tell; nothing was told afterwards.
     EXPECT_EQ(told, 3);
     EXPECT_EQ(tuner.history().size(), 3u);
@@ -548,15 +524,13 @@ TEST(SuggestAhead, SingleSlotIsBitForBitIdenticalToSerial)
     opt.doe_samples = 8;
     opt.seed = 42;
 
-    TuningHistory serial = Tuner(s, opt).run(synthetic_eval);
+    Tuner reference(s, opt);
+    TuningHistory serial = reference_serial_loop(reference, synthetic_eval);
 
     Tuner tuner(s, opt);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 3;
-    eopt.batch_size = 1;
-    eopt.async_mode = true;
-    eopt.suggest_ahead = true;
-    TuningHistory ahead = EvalEngine(eopt).run(tuner, synthetic_eval);
+    DriveOptions dopt = drive_options(1, true);
+    dopt.suggest_ahead = true;
+    TuningHistory ahead = pool_drive(tuner, synthetic_eval, 3, dopt);
 
     ASSERT_EQ(serial.size(), ahead.size());
     EXPECT_TRUE(histories_equal(serial, ahead));
@@ -590,12 +564,9 @@ TEST(SuggestAhead, StressExactlyOnceUnderHeavyTailedDelays)
     };
 
     obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    eopt.suggest_ahead = true;
-    TuningHistory h = EvalEngine(eopt).run(tuner, heavy_tailed);
+    DriveOptions dopt = drive_options(4, true);
+    dopt.suggest_ahead = true;
+    TuningHistory h = pool_drive(tuner, heavy_tailed, 4, dopt);
     obs::MetricsSnapshot delta =
         obs::MetricsRegistry::global().snapshot().delta_since(before);
 
@@ -631,15 +602,14 @@ TEST(SuggestAhead, MaxEvalsSplitLosesNoSuggestions)
         return r;
     };
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    eopt.suggest_ahead = true;
-    EvalEngine engine(eopt);
-    engine.drive_async(tuner, jittered, /*max_evals=*/9);
+    ThreadPoolExecutor exec(jittered, tuner.run_seed(), 4);
+    DriveOptions dopt = drive_options(4, true);
+    dopt.suggest_ahead = true;
+    DriveOptions capped = dopt;
+    capped.max_evals = 9;
+    drive(tuner, exec, capped);
     EXPECT_EQ(tuner.history().size(), 9u);
-    engine.drive_async(tuner, jittered);
+    drive(tuner, exec, dopt);
 
     TuningHistory h = tuner.take_history();
     ASSERT_EQ(h.size(), 22u);
@@ -650,32 +620,37 @@ TEST(SuggestAhead, MaxEvalsSplitLosesNoSuggestions)
     EXPECT_EQ(tuner.suggested(), tuner.observed());
 }
 
-TEST(AsyncEngine, SuiteRunnerAsyncCompletesBudgetAcrossMethods)
+TEST(AsyncEngine, AsyncStudyCompletesBudgetAcrossMethods)
 {
     const Benchmark& b = suite::find_benchmark("SDDMM/email-Enron");
-    const suite::Method methods[] = {suite::Method::kUniform,
-                                     suite::Method::kAtfOpenTuner,
-                                     suite::Method::kYtopt};
-    for (suite::Method m : methods) {
-        EvalEngineOptions eopt;
-        eopt.num_threads = 4;
-        eopt.batch_size = 4;
-        TuningHistory h = suite::run_method_async(b, m, 14, 19, eopt);
-        EXPECT_EQ(h.size(), 14u) << suite::method_name(m);
-        EXPECT_TRUE(h.best_config.has_value()) << suite::method_name(m);
+    for (const char* m : {"Uniform", "ATF", "Ytopt"}) {
+        TuningHistory h = StudyBuilder()
+                              .benchmark(b)
+                              .method(m)
+                              .budget(14)
+                              .seed(19)
+                              .execution(ExecutionPolicy::Async(4, 4))
+                              .build()
+                              .run()
+                              .history;
+        EXPECT_EQ(h.size(), 14u) << m;
+        EXPECT_TRUE(h.best_config.has_value()) << m;
     }
 }
 
-TEST(AsyncEngine, RunMethodAsyncAtSlot1MatchesRunMethod)
+TEST(AsyncEngine, AsyncStudyAtSlot1MatchesSerialLoop)
 {
     const Benchmark& b = suite::find_benchmark("SDDMM/email-Enron");
-    TuningHistory serial =
-        suite::run_method(b, suite::Method::kBaco, 12, 31);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 2;
-    eopt.batch_size = 1;
-    TuningHistory async = suite::run_method_async(
-        b, suite::Method::kBaco, 12, 31, eopt);
+    TuningHistory serial = reference_run(b, "BaCO", 12, 31);
+    TuningHistory async = StudyBuilder()
+                              .benchmark(b)
+                              .method("BaCO")
+                              .budget(12)
+                              .seed(31)
+                              .execution(ExecutionPolicy::Async(1, 2))
+                              .build()
+                              .run()
+                              .history;
     EXPECT_TRUE(histories_equal(serial, async));
 }
 

@@ -1,16 +1,19 @@
 // Evaluation cache: canonical keys, hit/miss semantics, persistence, and
-// engine short-circuiting.
+// drive short-circuiting.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 
 #include <unistd.h>
 
+#include "api/study.hpp"
 #include "core/tuner.hpp"
+#include "drive_reference.hpp"
+#include "exec/drive.hpp"
 #include "exec/eval_cache.hpp"
-#include "exec/eval_engine.hpp"
 
 namespace baco {
 namespace {
@@ -205,22 +208,19 @@ TEST(EvalCache, BoundedReloadKeepsMostRecentlyUsedEntries)
     std::remove(path.c_str());
 }
 
-TEST(EvalCache, EngineAppliesLruBoundFromOptions)
+TEST(EvalCache, StudyAppliesLruBoundFromOptions)
 {
-    SearchSpace s = small_space();
-    TunerOptions topt;
-    topt.budget = 10;
-    topt.doe_samples = 4;
-    topt.seed = 9;
-    Tuner tuner(s, topt);
-
     EvalCache cache;
-    EvalEngineOptions eopt;
-    eopt.batch_size = 2;
-    eopt.cache = &cache;
-    eopt.cache_max_entries = 3;
-    EvalEngine engine(eopt);
-    engine.run(tuner, det_eval);
+    StudyBuilder()
+        .space(std::make_shared<SearchSpace>(small_space()))
+        .objective(det_eval)
+        .budget(10)
+        .doe(4)
+        .seed(9)
+        .execution(ExecutionPolicy::Batched(2))
+        .cache(&cache, /*max_entries=*/3)
+        .build()
+        .run();
     EXPECT_EQ(cache.max_entries(), 3u);
     EXPECT_LE(cache.size(), 3u);
     EXPECT_GT(cache.evictions(), 0u);
@@ -299,7 +299,7 @@ TEST(EvalCache, SpaceFingerprintTracksStructure)
               EvalCache::namespace_key("x", constrained));
 }
 
-TEST(EvalCache, EngineRespectsNamespaceOption)
+TEST(EvalCache, DriveRespectsNamespaceOption)
 {
     SearchSpace s = small_space();
     std::atomic<int> calls{0};
@@ -314,28 +314,28 @@ TEST(EvalCache, EngineRespectsNamespaceOption)
     opt.seed = 21;
 
     EvalCache cache;
-    EvalEngineOptions ns1;
+    DriveOptions ns1;
     ns1.cache = &cache;
     ns1.cache_namespace = "bench-one@aa";
     Tuner t1(s, opt);
-    EvalEngine(ns1).run(t1, counted);
+    pool_drive(t1, counted, 0, ns1);
     int after_first = calls.load();
     EXPECT_EQ(after_first, 6);
 
     // Same configs under a different namespace: all misses, re-evaluated.
-    EvalEngineOptions ns2 = ns1;
+    DriveOptions ns2 = ns1;
     ns2.cache_namespace = "bench-two@bb";
     Tuner t2(s, opt);
-    EvalEngine(ns2).run(t2, counted);
+    pool_drive(t2, counted, 0, ns2);
     EXPECT_EQ(calls.load(), 2 * after_first);
 
     // Same namespace again: fully served from cache.
     Tuner t3(s, opt);
-    EvalEngine(ns1).run(t3, counted);
+    pool_drive(t3, counted, 0, ns1);
     EXPECT_EQ(calls.load(), 2 * after_first);
 }
 
-TEST(EvalCache, EngineShortCircuitsRepeatRuns)
+TEST(EvalCache, DriveShortCircuitsRepeatRuns)
 {
     SearchSpace s = small_space();
     std::atomic<int> calls{0};
@@ -350,12 +350,11 @@ TEST(EvalCache, EngineShortCircuitsRepeatRuns)
     opt.seed = 9;
 
     EvalCache cache;
-    EvalEngineOptions eopt;
-    eopt.batch_size = 2;
+    DriveOptions eopt = drive_options(2);
     eopt.cache = &cache;
 
     Tuner t1(s, opt);
-    TuningHistory h1 = EvalEngine(eopt).run(t1, counted);
+    TuningHistory h1 = pool_drive(t1, counted, 0, eopt);
     int first_run_calls = calls.load();
     EXPECT_EQ(first_run_calls, 10);
     EXPECT_EQ(cache.size(), 10u);
@@ -363,7 +362,7 @@ TEST(EvalCache, EngineShortCircuitsRepeatRuns)
     // Same seed, same deterministic objective: every configuration the
     // second run proposes is already cached, so the black box never runs.
     Tuner t2(s, opt);
-    TuningHistory h2 = EvalEngine(eopt).run(t2, counted);
+    TuningHistory h2 = pool_drive(t2, counted, 0, eopt);
     EXPECT_EQ(calls.load(), first_run_calls);
     EXPECT_TRUE(histories_equal(h1, h2));
 }
@@ -385,10 +384,10 @@ TEST(EvalCache, PersistedCacheShortCircuitsAcrossSessions)
 
     {
         EvalCache cache;
-        EvalEngineOptions eopt;
+        DriveOptions eopt;
         eopt.cache = &cache;
         Tuner t(s, opt);
-        EvalEngine(eopt).run(t, counted);
+        pool_drive(t, counted, 0, eopt);
         ASSERT_TRUE(cache.save(path));
     }
     int session1_calls = calls.load();
@@ -396,10 +395,10 @@ TEST(EvalCache, PersistedCacheShortCircuitsAcrossSessions)
     // A fresh "session" reloads the cache from disk.
     EvalCache cache;
     ASSERT_TRUE(cache.load(path));
-    EvalEngineOptions eopt;
+    DriveOptions eopt;
     eopt.cache = &cache;
     Tuner t(s, opt);
-    EvalEngine(eopt).run(t, counted);
+    pool_drive(t, counted, 0, eopt);
     EXPECT_EQ(calls.load(), session1_calls);
     std::remove(path.c_str());
 }

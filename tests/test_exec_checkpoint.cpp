@@ -8,8 +8,9 @@
 
 #include "baselines/opentuner_like.hpp"
 #include "core/tuner.hpp"
+#include "drive_reference.hpp"
 #include "exec/checkpoint.hpp"
-#include "exec/eval_engine.hpp"
+#include "exec/drive.hpp"
 
 namespace baco {
 namespace {
@@ -39,6 +40,15 @@ mixed_eval(const Configuration& c, RngEngine& rng)
     return EvalResult{v * rng.lognormal_factor(0.02), true};
 }
 
+/** Drive at most max_evals evaluations of mixed_eval on a pool. */
+void
+drive_some(AskTellTuner& tuner, int max_evals, DriveOptions opt = {})
+{
+    ThreadPoolExecutor exec(mixed_eval, tuner.run_seed(), 0);
+    opt.max_evals = max_evals;
+    drive(tuner, exec, opt);
+}
+
 TEST(Checkpoint, SaveLoadRoundtripPreservesHistory)
 {
     SearchSpace s = mixed_space();
@@ -48,8 +58,7 @@ TEST(Checkpoint, SaveLoadRoundtripPreservesHistory)
     opt.seed = 4;
     opt.log_objective = false;
     Tuner tuner(s, opt);
-    EvalEngine engine;
-    engine.drive(tuner, mixed_eval, 12);
+    drive_some(tuner, 12);
 
     std::string path = testing::TempDir() + "baco_test_ckpt_roundtrip.jsonl";
     ASSERT_TRUE(save_checkpoint(path, tuner));
@@ -72,21 +81,20 @@ TEST(Checkpoint, ResumeReproducesUninterruptedHistory)
     opt.seed = 13;
     opt.log_objective = false;
 
-    EvalEngineOptions eopt;
-    eopt.batch_size = 2;
+    DriveOptions eopt = drive_options(2);
 
     // Reference: one uninterrupted run.
     Tuner full(s, opt);
-    TuningHistory reference = EvalEngine(eopt).run(full, mixed_eval);
+    TuningHistory reference = pool_drive(full, mixed_eval, 0, eopt);
     ASSERT_EQ(reference.size(), 20u);
 
     // Interrupted run: 8 evaluations (a batch boundary), then "crash".
     std::string path = testing::TempDir() + "baco_test_ckpt_resume.jsonl";
-    EvalEngineOptions copt = eopt;
+    DriveOptions copt = eopt;
     copt.checkpoint_path = path;
     {
         Tuner interrupted(s, opt);
-        EvalEngine(copt).drive(interrupted, mixed_eval, 8);
+        drive_some(interrupted, 8, copt);
         ASSERT_EQ(interrupted.history().size(), 8u);
     }
 
@@ -94,7 +102,7 @@ TEST(Checkpoint, ResumeReproducesUninterruptedHistory)
     Tuner resumed(s, opt);
     ASSERT_TRUE(resume_from_checkpoint(path, resumed));
     ASSERT_EQ(resumed.history().size(), 8u);
-    TuningHistory final_history = EvalEngine(copt).run(resumed, mixed_eval);
+    TuningHistory final_history = pool_drive(resumed, mixed_eval, 0, copt);
 
     EXPECT_TRUE(histories_equal(reference, final_history));
     EXPECT_EQ(reference.best_value, final_history.best_value);
@@ -112,15 +120,15 @@ TEST(Checkpoint, ResumeWorksForBaselines)
     std::string path = testing::TempDir() + "baco_test_ckpt_baseline.jsonl";
     {
         OpenTunerLike interrupted(s, opt);
-        EvalEngineOptions copt;
+        DriveOptions copt;
         copt.checkpoint_path = path;
-        EvalEngine(copt).drive(interrupted, mixed_eval, 6);
+        drive_some(interrupted, 6, copt);
     }
 
     OpenTunerLike resumed(s, opt);
     ASSERT_TRUE(resume_from_checkpoint(path, resumed));
     EXPECT_EQ(resumed.history().size(), 6u);
-    TuningHistory h = EvalEngine().run(resumed, mixed_eval);
+    TuningHistory h = pool_drive(resumed, mixed_eval, 0);
     EXPECT_EQ(h.size(), 14u);
     std::remove(path.c_str());
 }
@@ -137,7 +145,7 @@ TEST(Checkpoint, BanditWindowResumesBitForBit)
     opt.seed = 91;
 
     OpenTunerLike full(s, opt);
-    TuningHistory reference = EvalEngine().run(full, mixed_eval);
+    TuningHistory reference = pool_drive(full, mixed_eval, 0);
     ASSERT_EQ(reference.size(), 30u);
 
     // Interrupt well past the seed phase, when the bandit credit state
@@ -145,15 +153,15 @@ TEST(Checkpoint, BanditWindowResumesBitForBit)
     std::string path = testing::TempDir() + "baco_test_ckpt_bandit.jsonl";
     {
         OpenTunerLike interrupted(s, opt);
-        EvalEngineOptions copt;
+        DriveOptions copt;
         copt.checkpoint_path = path;
-        EvalEngine(copt).drive(interrupted, mixed_eval, 18);
+        drive_some(interrupted, 18, copt);
     }
 
     OpenTunerLike resumed(s, opt);
     ASSERT_TRUE(resume_from_checkpoint(path, resumed));
     ASSERT_EQ(resumed.history().size(), 18u);
-    TuningHistory final_history = EvalEngine().run(resumed, mixed_eval);
+    TuningHistory final_history = pool_drive(resumed, mixed_eval, 0);
 
     EXPECT_TRUE(histories_equal(reference, final_history));
     EXPECT_EQ(reference.best_value, final_history.best_value);
@@ -171,9 +179,9 @@ TEST(Checkpoint, ResumeRejectsSeedMismatch)
     std::string path = testing::TempDir() + "baco_test_ckpt_seed.jsonl";
     {
         OpenTunerLike run(s, opt);
-        EvalEngineOptions copt;
+        DriveOptions copt;
         copt.checkpoint_path = path;
-        EvalEngine(copt).drive(run, mixed_eval, 4);
+        drive_some(run, 4, copt);
     }
 
     // The per-evaluation RNG streams are rooted at the run seed, so a
@@ -211,8 +219,7 @@ TEST(Checkpoint, PendingEvaluationsRoundTrip)
     opt.seed = 6;
     opt.log_objective = false;
     Tuner tuner(s, opt);
-    EvalEngine engine;
-    engine.drive(tuner, mixed_eval, 4);
+    drive_some(tuner, 4);
 
     // Two in-flight evaluations (mixed types, permutation included).
     std::vector<PendingEval> pending;

@@ -1,5 +1,5 @@
-// The batched evaluation engine: thread pool, serial/batched determinism,
-// batch diversity, and parallel suite repetitions.
+// Barrier-round drives: thread pool, serial/batched determinism against
+// the reference loop, batch diversity, and parallel suite repetitions.
 
 #include <gtest/gtest.h>
 
@@ -7,9 +7,11 @@
 #include <cmath>
 #include <set>
 
+#include "api/study.hpp"
 #include "baselines/random_search.hpp"
 #include "core/tuner.hpp"
-#include "exec/eval_engine.hpp"
+#include "drive_reference.hpp"
+#include "exec/drive.hpp"
 #include "exec/thread_pool.hpp"
 #include "suite/registry.hpp"
 #include "suite/runner.hpp"
@@ -65,7 +67,7 @@ TEST(ThreadPool, ReusableAcrossBatches)
     EXPECT_EQ(count.load(), 5 * 17);
 }
 
-TEST(EvalEngine, Batch1ReproducesSerialRunBitForBit)
+TEST(BatchedDrive, Batch1ReproducesSerialRunBitForBit)
 {
     SearchSpace s = synthetic_space();
     TunerOptions opt;
@@ -73,21 +75,19 @@ TEST(EvalEngine, Batch1ReproducesSerialRunBitForBit)
     opt.doe_samples = 8;
     opt.seed = 42;
 
-    TuningHistory serial = Tuner(s, opt).run(synthetic_eval);
+    Tuner reference(s, opt);
+    TuningHistory serial = reference_serial_loop(reference, synthetic_eval);
 
     Tuner tuner(s, opt);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 1;
-    EvalEngine engine(eopt);
-    TuningHistory batched = engine.run(tuner, synthetic_eval);
+    TuningHistory batched =
+        pool_drive(tuner, synthetic_eval, 4, drive_options(1));
 
     ASSERT_EQ(serial.size(), batched.size());
     EXPECT_TRUE(histories_equal(serial, batched));
     EXPECT_EQ(serial.best_value, batched.best_value);
 }
 
-TEST(EvalEngine, Batch4ReproducibleAcrossRunsAndCompletesBudget)
+TEST(BatchedDrive, Batch4ReproducibleAcrossRunsAndCompletesBudget)
 {
     SearchSpace s = synthetic_space();
     TunerOptions opt;
@@ -95,20 +95,16 @@ TEST(EvalEngine, Batch4ReproducibleAcrossRunsAndCompletesBudget)
     opt.doe_samples = 8;
     opt.seed = 7;
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-
     Tuner t1(s, opt);
-    TuningHistory h1 = EvalEngine(eopt).run(t1, synthetic_eval);
+    TuningHistory h1 = pool_drive(t1, synthetic_eval, 4, drive_options(4));
     Tuner t2(s, opt);
-    TuningHistory h2 = EvalEngine(eopt).run(t2, synthetic_eval);
+    TuningHistory h2 = pool_drive(t2, synthetic_eval, 4, drive_options(4));
 
     EXPECT_EQ(h1.size(), 24u);
     EXPECT_TRUE(histories_equal(h1, h2));
 }
 
-TEST(EvalEngine, ConstantLiarBatchIsDiverse)
+TEST(BatchedDrive, ConstantLiarBatchIsDiverse)
 {
     SearchSpace s = synthetic_space();
     TunerOptions opt;
@@ -118,10 +114,10 @@ TEST(EvalEngine, ConstantLiarBatchIsDiverse)
     Tuner tuner(s, opt);
 
     // Get past the DoE phase so suggest() uses the model + constant liar.
-    EvalEngineOptions eopt;
-    eopt.batch_size = 4;
-    EvalEngine engine(eopt);
-    engine.drive(tuner, synthetic_eval, 12);
+    ThreadPoolExecutor exec(synthetic_eval, tuner.run_seed(), 0);
+    DriveOptions dopt = drive_options(4);
+    dopt.max_evals = 12;
+    drive(tuner, exec, dopt);
 
     std::vector<Configuration> batch = tuner.suggest(4);
     ASSERT_EQ(batch.size(), 4u);
@@ -131,7 +127,7 @@ TEST(EvalEngine, ConstantLiarBatchIsDiverse)
     EXPECT_EQ(distinct.size(), batch.size());
 }
 
-TEST(EvalEngine, BaselinesRunBatchedToFullBudget)
+TEST(BatchedDrive, BaselinesRunBatchedToFullBudget)
 {
     using suite::Method;
     SearchSpace s = synthetic_space();
@@ -140,30 +136,50 @@ TEST(EvalEngine, BaselinesRunBatchedToFullBudget)
     for (Method m : methods) {
         std::unique_ptr<AskTellTuner> tuner =
             suite::make_ask_tell(s, m, 20, 6, 11);
-        EvalEngineOptions eopt;
-        eopt.num_threads = 2;
-        eopt.batch_size = 4;
-        EvalEngine engine(eopt);
-        TuningHistory h = engine.run(*tuner, synthetic_eval);
+        TuningHistory h =
+            pool_drive(*tuner, synthetic_eval, 2, drive_options(4));
         EXPECT_EQ(h.size(), 20u) << suite::method_name(m);
         EXPECT_TRUE(h.best_config.has_value()) << suite::method_name(m);
     }
 }
 
-TEST(EvalEngine, BaselineBatch1MatchesSerialRun)
+TEST(BatchedDrive, BaselineBatch1MatchesSerialRun)
 {
     SearchSpace s = synthetic_space();
     RandomSearchOptions opt;
     opt.budget = 15;
     opt.seed = 5;
-    TuningHistory serial = run_uniform_sampling(s, synthetic_eval, opt);
+    RandomSearchTuner reference(s, opt, /*biased_walk=*/false);
+    TuningHistory serial = reference_serial_loop(reference, synthetic_eval);
 
     RandomSearchTuner tuner(s, opt, /*biased_walk=*/false);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 3;
-    EvalEngine engine(eopt);
-    TuningHistory batched = engine.run(tuner, synthetic_eval);
+    TuningHistory batched =
+        pool_drive(tuner, synthetic_eval, 3, drive_options(1));
     EXPECT_TRUE(histories_equal(serial, batched));
+}
+
+TEST(BatchedDrive, SerialRunEntryPointsMatchReferenceLoop)
+{
+    // Tuner::run and the baselines' one-call entry points are drive()
+    // on a one-lane pool; each must still be the plain serial loop.
+    SearchSpace s = synthetic_space();
+    TunerOptions opt;
+    opt.budget = 16;
+    opt.doe_samples = 6;
+    opt.seed = 8;
+    Tuner reference(s, opt);
+    EXPECT_TRUE(histories_equal(reference_serial_loop(reference,
+                                                      synthetic_eval),
+                                Tuner(s, opt).run(synthetic_eval)));
+
+    RandomSearchOptions ropt;
+    ropt.budget = 15;
+    ropt.seed = 5;
+    RandomSearchTuner uniform(s, ropt, /*biased_walk=*/false);
+    EXPECT_TRUE(histories_equal(reference_serial_loop(uniform,
+                                                      synthetic_eval),
+                                run_uniform_sampling(s, synthetic_eval,
+                                                     ropt)));
 }
 
 TEST(SuiteRunner, ParallelRepetitionsMatchSerialStatistics)
@@ -180,16 +196,21 @@ TEST(SuiteRunner, ParallelRepetitionsMatchSerialStatistics)
         EXPECT_EQ(serial.trajectories[r], parallel.trajectories[r]);
 }
 
-TEST(SuiteRunner, RunMethodBatchedMatchesRunMethodAtBatch1)
+TEST(SuiteRunner, BatchedStudyMatchesRunMethodAtBatch1)
 {
     const Benchmark& b = suite::find_benchmark("SDDMM/email-Enron");
-    TuningHistory serial =
-        suite::run_method(b, suite::Method::kUniform, 10, 31);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 2;
-    eopt.batch_size = 1;
-    TuningHistory batched = suite::run_method_batched(
-        b, suite::Method::kUniform, 10, 31, eopt);
+    TuningHistory serial = reference_run(b, "Uniform", 10, 31);
+    EXPECT_TRUE(histories_equal(
+        serial, suite::run_method(b, suite::Method::kUniform, 10, 31)));
+    TuningHistory batched = StudyBuilder()
+                                .benchmark(b)
+                                .method("Uniform")
+                                .budget(10)
+                                .seed(31)
+                                .execution(ExecutionPolicy::Batched(1, 2))
+                                .build()
+                                .run()
+                                .history;
     EXPECT_TRUE(histories_equal(serial, batched));
 }
 

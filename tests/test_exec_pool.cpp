@@ -1,7 +1,7 @@
 // ThreadPool under contention: oversubscribed concurrent submits,
 // exceptions thrown from jobs, destruction with queued work, and the
-// single-lane inline degenerate case — previously only exercised
-// indirectly through the EvalEngine.
+// single-lane inline degenerate case — otherwise only exercised
+// indirectly through ThreadPoolExecutor drives.
 
 #include <gtest/gtest.h>
 

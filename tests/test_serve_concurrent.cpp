@@ -15,6 +15,9 @@
 
 #include <unistd.h>
 
+#include "api/study.hpp"
+#include "drive_reference.hpp"
+#include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/coordinator.hpp"
 #include "serve/protocol.hpp"
@@ -132,13 +135,8 @@ TEST(ServeConcurrent, ConcurrentFleetRunsMatchSerialRuns)
     constexpr int kRuns = 3;
 
     std::vector<TuningHistory> refs;
-    for (std::uint64_t seed : seeds) {
-        suite::DistributedOptions dopt;
-        dopt.workers = 2;
-        dopt.batch_size = batch;
-        refs.push_back(suite::run_method_distributed(
-            b, suite::Method::kBaco, budget, seed, dopt));
-    }
+    for (std::uint64_t seed : seeds)
+        refs.push_back(reference_run(b, "BaCO", budget, seed, batch));
 
     Fleet fleet(2);
     std::vector<TuningHistory> got(kRuns);
@@ -150,10 +148,12 @@ TEST(ServeConcurrent, ConcurrentFleetRunsMatchSerialRuns)
             std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
                 *space, suite::Method::kBaco, budget, b.doe_samples,
                 seeds[i]);
-            BatchSpec spec;
-            spec.benchmark = b.name;
-            spec.run_seed = seeds[i];
-            got[i] = fleet.coordinator.run(*tuner, spec, batch);
+            {
+                CoordinatorExecutor exec(fleet.coordinator, b.name,
+                                         seeds[i], batch);
+                drive(*tuner, exec, drive_options(batch));
+            }
+            got[i] = tuner->take_history();
         });
     }
     for (std::thread& t : drivers)
@@ -162,6 +162,69 @@ TEST(ServeConcurrent, ConcurrentFleetRunsMatchSerialRuns)
         EXPECT_TRUE(histories_equal(refs[i], got[i]))
             << "seed " << seeds[i];
     }
+}
+
+TEST(ServeConcurrent, AttachedStudyIsOneCoordinatorRun)
+{
+    // A synchronous Attached study holds one coordinator run for its
+    // whole budget: one admission, and with max_active_runs = 1 a second
+    // tenant is refused for as long as the study runs — it can never
+    // slip in between two rounds and make the study itself busy.
+    CoordinatorOptions copt;
+    copt.max_active_runs = 1;
+    Fleet fleet(2, copt);
+    bool refused = false;
+    Coordinator::RunLease intruder;
+    obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+    StudyResult r;
+    EXPECT_NO_THROW(
+        r = StudyBuilder()
+                .benchmark(kBench)
+                .method("random")
+                .budget(40)
+                .seed(3)
+                .execution(ExecutionPolicy::Attached(&fleet.coordinator, 4))
+                .on_event([&](const AsyncEvent& ev) {
+                    if (ev.evals != 4)
+                        return;  // once, after the first round
+                    try {
+                        intruder = fleet.coordinator.begin_run();
+                    } catch (const CoordinatorBusy&) {
+                        refused = true;
+                    }
+                })
+                .build()
+                .run());
+    intruder.reset();
+    obs::MetricsSnapshot delta =
+        obs::MetricsRegistry::global().snapshot().delta_since(before);
+    EXPECT_TRUE(refused);
+    EXPECT_EQ(r.history.size(), 40u);
+    EXPECT_EQ(delta.value("coord.runs.admitted_total"), 1.0);
+}
+
+TEST(ServeConcurrent, AttachedFleetHonoursPolicySuggestAhead)
+{
+    // suggest_ahead is one policy option: an attached fleet reads it
+    // from the ExecutionPolicy exactly like an owned one.
+    Fleet fleet(3);
+    ExecutionPolicy policy =
+        ExecutionPolicy::Attached(&fleet.coordinator, 4, /*async=*/true);
+    policy.suggest_ahead = true;
+    obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+    StudyResult r = StudyBuilder()
+                        .benchmark(kBench)
+                        .method("baco")
+                        .budget(24)
+                        .seed(23)
+                        .execution(policy)
+                        .build()
+                        .run();
+    obs::MetricsSnapshot delta =
+        obs::MetricsRegistry::global().snapshot().delta_since(before);
+    EXPECT_EQ(r.history.size(), 24u);
+    EXPECT_GE(delta.value("engine.suggest_ahead_total"), 1.0);
+    EXPECT_GE(delta.value("engine.suggest_ahead_used_total"), 1.0);
 }
 
 TEST(ServeConcurrent, ConcurrentRunRequestsShareTheFleet)
@@ -335,11 +398,7 @@ TEST(ServeConcurrent, WorkerReconnectsAfterHeartbeatDeath)
     const int batch = 4;
 
     auto reference = [&](std::uint64_t seed) {
-        suite::DistributedOptions dopt;
-        dopt.workers = 2;
-        dopt.batch_size = batch;
-        return suite::run_method_distributed(b, suite::Method::kUniform,
-                                             budget, seed, dopt);
+        return reference_run(b, "Uniform", budget, seed, batch);
     };
     TuningHistory ref1 = reference(77);
     TuningHistory ref2 = reference(78);
@@ -384,10 +443,11 @@ TEST(ServeConcurrent, WorkerReconnectsAfterHeartbeatDeath)
         std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
         std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
             *space, suite::Method::kUniform, budget, b.doe_samples, seed);
-        BatchSpec spec;
-        spec.benchmark = b.name;
-        spec.run_seed = seed;
-        return coordinator.run(*tuner, spec, batch);
+        {
+            CoordinatorExecutor exec(coordinator, b.name, seed, batch);
+            baco::drive(*tuner, exec, drive_options(batch));
+        }
+        return tuner->take_history();
     };
 
     TuningHistory mid_death = drive(77);

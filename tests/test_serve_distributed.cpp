@@ -1,6 +1,7 @@
 // The coordinator + worker fleet: shard-deterministic distributed runs
-// matching EvalEngine, worker-failure recovery, straggler re-dispatch,
-// backpressure, and the checkpointed kill/resume of a distributed run.
+// matching thread-pool drives and the reference serial loop,
+// worker-failure recovery, straggler re-dispatch, backpressure, and the
+// checkpointed kill/resume of a distributed run.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,10 @@
 #include <thread>
 #include <vector>
 
+#include "api/study.hpp"
+#include "drive_reference.hpp"
 #include "exec/checkpoint.hpp"
+#include "exec/drive.hpp"
 #include "exec/eval_cache.hpp"
 #include "obs/metrics.hpp"
 #include "serve/coordinator.hpp"
@@ -47,26 +51,67 @@ struct Fleet {
   }
 };
 
-TEST(ServeDistributed, TwoWorkersReproduceEvalEngineTrajectory)
+/** drive() `tuner` on kBench across the coordinator's fleet. */
+void
+fleet_drive(Coordinator& coordinator, AskTellTuner& tuner, DriveOptions opt)
+{
+    CoordinatorExecutor exec(coordinator, kBench, tuner.run_seed(),
+                             opt.batch_size);
+    drive(tuner, exec, std::move(opt));
+}
+
+/**
+ * Evaluate configs[i] of kBench under index first_index + i across the
+ * fleet, as one run; results in input order. Rethrows a failed
+ * evaluation.
+ */
+std::vector<EvalResult>
+fleet_evaluate(Coordinator& coordinator, std::uint64_t seed,
+               std::uint64_t first_index,
+               const std::vector<Configuration>& configs,
+               double* eval_seconds = nullptr)
+{
+    CoordinatorExecutor exec(coordinator, kBench, seed);
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        exec.submit(first_index + i, configs[i]);
+    std::vector<EvalResult> results(configs.size());
+    for (std::size_t n = 0; n < configs.size(); ++n) {
+        Landed l = exec.wait_any();
+        if (l.error)
+            std::rethrow_exception(l.error);
+        results[l.index - first_index] = l.result;
+        if (eval_seconds)
+            *eval_seconds += l.eval_seconds;
+    }
+    return results;
+}
+
+/** The history of a kBench study under `policy`. */
+TuningHistory
+study_history(const char* method, int budget, std::uint64_t seed,
+              const ExecutionPolicy& policy, EvalCache* cache = nullptr)
+{
+    StudyBuilder sb;
+    sb.benchmark(kBench).method(method).budget(budget).seed(seed).execution(
+        policy);
+    if (cache)
+        sb.cache(cache);
+    return sb.build().run().history;
+}
+
+TEST(ServeDistributed, TwoWorkersReproduceBatchedPoolTrajectory)
 {
     // The headline acceptance check: a coordinator with 2 loopback
     // workers tuning a registry benchmark produces the same incumbent
-    // trajectory as EvalEngine batch mode with the same seed.
-    const Benchmark& b = suite::find_benchmark(kBench);
+    // trajectory as a batched thread-pool study with the same seed.
     const int budget = 16;
     const std::uint64_t seed = 5;
     const int batch = 4;
 
-    EvalEngineOptions eopt;
-    eopt.batch_size = batch;
-    TuningHistory reference = suite::run_method_batched(
-        b, suite::Method::kBaco, budget, seed, eopt);
-
-    suite::DistributedOptions dopt;
-    dopt.workers = 2;
-    dopt.batch_size = batch;
-    TuningHistory distributed = suite::run_method_distributed(
-        b, suite::Method::kBaco, budget, seed, dopt);
+    TuningHistory reference = study_history(
+        "BaCO", budget, seed, ExecutionPolicy::Batched(batch));
+    TuningHistory distributed = study_history(
+        "BaCO", budget, seed, ExecutionPolicy::Distributed(2, batch));
 
     ASSERT_EQ(distributed.size(), reference.size());
     EXPECT_TRUE(histories_equal(reference, distributed));
@@ -76,29 +121,19 @@ TEST(ServeDistributed, TwoWorkersReproduceEvalEngineTrajectory)
 TEST(ServeDistributed, WorkerCountDoesNotChangeHistory)
 {
     // Shard-determinism: 1, 2 or 3 workers — identical histories.
-    const Benchmark& b = suite::find_benchmark(kBench);
-    suite::DistributedOptions one;
-    one.workers = 1;
-    one.batch_size = 3;
-    TuningHistory h1 = suite::run_method_distributed(
-        b, suite::Method::kUniform, 12, 9, one);
-    suite::DistributedOptions three = one;
-    three.workers = 3;
-    TuningHistory h3 = suite::run_method_distributed(
-        b, suite::Method::kUniform, 12, 9, three);
+    TuningHistory h1 = study_history("Uniform", 12, 9,
+                                     ExecutionPolicy::Distributed(1, 3));
+    TuningHistory h3 = study_history("Uniform", 12, 9,
+                                     ExecutionPolicy::Distributed(3, 3));
     EXPECT_TRUE(histories_equal(h1, h3));
 }
 
 TEST(ServeDistributed, BatchOneMatchesSerialRunExactly)
 {
     const Benchmark& b = suite::find_benchmark(kBench);
-    TuningHistory serial = suite::run_method(b, suite::Method::kUniform,
-                                             10, 41);
-    suite::DistributedOptions dopt;
-    dopt.workers = 2;
-    dopt.batch_size = 1;
-    TuningHistory distributed = suite::run_method_distributed(
-        b, suite::Method::kUniform, 10, 41, dopt);
+    TuningHistory serial = reference_run(b, "Uniform", 10, 41);
+    TuningHistory distributed = study_history(
+        "Uniform", 10, 41, ExecutionPolicy::Distributed(2, 1));
     EXPECT_TRUE(histories_equal(serial, distributed));
 }
 
@@ -107,14 +142,9 @@ TEST(ServeDistributed, AsyncSingleSlotMatchesSerialRun)
     // One slot in flight serializes the async drive completely, so even
     // the tell-as-results-land mode reproduces the serial loop exactly.
     const Benchmark& b = suite::find_benchmark(kBench);
-    TuningHistory serial =
-        suite::run_method(b, suite::Method::kBaco, 12, 17);
-    suite::DistributedOptions dopt;
-    dopt.workers = 2;
-    dopt.batch_size = 1;
-    dopt.async = true;
-    TuningHistory async = suite::run_method_distributed(
-        b, suite::Method::kBaco, 12, 17, dopt);
+    TuningHistory serial = reference_run(b, "BaCO", 12, 17);
+    TuningHistory async = study_history(
+        "BaCO", 12, 17, ExecutionPolicy::Distributed(2, 1, /*async=*/true));
     EXPECT_TRUE(histories_equal(serial, async));
 }
 
@@ -131,10 +161,6 @@ TEST(ServeDistributed, AsyncDriveStreamsEveryResultAndKillResumeRecovers)
     std::remove(ckpt.c_str());
     std::remove(snapshot.c_str());
 
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = seed;
-
     // First leg: full async fleet run, photographing the checkpoint
     // right after the 6th tell — evaluations still in flight.
     std::uint64_t streamed = 0;
@@ -142,22 +168,24 @@ TEST(ServeDistributed, AsyncDriveStreamsEveryResultAndKillResumeRecovers)
         Fleet fleet(3);
         std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
             *space, suite::Method::kBaco, budget, b.doe_samples, seed);
-        fleet.coordinator.drive_async(
-            *tuner, spec, slots, -1, ckpt, [&](const AsyncEvent& ev) {
-                EXPECT_EQ(ev.evals, streamed + 1);
-                if (++streamed == 6) {
-                    std::FILE* in = std::fopen(ckpt.c_str(), "rb");
-                    std::FILE* out = std::fopen(snapshot.c_str(), "wb");
-                    ASSERT_NE(in, nullptr);
-                    ASSERT_NE(out, nullptr);
-                    char buf[4096];
-                    std::size_t n;
-                    while ((n = std::fread(buf, 1, sizeof buf, in)) > 0)
-                        std::fwrite(buf, 1, n, out);
-                    std::fclose(in);
-                    std::fclose(out);
-                }
-            });
+        DriveOptions dopt = drive_options(slots, /*async=*/true);
+        dopt.checkpoint_path = ckpt;
+        dopt.on_event = [&](const AsyncEvent& ev) {
+            EXPECT_EQ(ev.evals, streamed + 1);
+            if (++streamed == 6) {
+                std::FILE* in = std::fopen(ckpt.c_str(), "rb");
+                std::FILE* out = std::fopen(snapshot.c_str(), "wb");
+                ASSERT_NE(in, nullptr);
+                ASSERT_NE(out, nullptr);
+                char buf[4096];
+                std::size_t n;
+                while ((n = std::fread(buf, 1, sizeof buf, in)) > 0)
+                    std::fwrite(buf, 1, n, out);
+                std::fclose(in);
+                std::fclose(out);
+            }
+        };
+        fleet_drive(fleet.coordinator, *tuner, dopt);
         EXPECT_EQ(tuner->history().size(),
                   static_cast<std::size_t>(budget));
         EXPECT_EQ(streamed, static_cast<std::uint64_t>(budget));
@@ -181,8 +209,9 @@ TEST(ServeDistributed, AsyncDriveStreamsEveryResultAndKillResumeRecovers)
     for (const PendingEval& p : pending)
         pending_hashes.push_back(config_hash(p.config));
 
-    fleet2.coordinator.drive_async(*resumed, spec, slots, -1, {}, {},
-                                   std::move(pending));
+    DriveOptions dopt = drive_options(slots, /*async=*/true);
+    dopt.resume_pending = std::move(pending);
+    fleet_drive(fleet2.coordinator, *resumed, dopt);
     const TuningHistory& h = resumed->history();
     ASSERT_EQ(h.size(), static_cast<std::size_t>(budget));
     std::map<std::size_t, int> counts;
@@ -198,23 +227,19 @@ TEST(ServeDistributed, AsyncDriveStreamsEveryResultAndKillResumeRecovers)
 
 TEST(ServeDistributed, SuggestAheadSingleSlotMatchesSerialRun)
 {
-    // CoordinatorOptions::suggest_ahead is ignored at one slot — there
-    // is nothing to overlap — so the fleet must still reproduce the
-    // serial loop bit-for-bit, prefetch knob and all.
+    // Suggest-ahead is ignored at one slot — there is nothing to
+    // overlap — so the fleet must still reproduce the serial loop
+    // bit-for-bit, prefetch knob and all.
     const Benchmark& b = suite::find_benchmark(kBench);
-    TuningHistory serial =
-        suite::run_method(b, suite::Method::kBaco, 12, 17);
+    TuningHistory serial = reference_run(b, "BaCO", 12, 17);
 
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
-    CoordinatorOptions copt;
-    copt.suggest_ahead = true;
-    Fleet fleet(2, copt);
+    Fleet fleet(2);
     std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
         *space, suite::Method::kBaco, 12, b.doe_samples, 17);
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 17;
-    fleet.coordinator.drive_async(*tuner, spec, /*slots=*/1);
+    DriveOptions dopt = drive_options(/*slots=*/1, /*async=*/true);
+    dopt.suggest_ahead = true;
+    fleet_drive(fleet.coordinator, *tuner, dopt);
     EXPECT_TRUE(histories_equal(serial, tuner->history()));
 }
 
@@ -222,23 +247,20 @@ TEST(ServeDistributed, SuggestAheadFleetPrefetchesAndStaysExactlyOnce)
 {
     // Multi-slot suggest-ahead across a real worker fleet: the drive
     // must complete the budget with every suggestion told exactly once,
-    // and the coord.suggest_ahead_* counters must show the prefetch
+    // and the engine.suggest_ahead_* counters must show the prefetch
     // actually launched and was consumed.
     const Benchmark& b = suite::find_benchmark(kBench);
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
     const int budget = 18;
 
-    CoordinatorOptions copt;
-    copt.suggest_ahead = true;
-    Fleet fleet(3, copt);
+    Fleet fleet(3);
     std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
         *space, suite::Method::kBaco, budget, b.doe_samples, 23);
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 23;
+    DriveOptions dopt = drive_options(/*slots=*/4, /*async=*/true);
+    dopt.suggest_ahead = true;
 
     obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
-    fleet.coordinator.drive_async(*tuner, spec, /*slots=*/4);
+    fleet_drive(fleet.coordinator, *tuner, dopt);
     obs::MetricsSnapshot delta =
         obs::MetricsRegistry::global().snapshot().delta_since(before);
 
@@ -250,11 +272,11 @@ TEST(ServeDistributed, SuggestAheadFleetPrefetchesAndStaysExactlyOnce)
     for (const auto& [hash, n] : counts)
         EXPECT_EQ(n, 1) << "config told more than once (hash " << hash
                         << ")";
-    EXPECT_GE(delta.value("coord.suggest_ahead_total"), 1.0);
-    EXPECT_GE(delta.value("coord.suggest_ahead_used_total"), 1.0);
+    EXPECT_GE(delta.value("engine.suggest_ahead_total"), 1.0);
+    EXPECT_GE(delta.value("engine.suggest_ahead_used_total"), 1.0);
 }
 
-TEST(ServeDistributed, EvaluateBatchAssemblesInInputOrder)
+TEST(ServeDistributed, FleetEvaluationsMatchLocalOnesByIndex)
 {
     const Benchmark& b = suite::find_benchmark(kBench);
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
@@ -265,13 +287,9 @@ TEST(ServeDistributed, EvaluateBatchAssemblesInInputOrder)
     for (int i = 0; i < 10; ++i)
         configs.push_back(space->sample_unconstrained(rng));
 
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 99;
-    spec.first_index = 12;
     double eval_seconds = 0.0;
-    std::vector<EvalResult> sharded =
-        fleet.coordinator.evaluate_batch(spec, configs, &eval_seconds);
+    std::vector<EvalResult> sharded = fleet_evaluate(
+        fleet.coordinator, 99, 12, configs, &eval_seconds);
 
     ASSERT_EQ(sharded.size(), configs.size());
     EXPECT_GT(eval_seconds, 0.0);
@@ -329,10 +347,8 @@ TEST(ServeDistributed, SurvivesWorkerDeathMidRun)
 
     std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
         *space, suite::Method::kUniform, 12, b.doe_samples, 31);
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 31;
-    TuningHistory history = coordinator.run(*tuner, spec, 4);
+    fleet_drive(coordinator, *tuner, drive_options(4));
+    TuningHistory history = tuner->take_history();
     coordinator.shutdown();
     t1.join();
     t2.join();
@@ -340,11 +356,8 @@ TEST(ServeDistributed, SurvivesWorkerDeathMidRun)
     EXPECT_EQ(history.size(), 12u);
     EXPECT_LE(coordinator.num_workers(), 1u);
 
-    suite::DistributedOptions dopt;
-    dopt.workers = 2;
-    dopt.batch_size = 4;
-    TuningHistory reference = suite::run_method_distributed(
-        b, suite::Method::kUniform, 12, 31, dopt);
+    TuningHistory reference = study_history(
+        "Uniform", 12, 31, ExecutionPolicy::Distributed(2, 4));
     EXPECT_TRUE(histories_equal(reference, history));
 }
 
@@ -391,11 +404,8 @@ TEST(ServeDistributed, StragglerIsReDispatchedToFreeWorker)
     std::vector<Configuration> configs;
     for (int i = 0; i < 6; ++i)
         configs.push_back(space->sample_unconstrained(rng));
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 17;
     std::vector<EvalResult> results =
-        coordinator.evaluate_batch(spec, configs);
+        fleet_evaluate(coordinator, 17, 0, configs);
     coordinator.shutdown();
     t1.join();
     t2.join();
@@ -443,11 +453,8 @@ TEST(ServeDistributed, GarbageEmittingWorkerDoesNotWedgeBatch)
     std::vector<Configuration> configs;
     for (int i = 0; i < 6; ++i)
         configs.push_back(space->sample_unconstrained(rng));
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 23;
     std::vector<EvalResult> results =
-        coordinator.evaluate_batch(spec, configs);
+        fleet_evaluate(coordinator, 23, 0, configs);
     coordinator.shutdown();
     t1.join();
     t2.join();
@@ -480,31 +487,22 @@ TEST(ServeDistributed, ThrowsWhenAllWorkersAreGone)
     RngEngine rng(1);
     std::vector<Configuration> configs = {
         space->sample_unconstrained(rng)};
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 1;
-    EXPECT_THROW(coordinator.evaluate_batch(spec, configs),
+    EXPECT_THROW(fleet_evaluate(coordinator, 1, 0, configs),
                  std::runtime_error);
     t1.join();
 }
 
 TEST(ServeDistributed, SharedCacheShortCircuitsDispatch)
 {
-    const Benchmark& b = suite::find_benchmark(kBench);
     EvalCache cache;
-    suite::DistributedOptions dopt;
-    dopt.workers = 2;
-    dopt.batch_size = 3;
-    dopt.cache = &cache;
+    const ExecutionPolicy policy = ExecutionPolicy::Distributed(2, 3);
 
-    TuningHistory h1 = suite::run_method_distributed(
-        b, suite::Method::kUniform, 9, 13, dopt);
+    TuningHistory h1 = study_history("Uniform", 9, 13, policy, &cache);
     EXPECT_EQ(cache.misses(), 9u);
     std::uint64_t hits_before = cache.hits();
 
     // Second identical run: every lookup hits; no worker dispatch needed.
-    TuningHistory h2 = suite::run_method_distributed(
-        b, suite::Method::kUniform, 9, 13, dopt);
+    TuningHistory h2 = study_history("Uniform", 9, 13, policy, &cache);
     EXPECT_TRUE(histories_equal(h1, h2));
     EXPECT_EQ(cache.misses(), 9u);
     EXPECT_EQ(cache.hits(), hits_before + 9u);
@@ -522,10 +520,8 @@ TEST(ServeDistributed, KilledDistributedRunResumesFromCheckpoint)
     std::string path =
         testing::TempDir() + "baco_test_distributed.ckpt.jsonl";
 
-    EvalEngineOptions eopt;
-    eopt.batch_size = batch;
-    TuningHistory reference = suite::run_method_batched(
-        b, suite::Method::kBaco, budget, seed, eopt);
+    TuningHistory reference = study_history(
+        "BaCO", budget, seed, ExecutionPolicy::Batched(batch));
 
     // Interrupted half: coordinator-driven with checkpointing, killed at
     // a batch boundary by capping max_evals.
@@ -534,10 +530,10 @@ TEST(ServeDistributed, KilledDistributedRunResumesFromCheckpoint)
         Fleet fleet(2);
         std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
             *space, suite::Method::kBaco, budget, b.doe_samples, seed);
-        BatchSpec spec;
-        spec.benchmark = b.name;
-        spec.run_seed = seed;
-        fleet.coordinator.drive(*tuner, spec, batch, 8, path);
+        DriveOptions dopt = drive_options(batch);
+        dopt.max_evals = 8;
+        dopt.checkpoint_path = path;
+        fleet_drive(fleet.coordinator, *tuner, dopt);
         ASSERT_EQ(tuner->history().size(), 8u);
         // Fleet destructor = the whole driver process dying.
     }
@@ -548,11 +544,8 @@ TEST(ServeDistributed, KilledDistributedRunResumesFromCheckpoint)
         *space, suite::Method::kBaco, budget, b.doe_samples, seed);
     ASSERT_TRUE(resume_from_checkpoint(path, *tuner));
     ASSERT_EQ(tuner->history().size(), 8u);
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = seed;
-    TuningHistory final_history =
-        fleet.coordinator.run(*tuner, spec, batch);
+    fleet_drive(fleet.coordinator, *tuner, drive_options(batch));
+    TuningHistory final_history = tuner->take_history();
 
     EXPECT_TRUE(histories_equal(reference, final_history));
     EXPECT_EQ(reference.best_value, final_history.best_value);

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "drive_reference.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/eval_cache.hpp"
 #include "serve/client.hpp"
@@ -35,7 +36,7 @@ open_request(const std::string& name, const std::string& method, int budget,
     m.benchmark = kBench;
     m.method = method;
     m.budget = budget;
-    m.doe = 0;  // benchmark default, matching run_method_batched
+    m.doe = 0;  // benchmark default, matching reference_run
     m.seed = seed;
     m.resume = resume;
     return m;
@@ -98,13 +99,10 @@ TEST(ServeSession, ProtocolDrivenRunMatchesDirectRun)
     std::optional<SessionInfo> info = sm.info("s1");
     ASSERT_TRUE(info.has_value());
 
-    // The protocol exchange is the EvalEngine exchange over frames: the
-    // session history must match the batched in-process run exactly.
+    // The protocol exchange is the barrier-round exchange over frames:
+    // the session history must match the batched in-process run exactly.
     const Benchmark& bench = suite::find_benchmark(kBench);
-    EvalEngineOptions eopt;
-    eopt.batch_size = 3;
-    TuningHistory reference = suite::run_method_batched(
-        bench, suite::Method::kUniform, 12, 33, eopt);
+    TuningHistory reference = reference_run(bench, "Uniform", 12, 33, 3);
     EXPECT_EQ(info->evals, reference.size());
     EXPECT_EQ(info->best, reference.best_value);
 }
@@ -214,11 +212,9 @@ TEST(ServeSession, ConcurrentSessionsStayIsolated)
             sm.info("hammer-" + std::to_string(t));
         ASSERT_TRUE(info.has_value());
         EXPECT_EQ(info->evals, static_cast<std::uint64_t>(kBudget));
-        EvalEngineOptions eopt;
-        eopt.batch_size = 1 + t % 3;
-        TuningHistory reference = suite::run_method_batched(
-            bench, suite::Method::kUniform, kBudget,
-            static_cast<std::uint64_t>(100 + t), eopt);
+        TuningHistory reference = reference_run(
+            bench, "Uniform", kBudget, static_cast<std::uint64_t>(100 + t),
+            1 + t % 3);
         EXPECT_EQ(info->best, reference.best_value) << info->name;
     }
     EXPECT_EQ(sm.size(), static_cast<std::size_t>(kThreads));
@@ -235,10 +231,8 @@ TEST(ServeSession, ServerCrashResumesFromCheckpointAndMatches)
     const int kBatch = 2;
 
     const Benchmark& bench = suite::find_benchmark(kBench);
-    EvalEngineOptions eopt;
-    eopt.batch_size = kBatch;
-    TuningHistory reference = suite::run_method_batched(
-        bench, suite::Method::kBaco, kBudget, kSeed, eopt);
+    TuningHistory reference =
+        reference_run(bench, "BaCO", kBudget, kSeed, kBatch);
     ASSERT_EQ(reference.size(), static_cast<std::size_t>(kBudget));
 
     std::string name = "crashy";
@@ -471,12 +465,9 @@ TEST(ServeConnection, ServerSideRunCompletesSession)
     ASSERT_EQ(reply.type, MsgType::kDone) << reply.text;
     EXPECT_EQ(reply.evals, 10u);
 
-    // In-process evaluation in handle_run matches the EvalEngine run.
+    // In-process evaluation in handle_run matches the batched run.
     const Benchmark& bench = suite::find_benchmark(kBench);
-    EvalEngineOptions eopt;
-    eopt.batch_size = 4;
-    TuningHistory reference = suite::run_method_batched(
-        bench, suite::Method::kUniform, 10, 21, eopt);
+    TuningHistory reference = reference_run(bench, "Uniform", 10, 21, 4);
     EXPECT_EQ(reply.best, reference.best_value);
 
     Message bye;

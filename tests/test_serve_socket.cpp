@@ -27,6 +27,7 @@
 #include <unistd.h>
 
 #include "api/baco.hpp"
+#include "drive_reference.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
@@ -526,10 +527,11 @@ TEST(ServeSocket, DeadWorkerDetectedViaMissedHeartbeats)
     std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
         *space, suite::Method::kUniform, budget, /*doe_samples=*/4,
         /*seed=*/77);
-    BatchSpec spec;
-    spec.benchmark = kBench;
-    spec.run_seed = 77;
-    TuningHistory history = coordinator.run(*tuner, spec, /*batch=*/4);
+    {
+        CoordinatorExecutor exec(coordinator, kBench, 77, /*max_inflight=*/4);
+        drive(*tuner, exec, drive_options(/*batch_size=*/4));
+    }
+    TuningHistory history = tuner->take_history();
     EXPECT_EQ(history.size(), static_cast<std::size_t>(budget));
 
     // The registry counted the death...

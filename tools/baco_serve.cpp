@@ -21,7 +21,7 @@
 // attach over the --listen socket at runtime.
 //
 // --async drives every server-side run request tell-as-results-land
-// (Coordinator::drive_async / EvalEngine async mode), streaming one
+// (one async drive over the fleet or a thread pool), streaming one
 // result frame per landed evaluation; clients can also opt in per
 // request with "async":true on the run frame.
 //
