@@ -2,9 +2,9 @@
 // grows, per method. Model-based tuners refit on every observe, so
 // suggest cost climbs with history length — this harness measures the
 // p50/p99 suggest latency at several history levels and reports the
-// per-phase breakdown (model fit, acquisition/local search) from the
-// obs metrics registry, pinning that the tuner instrumentation actually
-// fires.
+// per-phase breakdown (model fit, acquisition/local search) and the
+// share of acquisition candidates pruned from the obs metrics registry,
+// pinning that the tuner instrumentation actually fires.
 //
 // The gated quantity is the dimensionless p50 GROWTH RATIO between the
 // largest and smallest history level — latency scaling, which transfers
@@ -89,6 +89,9 @@ struct Cell {
   double mean_ms = 0.0;
   double fit_ms = 0.0;   ///< mean model-fit time per suggest (registry)
   double acq_ms = 0.0;   ///< mean acquisition/local-search time
+  /** Share of the scored candidates whose GP prediction stopped early
+   *  (0 when nothing was scored). */
+  double pruned_share = 0.0;
   std::uint64_t obs_suggests = 0;  ///< registry-counted suggests
 };
 
@@ -149,6 +152,10 @@ measure_level(AskTellTuner& tuner, int level, int samples,
                                          latencies_ms.size()));
     cell.fit_ms = 1e3 * delta.value("tuner.model_fit_seconds") / n;
     cell.acq_ms = 1e3 * delta.value("tuner.acquisition_seconds") / n;
+    double candidates = delta.value("tuner.acquisition_candidates_total");
+    if (candidates > 0.0)
+        cell.pruned_share =
+            delta.value("tuner.acquisition_pruned_total") / candidates;
     if (const obs::MetricValue* m = delta.find("tuner.suggest_seconds"))
         cell.obs_suggests = m->histogram.count;
     return cell;
@@ -185,7 +192,7 @@ main(int argc, char** argv)
                      std::to_string(budget) + ")");
 
     TextTable table({"Method", "history", "p50 [ms]", "p99 [ms]",
-                     "mean [ms]", "fit [ms]", "acq [ms]"});
+                     "mean [ms]", "fit [ms]", "acq [ms]", "pruned"});
     std::vector<std::string> json_rows;
     bool obs_ok = true;
 
@@ -199,7 +206,7 @@ main(int argc, char** argv)
             table.add_row({method_name(m), std::to_string(cell.history),
                            fmt(cell.p50_ms, 3), fmt(cell.p99_ms, 3),
                            fmt(cell.mean_ms, 3), fmt(cell.fit_ms, 3),
-                           fmt(cell.acq_ms, 3)});
+                           fmt(cell.acq_ms, 3), fmt(cell.pruned_share, 2)});
             JsonWriter row;
             row.field("key", method_name(m) + "/h" +
                                  std::to_string(level))
@@ -211,6 +218,7 @@ main(int argc, char** argv)
                 .field("mean_ms", cell.mean_ms)
                 .field("fit_ms", cell.fit_ms)
                 .field("acq_ms", cell.acq_ms)
+                .field("pruned_share", cell.pruned_share)
                 .field("obs_suggests", cell.obs_suggests);
             json_rows.push_back(row.str());
             // The registry must have counted every timed suggest (the
@@ -265,11 +273,11 @@ main(int argc, char** argv)
         table.add_row({"BaCO/incremental", std::to_string(c_inc.history),
                        fmt(c_inc.p50_ms, 3), fmt(c_inc.p99_ms, 3),
                        fmt(c_inc.mean_ms, 3), fmt(c_inc.fit_ms, 3),
-                       fmt(c_inc.acq_ms, 3)});
+                       fmt(c_inc.acq_ms, 3), fmt(c_inc.pruned_share, 2)});
         table.add_row({"BaCO/scratch", std::to_string(c_scr.history),
                        fmt(c_scr.p50_ms, 3), fmt(c_scr.p99_ms, 3),
                        fmt(c_scr.mean_ms, 3), fmt(c_scr.fit_ms, 3),
-                       fmt(c_scr.acq_ms, 3)});
+                       fmt(c_scr.acq_ms, 3), fmt(c_scr.pruned_share, 2)});
         double p50_speedup =
             c_scr.p50_ms / std::max(c_inc.p50_ms, 1e-6);
         const double target = 5.0;
@@ -288,6 +296,7 @@ main(int argc, char** argv)
             .field("tolerance", 0.35)
             .field("p50_incremental_ms", c_inc.p50_ms)
             .field("p50_scratch_ms", c_scr.p50_ms)
+            .field("pruned_share", c_inc.pruned_share)
             .field("p50_speedup", p50_speedup);
         json_rows.push_back(row.str());
     }

@@ -31,6 +31,16 @@ double expected_improvement(double mean, double var, double best);
 double constrained_ei(double mean, double var, double best,
                       double p_feasible, double eps_f);
 
+/**
+ * Whether constrained_ei(mean, var, best, p_feasible, eps_f) is below
+ * floor for every var <= var_upper, every p_feasible in [0, 1] and every
+ * eps_f: EI grows with the variance, the weight is at most 1, and a
+ * rejection scores -1. Conservative: false unless floor >= 1e-100 and
+ * EI at var_upper, raised by a relative 1e-6 that dominates the rounding
+ * of expected_improvement(), is still below it.
+ */
+bool ei_below_floor(double mean, double var_upper, double best, double floor);
+
 }  // namespace baco
 
 #endif  // BACO_CORE_ACQUISITION_HPP_

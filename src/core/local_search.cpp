@@ -1,6 +1,7 @@
 #include "core/local_search.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 namespace baco {
@@ -31,6 +32,13 @@ local_search_maximize(const SearchSpace& space, const ChainOfTrees* cot,
     };
     std::vector<Scored> pool;
     pool.reserve(static_cast<std::size_t>(opt.random_samples));
+    // The `starts` largest scores so far, smallest in front: the multiset
+    // partial_sort's heap holds when it reaches the next member, so its
+    // front is the floor.
+    std::size_t n_top = static_cast<std::size_t>(std::max(opt.starts, 0));
+    std::vector<double> top;
+    top.reserve(n_top);
+    const std::greater<double> min_front;
     for (int i = 0; i < opt.random_samples; ++i) {
         Configuration c;
         if (cot) {
@@ -41,7 +49,17 @@ local_search_maximize(const SearchSpace& space, const ChainOfTrees* cot,
                 continue;
             c = std::move(*s);
         }
-        double v = score(c);
+        bool full = n_top > 0 && top.size() == n_top;
+        double v = score(c, full ? top.front()
+                                 : -std::numeric_limits<double>::infinity());
+        if (top.size() < n_top) {
+            top.push_back(v);
+            std::push_heap(top.begin(), top.end(), min_front);
+        } else if (full && v > top.front()) {
+            std::pop_heap(top.begin(), top.end(), min_front);
+            top.back() = v;
+            std::push_heap(top.begin(), top.end(), min_front);
+        }
         pool.push_back(Scored{std::move(c), v});
     }
     if (pool.empty())
@@ -83,7 +101,7 @@ local_search_maximize(const SearchSpace& space, const ChainOfTrees* cot,
             for (Configuration& c : moves) {
                 if (!is_feasible(space, cot, c))
                     continue;
-                double v = score(c);
+                double v = score(c, best_move_score);
                 if (v > best_move_score) {
                     best_move_score = v;
                     best_move = std::move(c);

@@ -32,8 +32,19 @@ struct LocalSearchOptions {
   bool hill_climb = true;
 };
 
-/** Score to maximize. Return -inf/negative to reject a candidate. */
-using ScoreFn = std::function<double(const Configuration&)>;
+/**
+ * Score to maximize. Return -inf/negative to reject a candidate.
+ *
+ * The second argument is the candidate's floor: the score it must beat to
+ * change the search's result. For a pool member it is the `starts`-th
+ * largest pool score so far (-inf while the pool holds fewer), which is
+ * what std::partial_sort compares against when it picks the start points;
+ * for a climb move it is the best score of the current step. A score at
+ * or below its floor is never used, so a ScoreFn may return -inf instead
+ * of computing it; one that ignores the floor gets the same result and
+ * leaves the RNG in the same state.
+ */
+using ScoreFn = std::function<double(const Configuration&, double floor)>;
 
 /**
  * Maximize score over the feasible region. Returns nullopt when no feasible

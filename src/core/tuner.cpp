@@ -163,6 +163,8 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
         } else if (use_gp) {
             st.gp.fit(xs, ys, st.rng);
             TunerMetrics::get().model_nll_evals.add(st.gp.last_fit_nll_evals());
+            TunerMetrics::get().model_nll_failures.add(
+                st.gp.last_fit_nll_failures());
         } else {
             std::vector<std::vector<double>> rf_x;
             rf_x.reserve(xs.size());
@@ -193,16 +195,35 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
 
     double best = *std::min_element(ys.begin(), ys.end());
 
+    // Pruning: once a GP candidate's score provably cannot beat the floor
+    // the search passes, its prediction stops and it scores -inf, which
+    // the search treats exactly like the score it skipped. Without a user
+    // prior (a weight that may exceed 1) the score is at most EI, so
+    // ei_below_floor() on the prediction bound decides; the feasibility
+    // forest then runs only for candidates that survive.
+    double current_floor = 0.0;
+    const GpModel::Hopeless below_floor = [&](const GpPrediction& bound) {
+        return ei_below_floor(bound.mean, bound.var, best, current_floor);
+    };
+    const GpModel::Hopeless never;
+    const GpModel::Hopeless& hopeless =
+        opt_.user_prior ? never : below_floor;
     std::uint64_t scored = 0;
-    ScoreFn score = [&](const Configuration& c) -> double {
+    std::uint64_t pruned = 0;
+    ScoreFn score = [&](const Configuration& c, double floor_to_beat) {
         ++scored;
         if (st.seen.count(config_hash(c)))
             return -2.0;  // worse than any admissible candidate
         double mean, var;
         if (use_gp) {
-            GpPrediction p = st.gp.predict(c);
-            mean = p.mean;
-            var = p.var;
+            current_floor = floor_to_beat;
+            std::optional<GpPrediction> p = st.gp.predict_unless(c, hopeless);
+            if (!p) {
+                ++pruned;
+                return -std::numeric_limits<double>::infinity();
+            }
+            mean = p->mean;
+            var = p->var;
         } else {
             ForestPrediction p =
                 st.rf_surrogate.predict_with_variance(space.encode(c));
@@ -232,6 +253,7 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
         cand = local_search_maximize(space, st.cot.get(), score, st.rng, ls);
     }
     TunerMetrics::get().acquisition_candidates.add(scored);
+    TunerMetrics::get().acquisition_pruned.add(pruned);
 
     if (!cand || st.seen.count(config_hash(*cand)))
         return random_unique(st);
@@ -262,6 +284,7 @@ Tuner::sync_gp(State& st, const std::vector<Configuration>& xs,
         st.model_valid = true;
         tm.model_refits.add();
         tm.model_nll_evals.add(st.gp.last_fit_nll_evals());
+        tm.model_nll_failures.add(st.gp.last_fit_nll_failures());
     };
 
     bool need_full =

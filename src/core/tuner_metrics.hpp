@@ -40,6 +40,13 @@ struct TunerMetrics {
   obs::Counter& acquisition_candidates =
       counter("tuner.acquisition_candidates_total");
   obs::Counter& model_nll_evals = counter("tuner.model_nll_evals_total");
+  /** Of those: candidates whose GP prediction stopped early because
+   *  their EI could not beat the search's floor, and NLL evaluations
+   *  whose kernel matrix failed to factorize (+inf). Added like the
+   *  totals they divide. */
+  obs::Counter& acquisition_pruned = counter("tuner.acquisition_pruned_total");
+  obs::Counter& model_nll_failures =
+      counter("tuner.model_nll_failures_total");
 
   static TunerMetrics& get()
   {

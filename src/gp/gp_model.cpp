@@ -14,6 +14,11 @@ const double kThetaBound = 8.0;  // soft box on log-hyperparameters
 // rebuilt on every fit): covers ordinals, small integer ranges,
 // categoricals and permutations of up to five elements.
 const std::size_t kMaxTabulatedValues = 128;
+// Relative slack on predict_unless()'s lower bounds of k^T K^{-1} k. The
+// computed sum of squares of the forward solve is at least each bound up
+// to O(n) units of rounding (see predict_unless); this covers n up to
+// about a million.
+const double kExplainedSlack = 1e-9;
 
 /** Quadratic penalty outside [-bound, bound], with gradient. */
 double
@@ -95,11 +100,14 @@ GpModel::fit(const std::vector<Configuration>& xs,
 
     // ---- Hyperparameter optimization (multistart MAP). ----
     std::size_t nll_evals = 0;
+    std::size_t nll_failures = 0;
     NllPoint last;
     SplitObjectiveFn objective_fn{
         [&](const std::vector<double>& theta) {
             ++nll_evals;
-            return nll_value(theta, &last);
+            double f = nll_value(theta, &last);
+            nll_failures += last.chol ? 0 : 1;
+            return f;
         },
         [&](std::vector<double>& grad) { nll_gradient(last, &grad); }};
 
@@ -122,7 +130,9 @@ GpModel::fit(const std::vector<Configuration>& xs,
             theta[d] = rng.uniform(std::log(0.1), std::log(5.0));
             theta[d + 1] = rng.uniform(std::log(1e-6), std::log(1e-2));
             ++nll_evals;
-            double f = nll(theta, nullptr);
+            NllPoint pt;
+            double f = nll_value(theta, &pt);
+            nll_failures += pt.chol ? 0 : 1;
             if (std::isfinite(f))
                 screened.emplace_back(f, std::move(theta));
         }
@@ -152,6 +162,7 @@ GpModel::fit(const std::vector<Configuration>& xs,
     hp_ = clamped(GpHyperparams::from_vector(best_theta));
     warm_start_ = hp_;
     last_fit_nll_evals_ = nll_evals;
+    last_fit_nll_failures_ = nll_failures;
 
     refresh_posterior();
 }
@@ -261,7 +272,17 @@ GpModel::refresh_posterior()
     // Record the total shift baked into the factored diagonal so extend()
     // appends rows of the *same* matrix the factor represents.
     diag_shift_ = boost + jitter;
+    note_factor_rows(0);
     fitted_ = true;
+}
+
+void
+GpModel::note_factor_rows(std::size_t from)
+{
+    const Matrix& l = chol_->lower();
+    inv_factor_diag_.resize(from);
+    for (std::size_t j = from; j < l.rows(); ++j)
+        inv_factor_diag_.push_back(1.0 / dot_n(l.row(j), l.row(j), j + 1));
 }
 
 void
@@ -317,6 +338,7 @@ GpModel::extend(const Configuration& x, double y)
     double extra = 1e-8 * std::max(diag, 1.0);
     for (int attempt = 0; attempt < 6; ++attempt) {
         if (chol_->append(cross, diag)) {
+            note_factor_rows(xs_.size());
             xs_.push_back(x);
             push_kernel_inputs(x);
             ys_std_.push_back(standardizer_.transform(y));
@@ -353,6 +375,7 @@ GpModel::truncate(std::size_t k)
     }
     ys_std_.resize(k);
     chol_->shrink(k);
+    inv_factor_diag_.resize(k);
     alpha_ = chol_->solve(ys_std_);
 }
 
@@ -533,6 +556,12 @@ GpModel::objective_with_gradient(const GpHyperparams& hp,
 GpPrediction
 GpModel::predict(const Configuration& x) const
 {
+    return *predict_unless(x, Hopeless());
+}
+
+std::optional<GpPrediction>
+GpModel::predict_unless(const Configuration& x, const Hopeless& hopeless) const
+{
     if (!fitted_)
         throw std::runtime_error("GpModel::predict called before fit");
 
@@ -541,13 +570,49 @@ GpModel::predict(const Configuration& x) const
     // on different threads must not share the buffer.
     thread_local std::vector<double> row;
     cross_covariances(x, row);
-    double mean_std = dot(row, alpha_);
-    chol_->solve_lower_in_place(row);  // k -> L^{-1} k
+    GpPrediction p;
+    p.mean = standardizer_.inverse(dot(row, alpha_));
+
+    // The variance is outputscale - ||z||^2 with L z = k, and any lower
+    // bound on ||z||^2 gives an upper bound on it. Forward substitution
+    // computes the exact solution of (L + E) z = k with |E| <= n u |L|,
+    // so by Cauchy-Schwarz ||z||^2 >= k_j^2 / ((L + E)(L + E)^T)_jj for
+    // every j: the one-point bound, valid to O(n u) relative for any
+    // factored positive-definite matrix (jitter and boost included). A
+    // prefix of z's squares is a bound too. kExplainedSlack covers the
+    // rounding of both against dot(z, z) below.
+    auto stops = [&](double explained) {
+        double var_std =
+            std::max(outputscale_ - explained * (1.0 - kExplainedSlack), 1e-12);
+        return hopeless(GpPrediction{p.mean,
+                                     standardizer_.inverse_variance(var_std)});
+    };
+    std::size_t n = row.size();
+    double explained = 0.0;
+    if (hopeless) {
+        for (std::size_t j = 0; j < n; ++j)
+            explained = std::max(explained,
+                                 row[j] * row[j] * inv_factor_diag_[j]);
+        if (stops(explained))
+            return std::nullopt;
+    }
+    // k -> L^{-1} k in three pieces, testing the running sum of squares
+    // after the first two.
+    double solved_sq = 0.0;
+    std::size_t done = 0;
+    for (std::size_t end : {n / 2, n - n / 4}) {
+        chol_->solve_lower_rows(row, done, end);
+        if (hopeless) {
+            for (std::size_t i = done; i < end; ++i)
+                solved_sq += row[i] * row[i];
+            if (solved_sq > explained && stops(solved_sq))
+                return std::nullopt;
+        }
+        done = end;
+    }
+    chol_->solve_lower_rows(row, done, n);
     double var_std = outputscale_ - dot(row, row);
     var_std = std::max(var_std, 1e-12);
-
-    GpPrediction p;
-    p.mean = standardizer_.inverse(mean_std);
     p.var = standardizer_.inverse_variance(var_std);
     return p;
 }

@@ -24,8 +24,17 @@
  * the straightforward arithmetic bit for bit — same operations, same
  * summation order — so suggestions do not depend on which path computed
  * them (tests/test_gp_hotpath.cpp pins this).
+ *
+ * A caller that only needs predictions able to beat some threshold (the
+ * acquisition search) passes a test to predict_unless(): after the kernel
+ * row and the mean, the prediction stops as soon as the test rejects the
+ * exact mean with an upper bound on the variance. The bounds come from
+ * the row itself (one training point's share of k^T K^{-1} k) and from the
+ * forward solve's running sum of squares, so a prediction that is not
+ * stopped is the one predict() returns, bit for bit.
  */
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -67,6 +76,14 @@ struct GpPrediction {
 /** Gaussian-process regression model. */
 class GpModel {
  public:
+  /**
+   * A caller's test on a prediction bound: the exact mean and a variance
+   * at least the exact one. True means no variance up to bound.var could
+   * make the candidate useful, so the prediction may stop. It must not
+   * call back into predict().
+   */
+  using Hopeless = std::function<bool(const GpPrediction& bound)>;
+
   /** @param space the search space providing per-dimension distances;
    *  it must outlive the model and keep its parameters unchanged (the
    *  model caches distances between the values of small discrete
@@ -131,6 +148,17 @@ class GpModel {
   /** Posterior latent mean/variance at x (requires a prior fit()). */
   GpPrediction predict(const Configuration& x) const;
 
+  /**
+   * predict(), except that it returns nullopt once `hopeless` accepts a
+   * bound: first right after the mean, with the variance bounded through
+   * the training point that explains most of it, then at two points in
+   * the forward solve, with the variance bounded through the part solved
+   * so far. An empty `hopeless` never stops; predict() is this routine
+   * without one.
+   */
+  std::optional<GpPrediction> predict_unless(const Configuration& x,
+                                             const Hopeless& hopeless) const;
+
   /** Negative log posterior (NLL + priors) at hp, for tests/diagnostics. */
   double objective(const GpHyperparams& hp) const;
 
@@ -148,6 +176,10 @@ class GpModel {
   /** Marginal-likelihood evaluations (with or without gradient) the last
    *  fit() spent on hyperparameter optimization. */
   std::size_t last_fit_nll_evals() const { return last_fit_nll_evals_; }
+
+  /** Those of last_fit_nll_evals() whose kernel matrix did not factorize
+   *  (the evaluation returned +inf). */
+  std::size_t last_fit_nll_failures() const { return last_fit_nll_failures_; }
 
   // Read-only posterior state, for parity tests and diagnostics
   // (factor() requires fitted()).
@@ -192,6 +224,9 @@ class GpModel {
   /** Append x's value index to every tabulated dimension. */
   void push_kernel_inputs(const Configuration& x);
 
+  /** Recompute inv_factor_diag_ for the factor's rows from..size()-1. */
+  void note_factor_rows(std::size_t from);
+
   /** Kernel cross-covariances k(x, xs_[i]) under the fitted scales,
    *  written to out (resized to size()). */
   void cross_covariances(const Configuration& x,
@@ -228,11 +263,15 @@ class GpModel {
   std::optional<GpHyperparams> warm_start_;
   std::optional<CholeskyFactor> chol_;
   std::vector<double> alpha_;
+  /** 1 / (L L^T)_jj per row of the factor: what the one-point variance
+   *  bound in predict_unless() divides by. */
+  std::vector<double> inv_factor_diag_;
   std::vector<double> lengthscales_;  // exp of fitted log lengthscales
   double outputscale_ = 1.0;          // exp of fitted log output scale
   double diag_shift_ = 0.0;           // boost + jitter baked into chol_
   bool fitted_ = false;
   std::size_t last_fit_nll_evals_ = 0;
+  std::size_t last_fit_nll_failures_ = 0;
 };
 
 }  // namespace baco

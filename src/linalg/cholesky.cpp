@@ -19,20 +19,20 @@ std::vector<double>
 CholeskyFactor::solve_lower(const std::vector<double>& b) const
 {
     std::vector<double> z = b;
-    solve_lower_in_place(z);
+    solve_lower_rows(z, 0, z.size());
     return z;
 }
 
 void
-CholeskyFactor::solve_lower_in_place(std::vector<double>& b) const
+CholeskyFactor::solve_lower_rows(std::vector<double>& b, std::size_t begin,
+                                 std::size_t end) const
 {
-    std::size_t n = l_.rows();
-    assert(b.size() == n);
+    assert(b.size() == l_.rows() && begin <= end && end <= b.size());
     // Row-oriented forward substitution: row i of L is contiguous, so the
     // inner reduction is a streaming dot product. Entry i is read once,
     // after entries 0..i-1 already hold the solution.
     double* z = b.data();
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = begin; i < end; ++i) {
         const double* li = l_.row(i);
         z[i] = (z[i] - dot_n(li, z, i)) / li[i];
     }

@@ -39,8 +39,14 @@ class CholeskyFactor {
   /** Solve L z = b (forward substitution). */
   std::vector<double> solve_lower(const std::vector<double>& b) const;
 
-  /** solve_lower() overwriting b with z, for callers that reuse a buffer. */
-  void solve_lower_in_place(std::vector<double>& b) const;
+  /**
+   * Rows [begin, end) of solve_lower(), overwriting b with z in place:
+   * b[0..begin) must already hold the solution. Solving [0, n) in
+   * consecutive pieces gives the same bits as one call, so a caller can
+   * look at a prefix of z before paying for the rest.
+   */
+  void solve_lower_rows(std::vector<double>& b, std::size_t begin,
+                        std::size_t end) const;
 
   /** Solve L^T z = b (backward substitution). */
   std::vector<double> solve_upper(const std::vector<double>& b) const;

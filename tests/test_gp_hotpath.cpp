@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 
+#include "core/acquisition.hpp"
 #include "gp/gp_model.hpp"
 
 namespace baco {
@@ -128,16 +130,36 @@ probes(const SearchSpace& s, const GpModel& gp, std::uint64_t seed)
     return out;
 }
 
+/** predict(), predict_unless() without a test and predict_unless() with
+ *  one that never stops all equal the reference, bitwise. */
+void
+expect_prediction_matches_reference(const GpModel& gp, const SearchSpace& s,
+                                    const Configuration& x, const char* where)
+{
+    GpPrediction want = reference_predict(gp, s, x);
+    GpPrediction got = gp.predict(x);
+    ASSERT_EQ(bits(got.mean), bits(want.mean)) << where;
+    ASSERT_EQ(bits(got.var), bits(want.var)) << where;
+    int asked = 0;
+    for (const GpModel::Hopeless& test :
+         {GpModel::Hopeless(), GpModel::Hopeless([&](const GpPrediction&) {
+              ++asked;
+              return false;
+          })}) {
+        std::optional<GpPrediction> p = gp.predict_unless(x, test);
+        ASSERT_TRUE(p.has_value()) << where;
+        ASSERT_EQ(bits(p->mean), bits(want.mean)) << where;
+        ASSERT_EQ(bits(p->var), bits(want.var)) << where;
+    }
+    ASSERT_GE(asked, 1) << where;
+}
+
 void
 expect_predict_matches_reference(const GpModel& gp, const SearchSpace& s,
                                  std::uint64_t seed, const char* where)
 {
-    for (const Configuration& x : probes(s, gp, seed)) {
-        GpPrediction got = gp.predict(x);
-        GpPrediction want = reference_predict(gp, s, x);
-        ASSERT_EQ(bits(got.mean), bits(want.mean)) << where;
-        ASSERT_EQ(bits(got.var), bits(want.var)) << where;
-    }
+    for (const Configuration& x : probes(s, gp, seed))
+        expect_prediction_matches_reference(gp, s, x, where);
 }
 
 TEST(GpHotPath, PredictMatchesReferenceAfterFit)
@@ -263,18 +285,133 @@ TEST(GpHotPath, PredictMatchesReferenceWithValuesOutsideTheDomain)
         probe[p][hamming] = Permutation{2, 2, 2, 2};
     }
     auto check = [&](const char* where) {
-        for (const Configuration& x : probe) {
-            GpPrediction got = gp.predict(x);
-            GpPrediction want = reference_predict(gp, s, x);
-            ASSERT_EQ(bits(got.mean), bits(want.mean)) << where;
-            ASSERT_EQ(bits(got.var), bits(want.var)) << where;
-        }
+        for (const Configuration& x : probe)
+            expect_prediction_matches_reference(gp, s, x, where);
     };
     check("in-domain training set");
     ASSERT_TRUE(gp.extend(odd, ys[29]));
     check("training point outside the domain");
     gp.truncate(28);
     check("truncated back into the domain");
+}
+
+/** Permutations only, under the semimetrics whose kernel matrices need
+ *  not be positive definite. */
+SearchSpace
+permutation_space()
+{
+    SearchSpace s;
+    s.add_permutation("p_spearman", 5, PermutationMetric::kSpearman);
+    s.add_permutation("p_kendall", 4, PermutationMetric::kKendall);
+    return s;
+}
+
+/** A model on permutation_space() whose factor needed a diagonal shift
+ *  (jitter or boost): long lengthscales and almost no noise make the
+ *  semimetric kernel matrix indefinite or nearly singular. */
+GpModel
+shifted_permutation_model(const SearchSpace& s, std::size_t n)
+{
+    std::vector<Configuration> xs;
+    std::vector<double> ys;
+    make_data(s, n, 21, &xs, &ys);
+    GpHyperparams hp;
+    hp.log_lengthscales.assign(s.num_params(), std::log(3.0));
+    hp.log_outputscale = 0.0;
+    hp.log_noise = std::log(1e-9);
+    GpModel gp(s);
+    gp.fit_with_hyperparams(xs, ys, hp);
+    return gp;
+}
+
+TEST(GpHotPath, PredictMatchesReferenceWhenTheFactorNeededAShift)
+{
+    SearchSpace s = permutation_space();
+    GpModel gp = shifted_permutation_model(s, 60);
+    ASSERT_GT(gp.diag_shift(), 0.0);
+    expect_predict_matches_reference(gp, s, 90, "jittered factor");
+}
+
+// ---- Acquisition pruning. ------------------------------------------------
+
+/** Under floors drawn around and far from each candidate's exact EI * pf
+ *  (some within 1e-12 relative of it), a prediction predict_unless()
+ *  stops on ei_below_floor() must have an exact score below the floor,
+ *  and one it finishes must be predict()'s, bitwise. */
+struct PruneCounts {
+  std::size_t asked = 0;
+  std::size_t stopped = 0;
+  std::size_t stopped_in_solve = 0;  ///< on a later bound than the first
+};
+
+void
+expect_pruning_is_sound(const GpModel& gp, const SearchSpace& s,
+                        const std::vector<double>& ys, std::uint64_t seed,
+                        const char* where, PruneCounts* counts)
+{
+    RngEngine rng(seed);
+    double lo = *std::min_element(ys.begin(), ys.end());
+    double hi = *std::max_element(ys.begin(), ys.end());
+    for (const Configuration& x : probes(s, gp, seed)) {
+        GpPrediction exact = gp.predict(x);
+        // Incumbents from below the data to above it: EI from about zero
+        // (cancelling terms) to large.
+        double best = lo - 0.5 * (hi - lo) + 2.0 * (hi - lo) * rng.uniform();
+        double pf = rng.bernoulli(0.3) ? 1.0 : rng.uniform();
+        double score = expected_improvement(exact.mean, exact.var, best) * pf;
+        double big = std::max(score, 1e-3);
+        for (double floor :
+             {score, score * (1.0 + 1e-12), score * (1.0 - 1e-12),
+              score * (1.0 + 1e-6), score * (1.0 + 1e-3), score * 1.5,
+              score * 4.0, big * rng.uniform(), big * 3.0 * rng.uniform(),
+              std::nextafter(score, 1.0), 1e-100, 0.0, -1.0}) {
+            int bounds = 0;
+            std::optional<GpPrediction> p =
+                gp.predict_unless(x, [&](const GpPrediction& bound) {
+                    ++bounds;
+                    return ei_below_floor(bound.mean, bound.var, best, floor);
+                });
+            ++counts->asked;
+            if (!p) {
+                ++counts->stopped;
+                counts->stopped_in_solve += bounds > 1 ? 1 : 0;
+                ASSERT_LT(score, floor) << where;
+                continue;
+            }
+            ASSERT_EQ(bits(p->mean), bits(exact.mean)) << where;
+            ASSERT_EQ(bits(p->var), bits(exact.var)) << where;
+        }
+    }
+}
+
+TEST(GpHotPath, PredictionsStopOnlyBelowTheFloor)
+{
+    PruneCounts counts;
+    SearchSpace s = mixed_space();
+    std::vector<Configuration> xs;
+    std::vector<double> ys;
+    make_data(s, 40, 23, &xs, &ys);
+    GpModel gp(s);
+    RngEngine rng(23);
+    gp.fit(std::vector<Configuration>(xs.begin(), xs.begin() + 30),
+           std::vector<double>(ys.begin(), ys.begin() + 30), rng);
+    expect_pruning_is_sound(gp, s, ys, 230, "fit", &counts);
+    for (std::size_t i = 30; i < 40; ++i)
+        ASSERT_TRUE(gp.extend(xs[i], ys[i]));
+    expect_pruning_is_sound(gp, s, ys, 231, "extend", &counts);
+    gp.truncate(34);
+    expect_pruning_is_sound(gp, s, ys, 232, "truncate", &counts);
+
+    SearchSpace ps = permutation_space();
+    GpModel shifted = shifted_permutation_model(ps, 60);
+    ASSERT_GT(shifted.diag_shift(), 0.0);
+    expect_pruning_is_sound(shifted, ps, ys, 233, "jittered factor",
+                            &counts);
+    // Both outcomes occur, and the bounds from the solve stop some
+    // predictions the first bound let through: none is vacuous.
+    EXPECT_GT(counts.stopped, counts.asked / 10);
+    EXPECT_LT(counts.stopped, counts.asked);
+    EXPECT_GT(counts.stopped_in_solve, 0u);
 }
 
 // ---- Marginal-likelihood gradient. ---------------------------------------
@@ -510,10 +647,16 @@ TEST(GpHotPath, InPlaceLowerSolveMatchesReference)
         std::vector<double> want = reference_solve_lower(chol->lower(), rhs);
         std::vector<double> got = chol->solve_lower(rhs);
         std::vector<double> in_place = rhs;
-        chol->solve_lower_in_place(in_place);
+        chol->solve_lower_rows(in_place, 0, n);
+        // In three pieces, as GpModel::predict_unless() solves.
+        std::vector<double> pieces = rhs;
+        chol->solve_lower_rows(pieces, 0, n / 3);
+        chol->solve_lower_rows(pieces, n / 3, n - n / 3);
+        chol->solve_lower_rows(pieces, n - n / 3, n);
         for (std::size_t i = 0; i < n; ++i) {
             ASSERT_EQ(bits(got[i]), bits(want[i]));
             ASSERT_EQ(bits(in_place[i]), bits(want[i]));
+            ASSERT_EQ(bits(pieces[i]), bits(want[i]));
         }
     }
 }

@@ -328,6 +328,13 @@ TEST(Tuner, PublishesWorkCounts)
     EXPECT_GE(refits, 1.0);
     EXPECT_GE(delta.value("tuner.model_nll_evals_total"),
               refits * (opt.gp.multistart_samples + 1));
+    // Pruned candidates and failed factorizations are shares of those
+    // totals; most of a pool cannot beat its fifth-best member.
+    EXPECT_GT(delta.value("tuner.acquisition_pruned_total"), 0.0);
+    EXPECT_LE(delta.value("tuner.acquisition_pruned_total"),
+              delta.value("tuner.acquisition_candidates_total"));
+    EXPECT_LE(delta.value("tuner.model_nll_failures_total"),
+              delta.value("tuner.model_nll_evals_total"));
 }
 
 TEST(Tuner, TracksTimingBreakdown)
