@@ -19,6 +19,7 @@
 #include <iostream>
 #include <thread>
 
+#include "api/method_registry.hpp"
 #include "exec/drive.hpp"
 #include "harness_util.hpp"
 #include "obs/metrics.hpp"
@@ -85,12 +86,12 @@ struct Run {
 };
 
 Run
-run_mode(const SearchSpace& space, Method m, int budget, std::uint64_t seed,
-         bool async, bool suggest_ahead = false)
+run_mode(const SearchSpace& space, const std::string& method, int budget,
+         std::uint64_t seed, bool async, bool suggest_ahead = false)
 {
     using Clock = std::chrono::steady_clock;
-    std::unique_ptr<AskTellTuner> tuner =
-        make_ask_tell(space, m, budget, /*doe_samples=*/8, seed);
+    std::unique_ptr<AskTellTuner> tuner = MethodRegistry::global().make(
+        method, space, {budget, /*doe_samples=*/8, seed});
     ThreadPoolExecutor exec(slow_eval, tuner->run_seed(),
                             /*num_threads=*/4);
     DriveOptions opt;
@@ -137,10 +138,10 @@ main(int argc, char** argv)
     bool quality_ok = true;
     std::vector<std::string> json_rows;
 
-    auto record = [&](Method m, std::uint64_t seed, const Run& batched,
-                      const Run& async, bool in_mean) {
+    auto record = [&](const std::string& m, std::uint64_t seed,
+                      const Run& batched, const Run& async, bool in_mean) {
         double speedup = batched.wall / std::max(async.wall, 1e-9);
-        table.add_row({method_name(m), std::to_string(seed),
+        table.add_row({m, std::to_string(seed),
                        fmt(batched.wall, 3), fmt(async.wall, 3),
                        fmt(speedup, 2) + "x", fmt(batched.best, 4),
                        fmt(async.best, 4)});
@@ -148,9 +149,8 @@ main(int argc, char** argv)
         // Per-seed rows are reported but not gated by bench_diff (wall
         // clocks are machine-dependent); the dimensionless gate is the
         // summary row's mean speedup. in_mean marks the rows it covers.
-        row.field("key", std::string(method_name(m)) + "/s" +
-                             std::to_string(seed))
-            .field("method", std::string(method_name(m)))
+        row.field("key", m + "/s" + std::to_string(seed))
+            .field("method", m)
             .field("seed", seed)
             .field("gated", false)
             .field("in_mean", in_mean)
@@ -172,9 +172,9 @@ main(int argc, char** argv)
 
     for (int rep = 0; rep < args.reps; ++rep) {
         std::uint64_t seed = args.seed + static_cast<std::uint64_t>(rep);
-        Run batched = run_mode(space, Method::kUniform, budget, seed, false);
-        Run async = run_mode(space, Method::kUniform, budget, seed, true);
-        speedup_sum += record(Method::kUniform, seed, batched, async, true);
+        Run batched = run_mode(space, "Uniform", budget, seed, false);
+        Run async = run_mode(space, "Uniform", budget, seed, true);
+        speedup_sum += record("Uniform", seed, batched, async, true);
         ++speedup_n;
         // A sampling tuner proposes the identical configuration sequence
         // either way, so async must reproduce the best exactly.
@@ -190,12 +190,10 @@ main(int argc, char** argv)
     // the sampling tuner instead of stalling its workers on refits.
     double baco_speedup = 0.0;
     {
-        Run batched =
-            run_mode(space, Method::kBaco, budget, args.seed, false);
-        Run async = run_mode(space, Method::kBaco, budget, args.seed, true,
+        Run batched = run_mode(space, "BaCO", budget, args.seed, false);
+        Run async = run_mode(space, "BaCO", budget, args.seed, true,
                              /*suggest_ahead=*/true);
-        baco_speedup =
-            record(Method::kBaco, args.seed, batched, async, false);
+        baco_speedup = record("BaCO", args.seed, batched, async, false);
     }
     table.print(std::cout);
 

@@ -24,16 +24,16 @@ int
 main(int argc, char** argv)
 {
     HarnessArgs args = HarnessArgs::parse(argc, argv, /*default_reps=*/5);
-    const std::vector<Method>& methods = headline_methods();
+    const std::vector<std::string>& methods = headline_methods();
 
     std::cout << "Running all benchmarks x " << methods.size()
               << " methods x " << args.reps
               << " repetitions (paper: 30; use --reps 30 to match)...\n";
 
     // benchmark name -> method -> stats.
-    std::map<std::string, std::map<Method, RepStats>> results;
+    std::map<std::string, std::map<std::string, RepStats>> results;
     for (const Benchmark& b : all_benchmarks()) {
-        for (Method m : methods) {
+        for (const std::string& m : methods) {
             results[b.name][m] = run_repetitions(b, m, b.full_budget,
                                                  args.reps, args.seed);
         }
@@ -56,22 +56,23 @@ main(int argc, char** argv)
 
     // Collect per-framework means for the Fig. 5 summary.
     // tier -> framework -> method -> mean relative performance.
-    std::map<int, std::map<std::string, std::map<Method, double>>> fig5;
+    std::map<int, std::map<std::string, std::map<std::string, double>>> fig5;
 
     for (int t = 0; t < 3; ++t) {
         print_banner(std::cout, tiers[t].title);
         std::vector<std::string> headers{"Framework", "Benchmark"};
-        for (Method m : methods)
-            headers.push_back(method_name(m));
+        for (const std::string& m : methods)
+            headers.push_back(m);
         TextTable table(headers);
 
-        std::map<std::string, std::map<Method, std::vector<double>>> by_fw;
-        std::map<Method, std::vector<double>> overall;
+        std::map<std::string, std::map<std::string, std::vector<double>>>
+            by_fw;
+        std::map<std::string, std::vector<double>> overall;
 
         for (const Benchmark& b : all_benchmarks()) {
             std::vector<std::string> row{b.framework, b.name};
             int at = tiers[t].budget(b);
-            for (Method m : methods) {
+            for (const std::string& m : methods) {
                 double rel = results[b.name][m].mean_rel_to_reference(
                     b.reference_cost, at);
                 row.push_back(fmt(rel, 2));
@@ -82,7 +83,7 @@ main(int argc, char** argv)
         }
         for (const char* fw : {"TACO", "RISE", "HPVM2FPGA"}) {
             std::vector<std::string> row{fw, "(mean)"};
-            for (Method m : methods) {
+            for (const std::string& m : methods) {
                 double mean_rel = mean(by_fw[fw][m]);
                 row.push_back(fmt(mean_rel, 2));
                 fig5[t][fw][m] = mean_rel;
@@ -90,7 +91,7 @@ main(int argc, char** argv)
             table.add_row(row);
         }
         std::vector<std::string> row{"All", "(mean)"};
-        for (Method m : methods)
+        for (const std::string& m : methods)
             row.push_back(fmt(mean(overall[m]), 2));
         table.add_row(row);
         table.print(std::cout);
@@ -106,7 +107,7 @@ main(int argc, char** argv)
     for (const char* fw : {"TACO", "RISE", "HPVM2FPGA"}) {
         for (int t = 0; t < 3; ++t) {
             std::vector<std::string> row{fw, tier_names[t]};
-            for (Method m : methods)
+            for (const std::string& m : methods)
                 row.push_back(fmt(fig5[t][fw][m], 2) + "x");
             fig5_table.add_row(row);
         }
@@ -118,13 +119,13 @@ main(int argc, char** argv)
                                 ") reaching expert-level performance with "
                                 "the full budget");
     std::vector<std::string> headers{"Framework", "Benchmark"};
-    for (Method m : methods)
-        headers.push_back(method_name(m));
+    for (const std::string& m : methods)
+        headers.push_back(m);
     TextTable t5(headers);
-    std::map<std::string, std::map<Method, int>> fw_counts;
+    std::map<std::string, std::map<std::string, int>> fw_counts;
     for (const Benchmark& b : all_benchmarks()) {
         std::vector<std::string> row{b.framework, b.name};
-        for (Method m : methods) {
+        for (const std::string& m : methods) {
             int reached = results[b.name][m].count_reached(b.reference_cost);
             row.push_back(std::to_string(reached));
             fw_counts[b.framework][m] += reached;
@@ -133,7 +134,7 @@ main(int argc, char** argv)
     }
     for (const char* fw : {"TACO", "RISE", "HPVM2FPGA"}) {
         std::vector<std::string> row{fw, "(total)"};
-        for (Method m : methods)
+        for (const std::string& m : methods)
             row.push_back(std::to_string(fw_counts[fw][m]));
         t5.add_row(row);
     }

@@ -20,7 +20,7 @@ int
 main(int argc, char** argv)
 {
     HarnessArgs args = HarnessArgs::parse(argc, argv, /*default_reps=*/3);
-    const std::vector<Method>& methods = headline_methods();
+    const std::vector<std::string>& methods = headline_methods();
 
     // ---- Fig. 6: one representative kernel per framework. ----
     const char* representatives[] = {"SpMM/scircuit", "MM_GPU", "Audio"};
@@ -29,21 +29,21 @@ main(int argc, char** argv)
         print_banner(std::cout, std::string("Fig. 6: evolution of average "
                                             "best runtime [ms] - ") +
                                     b.framework + " " + b.name);
-        std::map<Method, std::vector<double>> curves;
-        for (Method m : methods) {
+        std::map<std::string, std::vector<double>> curves;
+        for (const std::string& m : methods) {
             curves[m] = run_repetitions(b, m, b.full_budget, args.reps,
                                         args.seed)
                             .mean_trajectory();
         }
         std::vector<std::string> headers{"evals"};
-        for (Method m : methods)
-            headers.push_back(method_name(m));
+        for (const std::string& m : methods)
+            headers.push_back(m);
         headers.push_back("Expert");
         headers.push_back("Default");
         TextTable table(headers);
         for (int e = 5; e <= b.full_budget; e += 5) {
             std::vector<std::string> row{std::to_string(e)};
-            for (Method m : methods) {
+            for (const std::string& m : methods) {
                 const auto& c = curves[m];
                 std::size_t at = std::min<std::size_t>(
                     c.size() - 1, static_cast<std::size_t>(e - 1));
@@ -63,23 +63,23 @@ main(int argc, char** argv)
                  "Table 9: factor by which BaCO needs fewer evaluations to "
                  "reach each baseline's final performance ('-' = BaCO never "
                  "reaches it)");
-    std::vector<Method> baselines{Method::kAtfOpenTuner, Method::kYtopt,
-                                  Method::kUniform, Method::kCotSampling};
+    const std::vector<std::string> baselines{"ATF", "Ytopt", "Uniform",
+                                             "CoT"};
     std::vector<std::string> headers{"Framework", "Benchmark"};
-    for (Method m : baselines)
-        headers.push_back(method_name(m));
+    for (const std::string& m : baselines)
+        headers.push_back(m);
     TextTable table(headers);
 
-    std::map<std::string, std::map<Method, std::vector<double>>> fw_factors;
-    std::map<Method, std::vector<double>> all_factors;
+    std::map<std::string, std::map<std::string, std::vector<double>>>
+        fw_factors;
+    std::map<std::string, std::vector<double>> all_factors;
 
     for (const Benchmark& b : all_benchmarks()) {
         std::vector<double> baco_curve =
-            run_repetitions(b, Method::kBaco, b.full_budget, args.reps,
-                            args.seed)
+            run_repetitions(b, "BaCO", b.full_budget, args.reps, args.seed)
                 .mean_trajectory();
         std::vector<std::string> row{b.framework, b.name};
-        for (Method m : baselines) {
+        for (const std::string& m : baselines) {
             std::vector<double> other =
                 run_repetitions(b, m, b.full_budget, args.reps, args.seed)
                     .mean_trajectory();
@@ -99,14 +99,14 @@ main(int argc, char** argv)
     }
     for (const char* fw : {"TACO", "RISE", "HPVM2FPGA"}) {
         std::vector<std::string> row{fw, "(mean)"};
-        for (Method m : baselines)
+        for (const std::string& m : baselines)
             row.push_back(fw_factors[fw][m].empty()
                               ? "-"
                               : fmt_factor(mean(fw_factors[fw][m]), 2));
         table.add_row(row);
     }
     std::vector<std::string> row{"All", "(mean)"};
-    for (Method m : baselines)
+    for (const std::string& m : baselines)
         row.push_back(all_factors[m].empty()
                           ? "-"
                           : fmt_factor(mean(all_factors[m]), 2));

@@ -20,7 +20,7 @@ int
 main(int argc, char** argv)
 {
     HarnessArgs args = HarnessArgs::parse(argc, argv, /*default_reps=*/2);
-    const std::vector<Method>& methods = headline_methods();
+    const std::vector<std::string>& methods = headline_methods();
 
     print_banner(std::cout,
                  "Fig. 7 + Fig. 11: evolution of average best runtime "
@@ -38,21 +38,21 @@ main(int argc, char** argv)
                           : std::string("-"))
                   << " ms ---\n";
 
-        std::map<Method, std::vector<double>> curves;
-        for (Method m : methods) {
+        std::map<std::string, std::vector<double>> curves;
+        for (const std::string& m : methods) {
             curves[m] = run_repetitions(b, m, b.full_budget, args.reps,
                                         args.seed)
                             .mean_trajectory();
         }
 
         std::vector<std::string> headers{"evals"};
-        for (Method m : methods)
-            headers.push_back(method_name(m));
+        for (const std::string& m : methods)
+            headers.push_back(m);
         TextTable table(headers);
         int step = std::max(1, b.full_budget / 12);
         for (int e = step; e <= b.full_budget; e += step) {
             std::vector<std::string> row{std::to_string(e)};
-            for (Method m : methods) {
+            for (const std::string& m : methods) {
                 const auto& c = curves[m];
                 std::size_t at = std::min<std::size_t>(
                     c.size() - 1, static_cast<std::size_t>(e - 1));
@@ -64,9 +64,9 @@ main(int argc, char** argv)
 
         // Star markers: first iteration beating the expert reference.
         std::cout << "beats-expert at eval:";
-        for (Method m : methods) {
+        for (const std::string& m : methods) {
             int at = evals_to_reach(curves[m], b.reference_cost);
-            std::cout << "  " << method_name(m) << "="
+            std::cout << "  " << m << "="
                       << (at < 0 ? std::string("-") : std::to_string(at));
         }
         std::cout << "\n";

@@ -69,7 +69,7 @@ main(int argc, char** argv)
 
     std::vector<Variant> variants;
     variants.push_back({"BaCO", [&](const Benchmark& b, std::uint64_t s) {
-        return run_method(b, Method::kBaco, budget, s, plain);
+        return run_method(b, "BaCO", budget, s, plain);
     }});
     variants.push_back({"BaCO--", [&](const Benchmark& b, std::uint64_t s) {
         TunerOptions opt = TunerOptions::baco_minus_minus();
@@ -79,7 +79,7 @@ main(int argc, char** argv)
         return run_baco_custom(b, opt, degraded);
     }});
     variants.push_back({"Ytopt (GP)", [&](const Benchmark& b, std::uint64_t s) {
-        return run_method(b, Method::kYtoptGp, budget, s, degraded);
+        return run_method(b, "Ytopt(GP)", budget, s, degraded);
     }});
     variants.push_back({"RFs", [&](const Benchmark& b, std::uint64_t s) {
         TunerOptions opt = TunerOptions::baco_defaults();

@@ -49,6 +49,7 @@
 
 #include <unistd.h>
 
+#include "api/method_registry.hpp"
 #include "harness_util.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -60,7 +61,6 @@
 #include "serve/worker.hpp"
 #include "suite/registry.hpp"
 #include "suite/report.hpp"
-#include "suite/runner.hpp"
 
 using namespace baco;
 using namespace baco::serve;
@@ -417,9 +417,8 @@ run_trace_leg(const std::string& worker_bin, const std::string& trace_path,
         }
         const Benchmark& bench = suite::find_benchmark(kBench);
         auto space = bench.make_space(SpaceVariant{});
-        std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
-            *space, suite::Method::kUniform, /*budget=*/24,
-            /*doe_samples=*/8, seed);
+        std::unique_ptr<AskTellTuner> tuner = MethodRegistry::global().make(
+            "Uniform", *space, {/*budget=*/24, /*doe_samples=*/8, seed});
         {
             CoordinatorExecutor exec(coordinator, kBench, seed,
                                      /*max_inflight=*/4);

@@ -28,6 +28,7 @@
 #include <iostream>
 #include <vector>
 
+#include "api/method_registry.hpp"
 #include "core/tuner.hpp"
 #include "harness_util.hpp"
 #include "obs/metrics.hpp"
@@ -183,7 +184,7 @@ main(int argc, char** argv)
     const std::vector<int> levels = {8, 32, 96};
     const int samples = std::max(4, 2 * args.reps);
     const int budget = levels.back() + samples + 16;
-    const std::vector<Method> methods = {Method::kUniform, Method::kBaco};
+    const std::vector<std::string> methods = {"Uniform", "BaCO"};
     SearchSpace space = make_space();
 
     print_banner(std::cout,
@@ -196,21 +197,20 @@ main(int argc, char** argv)
     std::vector<std::string> json_rows;
     bool obs_ok = true;
 
-    for (Method m : methods) {
-        std::unique_ptr<AskTellTuner> tuner =
-            make_ask_tell(space, m, budget, /*doe_samples=*/8, args.seed);
+    for (const std::string& m : methods) {
+        std::unique_ptr<AskTellTuner> tuner = MethodRegistry::global().make(
+            m, space, {budget, /*doe_samples=*/8, args.seed});
         std::vector<Cell> cells;
         for (int level : levels) {
             Cell cell = measure_level(*tuner, level, samples, args.seed);
             cells.push_back(cell);
-            table.add_row({method_name(m), std::to_string(cell.history),
+            table.add_row({m, std::to_string(cell.history),
                            fmt(cell.p50_ms, 3), fmt(cell.p99_ms, 3),
                            fmt(cell.mean_ms, 3), fmt(cell.fit_ms, 3),
                            fmt(cell.acq_ms, 3), fmt(cell.pruned_share, 2)});
             JsonWriter row;
-            row.field("key", method_name(m) + "/h" +
-                                 std::to_string(level))
-                .field("method", method_name(m))
+            row.field("key", m + "/h" + std::to_string(level))
+                .field("method", m)
                 .field("history", level)
                 .field("gated", false)
                 .field("p50_ms", cell.p50_ms)
@@ -237,13 +237,13 @@ main(int argc, char** argv)
         const Cell& anchor = cells[cells.size() - 2];
         double p50_growth =
             cells.back().p50_ms / std::max(anchor.p50_ms, 1e-6);
-        std::cout << method_name(m) << ": p50 growth h"
+        std::cout << m << ": p50 growth h"
                   << levels.back() << "/h" << anchor.history << " = "
                   << fmt(p50_growth, 2) << "x\n";
         JsonWriter growth;
-        growth.field("key", "growth/" + method_name(m))
-            .field("method", method_name(m))
-            .field("gated", m == Method::kBaco)
+        growth.field("key", "growth/" + m)
+            .field("method", m)
+            .field("gated", m == "BaCO")
             .field("gate_metric", std::string("p50_growth"))
             .field("gate_direction", std::string("lower_better"))
             .field("tolerance", 0.35)

@@ -35,7 +35,7 @@ main(int argc, char** argv)
 {
     HarnessArgs args = HarnessArgs::parse(argc, argv, /*default_reps=*/3,
                                           "BENCH_table10_wall_clock.json");
-    const std::vector<Method>& methods = headline_methods();
+    const std::vector<std::string>& methods = headline_methods();
     std::vector<std::string> json_rows;
     std::vector<std::string> json_engine_rows;
 
@@ -56,7 +56,7 @@ main(int argc, char** argv)
     TextTable table({"Kernel", "Method", "search overhead [s]",
                      "modelled kernel time [s]", "total [s]"});
     for (const Group& g : groups) {
-        for (Method m : methods) {
+        for (const std::string& m : methods) {
             double overhead = 0.0, modelled = 0.0;
             int n = 0;
             for (const char* name : g.names) {
@@ -75,11 +75,11 @@ main(int argc, char** argv)
             }
             overhead /= n;
             modelled /= n;
-            table.add_row({g.kernel, method_name(m), fmt(overhead, 3),
+            table.add_row({g.kernel, m, fmt(overhead, 3),
                            fmt(modelled, 2), fmt(overhead + modelled, 2)});
             baco::bench::JsonWriter row;
             row.field("kernel", std::string(g.kernel))
-                .field("method", std::string(method_name(m)))
+                .field("method", m)
                 .field("search_overhead_seconds", overhead)
                 .field("modelled_kernel_seconds", modelled)
                 .field("total_seconds", overhead + modelled);
@@ -115,12 +115,11 @@ main(int argc, char** argv)
 
         // Suite fan-out: independent seed repetitions across the pool.
         double seq = wall([&] {
-            run_repetitions(b, Method::kBaco, b.full_budget, reps,
-                            args.seed);
+            run_repetitions(b, "BaCO", b.full_budget, reps, args.seed);
         });
         double par = wall([&] {
-            run_repetitions_parallel(b, Method::kBaco, b.full_budget, reps,
-                                     args.seed);
+            run_repetitions(b, "BaCO", b.full_budget, reps, args.seed,
+                            /*num_threads=*/0);
         });
         engine_table.add_row({name, "suite reps x" + std::to_string(reps),
                               fmt(seq, 2), fmt(par, 2),
@@ -137,12 +136,12 @@ main(int argc, char** argv)
 
         // Single run: serial loop vs batch-4 constant-liar engine.
         double run_seq = wall([&] {
-            run_method(b, Method::kBaco, b.full_budget, args.seed);
+            run_method(b, "BaCO", b.full_budget, args.seed);
         });
         double run_batch = wall([&] {
             StudyBuilder()
                 .benchmark(b)
-                .method(method_name(Method::kBaco))
+                .method("BaCO")
                 .budget(b.full_budget)
                 .seed(args.seed)
                 .execution(ExecutionPolicy::Batched(4))

@@ -26,26 +26,26 @@ main(int argc, char** argv)
               << " ms\n\n";
 
     const int reps = 3;
-    std::map<Method, RepStats> stats;
-    for (Method m : headline_methods())
+    std::map<std::string, RepStats> stats;
+    for (const std::string& m : headline_methods())
         stats[m] = run_repetitions(b, m, b.full_budget, reps, 17);
 
     std::vector<std::string> headers{"evals"};
-    for (Method m : headline_methods())
-        headers.push_back(method_name(m));
+    for (const std::string& m : headline_methods())
+        headers.push_back(m);
     TextTable table(headers);
     int step = std::max(1, b.full_budget / 10);
     for (int e = step; e <= b.full_budget; e += step) {
         std::vector<std::string> row{std::to_string(e)};
-        for (Method m : headline_methods())
+        for (const std::string& m : headline_methods())
             row.push_back(fmt(stats[m].mean_best_at(e), 3));
         table.add_row(row);
     }
     table.print(std::cout);
 
     std::cout << "\nperformance relative to expert at full budget:\n";
-    for (Method m : headline_methods()) {
-        std::cout << "  " << method_name(m) << ": "
+    for (const std::string& m : headline_methods()) {
+        std::cout << "  " << m << ": "
                   << fmt(stats[m].mean_rel_to_reference(b.reference_cost,
                                                         b.full_budget),
                          2)

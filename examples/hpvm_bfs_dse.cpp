@@ -45,7 +45,7 @@ main()
               << space->config_to_string(best_cfg) << "\n\n";
 
     for (int budget : {6, 13, 20}) {  // tiny / small / full (Table 3)
-        TuningHistory h = run_method(b, Method::kBaco, budget, 5);
+        TuningHistory h = run_method(b, "BaCO", budget, 5);
         std::cout << "BaCO with budget " << budget << ": best "
                   << h.best_value << " ms ("
                   << 100.0 * best_true / h.best_value

@@ -32,7 +32,7 @@ main()
     std::cout << "\nexpert (semi-automated search): "
               << fmt_ms(b.reference_cost) << "\n\n";
 
-    TuningHistory h = run_method(b, Method::kBaco, b.full_budget, 3);
+    TuningHistory h = run_method(b, "BaCO", b.full_budget, 3);
 
     int crashes = 0;
     for (const Observation& o : h.observations)

@@ -25,8 +25,8 @@
  *
  * The lower-level execute() dispatcher — an ExecutionPolicy applied to an
  * *existing* ask-tell tuner — is what Study::run() and the serve layer's
- * server-side async runs share. It only picks an Executor; every policy
- * then runs the one exec-layer drive() loop, so local and remote
+ * run request (sync and async) share. It only picks an Executor; every
+ * policy then runs the one exec-layer drive() loop, so local and remote
  * execution cannot drift.
  */
 
@@ -63,8 +63,7 @@ using StudyEventFn = AsyncResultFn;
 
 /**
  * One execution request against an existing ask-tell tuner: the shared
- * dispatcher behind Study::run() and the serve layer's server-side async
- * runs.
+ * dispatcher behind Study::run() and the serve layer's run request.
  */
 struct ExecRequest {
   ExecutionPolicy policy;
@@ -149,7 +148,8 @@ class Study {
   /**
    * Drive the study to budget exhaustion under its ExecutionPolicy and
    * return the finalized result. Call once: a second run()/result()
-   * throws std::logic_error (finalization moves the history out).
+   * throws std::logic_error (finalization moves the history out). A
+   * failed checkpoint write stops the drive with std::runtime_error.
    */
   StudyResult run();
 
@@ -164,7 +164,8 @@ class Study {
    *  drive()'s tell step: cache (when attached), observe, checkpoint,
    *  then on_event per result with the same as-if-serial evals/best
    *  counters run() emits. Like ask(), throws std::logic_error while
-   *  resume_pending() is undrained. */
+   *  resume_pending() is undrained; throws std::runtime_error when the
+   *  checkpoint write fails (the results are observed by then). */
   void tell(const std::vector<Configuration>& configs,
             const std::vector<EvalResult>& results);
   /** Single-result tell. */

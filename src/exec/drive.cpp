@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -146,8 +147,14 @@ tell_results(AskTellTuner& tuner, std::vector<AsyncEvent> events,
     // Charged apart from the observe, so tuner_seconds stays pure search
     // overhead.
     tuner.mutable_history().eval_seconds += eval_seconds;
-    if (!opt.checkpoint_path.empty())
-        save_checkpoint(opt.checkpoint_path, tuner, still_pending);
+    // Thrown after the tell: the results stay observed, but the exchange
+    // stops rather than run on without durability.
+    if (!opt.checkpoint_path.empty() &&
+        !save_checkpoint(opt.checkpoint_path, tuner, still_pending)) {
+        throw std::runtime_error(
+            "results recorded but checkpoint write failed: " +
+            opt.checkpoint_path);
+    }
     if (!opt.on_event)
         return;
     for (AsyncEvent& ev : events) {

@@ -29,8 +29,8 @@
  * Every result passes through one tell step (tell_results): cache,
  * observe, charge the black-box time, checkpoint with the work still in
  * flight, then one on_event per result. An exception from anywhere in
- * the exchange stops suggesting; drive() drains what is in flight, then
- * rethrows.
+ * the exchange (a failed checkpoint write included) stops suggesting;
+ * drive() drains what is in flight, then rethrows.
  */
 
 #include <cstdint>
@@ -150,12 +150,16 @@ void drive(AskTellTuner& tuner, Executor& exec, DriveOptions opt = {});
 TuningHistory drive_serial(AskTellTuner& tuner, const BlackBoxFn& objective);
 
 /**
- * drive()'s tell step, also used by callers that evaluate on their own
- * (Study::tell). Each event arrives with index, config, result,
- * eval_seconds and from_cache set. The step caches every result not
- * from the cache, observes them in order in one call, charges their
- * black-box time, checkpoints with still_pending, then fires on_event
- * once per result with evals and best stamped as if told one by one.
+ * drive()'s tell step, also used by callers that evaluate on their own:
+ * Study::tell and Study::tell_pending, and the serve layer's
+ * SessionManager for an observe frame. Each event arrives with index,
+ * config, result, eval_seconds and from_cache set. The step caches every
+ * result not from the cache, observes them in order in one call, charges
+ * their black-box time, checkpoints with still_pending, then fires
+ * on_event once per result with evals and best stamped as if told one by
+ * one.
+ * @throws std::runtime_error naming the path when the checkpoint write
+ * fails; the results are observed by then, and on_event does not fire.
  */
 void tell_results(AskTellTuner& tuner, std::vector<AsyncEvent> events,
                   const DriveOptions& opt,

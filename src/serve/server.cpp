@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "api/study.hpp"
-#include "exec/eval_cache.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "serve/coordinator.hpp"
@@ -131,80 +130,77 @@ handle_server_stats(const Message& req, const ServerContext& ctx)
 }
 
 /**
- * Async server-side drive of one session: tell-as-results-land over the
- * coordinator's fleet (or a thread pool without workers), streaming one
- * result frame per landed evaluation to the client. The Coordinator
- * multiplexes concurrent runs itself — the drive's executor opens its
- * own run lease (subject to admission control), so nothing here
- * serializes connections against each other.
+ * Server-side drive of one session through the execute() dispatcher
+ * Study::run uses, on the coordinator's fleet when workers are attached
+ * and in-process otherwise. A sync run drives barrier rounds of n; an
+ * async run keeps n evaluations in flight, tells each as it lands and
+ * streams one result frame per told evaluation. The drive's executor
+ * opens its own coordinator run lease (subject to admission control), so
+ * nothing here serializes connections against each other.
  */
 Message
-handle_async_run(const Message& req, const ServerContext& ctx,
-                 Transport& stream)
+handle_run(const Message& req, const ServerContext& ctx, Transport& stream)
 {
-    // The request's n is the in-flight cap AND (without workers) the
-    // pool's thread count — clamp the client-supplied value so one
-    // frame cannot make the server spawn an unbounded thread fleet.
+    // An async run's n is also the pool's thread count without workers:
+    // clamp the client-supplied value so one frame cannot make the
+    // server spawn an unbounded thread fleet.
     constexpr int kMaxAsyncSlots = 64;
-    const int slots = std::clamp(
-        req.n > 0 ? req.n : std::max(1, ctx.async_slots), 1,
-        kMaxAsyncSlots);
-    const int max_evals = req.budget > 0 ? req.budget : -1;
-    bool sharded = ctx.coordinator && ctx.coordinator->num_workers() > 0;
+    constexpr int kDefaultAsyncSlots = 4;
+    const bool async = req.async || ctx.async_runs;
+    const int n = async ? std::clamp(req.n > 0 ? req.n : kDefaultAsyncSlots,
+                                     1, kMaxAsyncSlots)
+                        : std::max(1, req.n);
+    const bool sharded =
+        ctx.coordinator && ctx.coordinator->num_workers() > 0;
+
+    ExecRequest run;
+    if (sharded) {
+        run.policy = ExecutionPolicy::Distributed(/*workers=*/0, n, async);
+        run.coordinator = ctx.coordinator;
+    } else {
+        run.policy = async ? ExecutionPolicy::Async(n, /*num_threads=*/n)
+                           : ExecutionPolicy::Batched(n, /*num_threads=*/1);
+    }
+    run.cache = ctx.sessions->cache();
+    run.max_evals = req.budget > 0 ? req.budget : -1;
+    if (async) {
+        run.on_event = [&](const AsyncEvent& ev) {
+            Message frame;
+            frame.type = MsgType::kResult;
+            frame.id = req.id;
+            frame.index = ev.index;
+            frame.value = ev.result.value;
+            frame.feasible = ev.result.feasible;
+            frame.eval_seconds = ev.eval_seconds;
+            frame.evals = ev.evals;
+            frame.best = ev.best;
+            if (!stream.send(encode(frame))) {
+                // The client is gone: abort the drive instead of burning
+                // the session's remaining budget into a dead pipe. (The
+                // drive drains its in-flight work before rethrowing; the
+                // coordinator absorbs late worker replies as benign.)
+                throw std::runtime_error(
+                    "client disconnected during async run");
+            }
+        };
+    }
 
     Message done;
     done.type = MsgType::kDone;
     done.id = req.id;
-
-    AsyncResultFn progress = [&](const AsyncEvent& ev) {
-        Message frame;
-        frame.type = MsgType::kResult;
-        frame.id = req.id;
-        frame.index = ev.index;
-        frame.value = ev.result.value;
-        frame.feasible = ev.result.feasible;
-        frame.eval_seconds = ev.eval_seconds;
-        frame.evals = ev.evals;
-        frame.best = ev.best;
-        if (!stream.send(encode(frame))) {
-            // The client is gone: abort the drive instead of burning
-            // the session's remaining budget into a dead pipe. (The
-            // drive drains its in-flight work before rethrowing; the
-            // coordinator absorbs late worker replies as benign.)
-            throw std::runtime_error(
-                "client disconnected during async run");
-        }
-        done.evals = ev.evals;
-        done.best = ev.best;
-    };
-
     bool drove = ctx.sessions->with_tuner(
         req.session,
         [&](AskTellTuner& tuner, const SessionInfo& info,
             const std::string& checkpoint) {
-            done.evals = info.evals;
-            done.best = info.best;
-            // Server-side runs dispatch through the same execute() the
-            // local Study front door uses: the coordinator's fleet when
-            // workers are attached, a thread pool otherwise.
-            ExecRequest run;
-            if (sharded) {
-                run.policy = ExecutionPolicy::Distributed(
-                    /*workers=*/0, slots, /*async=*/true);
-                run.coordinator = ctx.coordinator;
-            } else {
-                run.policy = ExecutionPolicy::Async(slots,
-                                                    /*num_threads=*/slots);
+            run.benchmark = info.benchmark;
+            if (!sharded)
                 run.objective =
                     suite::find_benchmark(info.benchmark).evaluate;
-            }
-            run.benchmark = info.benchmark;
-            run.cache = ctx.sessions->cache();
             run.cache_namespace = info.cache_namespace;
             run.checkpoint_path = checkpoint;
-            run.max_evals = max_evals;
-            run.on_event = progress;
             execute(tuner, run);
+            done.evals = tuner.history().size();
+            done.best = tuner.history().best_value;
         });
     if (!drove) {
         return make_error(req.id,
@@ -212,114 +208,6 @@ handle_async_run(const Message& req, const ServerContext& ctx,
                               req.session);
     }
     return done;
-}
-
-/**
- * Server-side drive of one session: suggest, evaluate (sharded over the
- * coordinator when workers are attached, in-process otherwise), observe;
- * repeat until the budget — or the request's eval cap — is exhausted.
- * Suggest and observe go through the session manager (its outstanding
- * batch and checkpoint), which is why this is not a drive() of its own.
- */
-Message
-handle_run(const Message& req, const ServerContext& ctx)
-{
-    std::optional<SessionInfo> info = ctx.sessions->info(req.session);
-    if (!info)
-        return make_error(req.id, "no such session: " + req.session);
-
-    const int batch = std::max(1, req.n);
-    const int max_evals = req.budget > 0 ? req.budget : -1;
-    bool sharded = ctx.coordinator && ctx.coordinator->num_workers() > 0;
-    // Rounds evaluate on the same executors a drive uses: the fleet as
-    // one run for the whole request — scheduled fairly against other
-    // tenants, with admission control (CoordinatorBusy → "busy" error
-    // frame) up front, not halfway through the run — or inline.
-    std::unique_ptr<Executor> exec;
-    if (sharded) {
-        exec = std::make_unique<CoordinatorExecutor>(
-            *ctx.coordinator, info->benchmark, info->seed,
-            /*max_inflight=*/batch);
-    } else {
-        exec = std::make_unique<ThreadPoolExecutor>(
-            suite::find_benchmark(info->benchmark).evaluate, info->seed);
-    }
-
-    int done = 0;
-    Message last_ok;
-    last_ok.type = MsgType::kDone;
-    last_ok.id = req.id;
-    last_ok.evals = info->evals;
-    last_ok.best = info->best;
-
-    while (max_evals < 0 || done < max_evals) {
-        Message ask;
-        ask.type = MsgType::kSuggest;
-        ask.id = req.id;
-        ask.session = req.session;
-        ask.n = batch;
-        if (max_evals >= 0)
-            ask.n = std::min(ask.n, max_evals - done);
-        Message configs = ctx.sessions->handle(ask);
-        if (configs.type == MsgType::kError)
-            return configs;
-        if (configs.configs.empty())
-            break;  // budget exhausted
-        if (max_evals >= 0 &&
-            static_cast<int>(configs.configs.size()) > max_evals - done) {
-            // An idempotent suggest retry returned a previously
-            // outstanding batch larger than the remaining eval cap. A
-            // batch can only be observed whole, so refuse rather than
-            // silently exceed the requested budget.
-            return make_error(req.id,
-                              "outstanding batch exceeds the run's eval "
-                              "cap; observe it first or raise the cap");
-        }
-
-        Message tell;
-        tell.type = MsgType::kObserve;
-        tell.id = req.id;
-        tell.session = req.session;
-        // The observe caches what the round evaluates.
-        double eval_seconds = 0.0;
-        std::vector<EvalResult> results(configs.configs.size());
-        EvalCache* cache = ctx.sessions->cache();
-        std::size_t outstanding = 0;
-        for (std::size_t i = 0; i < configs.configs.size(); ++i) {
-            const Configuration& c = configs.configs[i];
-            if (cache) {
-                if (auto hit = cache->lookup(info->cache_namespace, c)) {
-                    results[i] = *hit;
-                    continue;
-                }
-            }
-            exec->submit(configs.index + i, c);
-            ++outstanding;
-        }
-        for (; outstanding > 0; --outstanding) {
-            Landed l = exec->wait_any();
-            if (l.error)
-                std::rethrow_exception(l.error);
-            results[l.index - configs.index] = l.result;
-            eval_seconds += l.eval_seconds;
-        }
-        tell.eval_seconds = eval_seconds;
-        tell.results.reserve(results.size());
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            ObservedResult r;
-            r.config = configs.configs[i];
-            r.value = results[i].value;
-            r.feasible = results[i].feasible;
-            tell.results.push_back(std::move(r));
-        }
-        Message ok = ctx.sessions->handle(tell);
-        if (ok.type == MsgType::kError)
-            return ok;
-        done += static_cast<int>(results.size());
-        last_ok.evals = ok.evals;
-        last_ok.best = ok.best;
-    }
-    return last_ok;
 }
 
 }  // namespace
@@ -394,9 +282,7 @@ serve_connection(Transport& transport, const ServerContext& ctx,
             reply = handle_server_stats(req, ctx);
         } else if (req.type == MsgType::kRun) {
             try {
-                reply = (req.async || ctx.async_runs)
-                            ? handle_async_run(req, ctx, transport)
-                            : handle_run(req, ctx);
+                reply = handle_run(req, ctx, transport);
             } catch (const CoordinatorBusy& e) {
                 // Admission refusal: a machine-readable code so clients
                 // can back off and retry instead of parsing the text.

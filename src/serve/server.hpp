@@ -11,19 +11,22 @@
  * The connection opens with a hello/welcome handshake (protocol-version
  * checked), then answers requests until shutdown or transport close.
  * Session requests go to the SessionManager; the run request is handled
- * here: it drives a session's suggest/observe loop server-side,
- * sharding every batch over the coordinator's workers when any are
- * attached and evaluating in-process otherwise — the same
- * (seed, index)-derived noise streams either way.
+ * here: it locks the session (SessionManager::with_tuner) and drives its
+ * tuner through the api layer's execute() dispatcher — the same one
+ * behind baco::Study — so a server-side run is one drive() with drive()'s
+ * tell step, cache and checkpoint. Evaluations shard over the
+ * coordinator's workers when any are attached and run in-process
+ * otherwise, under the same (seed, index)-derived noise streams either
+ * way.
  *
- * A run request with "async":true (or a server started with async runs
- * forced on) is driven tell-as-results-land instead: evaluations stream
- * through the api layer's execute() dispatcher — the same one behind
- * baco::Study — into one drive() over the coordinator's fleet (or a
- * thread pool when no workers are attached), and the server emits one result
- * frame per landed evaluation — index, value, feasibility, history size
- * and incumbent — before the final done frame, so the client watches the
- * run progress instead of waiting out the slowest compile.
+ * A sync run drives barrier rounds of the request's n. A run request
+ * with "async":true (or a server started with async runs forced on) is
+ * driven tell-as-results-land with n evaluations in flight instead, and
+ * the server emits one result frame per landed evaluation — index,
+ * value, feasibility, history size and incumbent — before the final done
+ * frame, so the client watches the run progress instead of waiting out
+ * the slowest compile. Either kind is refused while the session has a
+ * frame-level suggested batch outstanding.
  */
 
 #include <atomic>
@@ -55,8 +58,6 @@ struct ServerContext {
   Acceptor* acceptor = nullptr;
   /** Treat every run request as async (baco_serve --async). */
   bool async_runs = false;
-  /** In-flight cap of an async run when the request's n is 0. */
-  int async_slots = 4;
 };
 
 /** Connection counters, for logs and tests. */

@@ -1,12 +1,14 @@
 #include "serve/session_manager.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include <sys/stat.h>
 
 #include "api/method_registry.hpp"
 #include "exec/checkpoint.hpp"
+#include "exec/drive.hpp"
 #include "exec/eval_cache.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
@@ -469,31 +471,42 @@ SessionManager::observe(const Message& req)
             return make_error(req.id,
                               "observe configs do not match the "
                               "outstanding batch (order matters)");
+        // A feasible value becomes a surrogate training target; an
+        // infeasible one is never modelled, so it may carry anything.
+        if (req.results[i].feasible && !std::isfinite(req.results[i].value))
+            return make_error(req.id,
+                              "observe result " + std::to_string(i) +
+                                  " is feasible with a non-finite value");
     }
+    if (!std::isfinite(req.eval_seconds) || req.eval_seconds < 0.0)
+        return make_error(req.id, "observe eval_seconds must be finite "
+                                  "and non-negative");
 
-    std::vector<EvalResult> results;
-    results.reserve(req.results.size());
-    for (const ObservedResult& r : req.results)
-        results.push_back(EvalResult{r.value, r.feasible});
-    session->tuner->observe(session->pending, results);
-    session->tuner->mutable_history().eval_seconds += req.eval_seconds;
-
-    if (opt_.cache) {
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            opt_.cache->insert(session->cache_namespace, session->pending[i],
-                               results[i]);
-        }
+    std::vector<AsyncEvent> events(req.results.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        events[i].index = session->pending_first + i;
+        events[i].config = session->pending[i];
+        events[i].result = EvalResult{req.results[i].value,
+                                      req.results[i].feasible};
     }
-
+    // The frame reports one black-box time for the whole batch.
+    events.front().eval_seconds = req.eval_seconds;
+    DriveOptions opt;
+    opt.cache = opt_.cache;
+    opt.cache_namespace = session->cache_namespace;
+    opt.checkpoint_path = checkpoint_path(session->name);
+    const std::size_t before = session->tuner->history().size();
+    try {
+        tell_results(*session->tuner, std::move(events), opt, {});
+    } catch (...) {
+        // A failed checkpoint write throws after the tell: the batch is
+        // observed, so a retry must not observe it twice. handle() turns
+        // the error into the reply frame.
+        if (session->tuner->history().size() != before)
+            session->pending.clear();
+        throw;
+    }
     session->pending.clear();
-    std::string ckpt = checkpoint_path(session->name);
-    if (!ckpt.empty() && !save_checkpoint(ckpt, *session->tuner)) {
-        // The observation is recorded in memory, but the durability
-        // promise is broken — tell the client instead of a silent ok.
-        return make_error(req.id,
-                          "results recorded but checkpoint write failed: " +
-                              ckpt);
-    }
 
     Message reply;
     reply.type = MsgType::kOk;

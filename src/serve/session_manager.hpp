@@ -18,6 +18,12 @@
  * batch outstanding returns the same batch, so a client that lost a
  * response can simply retry.
  *
+ * An observe frame is checked against the outstanding batch (sizes,
+ * configs in order, finite feasible values, a finite non-negative
+ * eval_seconds) and then told through drive()'s tell step
+ * (tell_results), so cache, observe, black-box time and checkpoint
+ * happen exactly as in a local drive.
+ *
  * Durability: with a checkpoint directory configured every observed
  * batch atomically rewrites <dir>/<session>.ckpt.jsonl. A crashed
  * server (or an evicted idle session) resumes by re-opening the session
@@ -118,13 +124,13 @@ class SessionManager {
 
   /**
    * Lock session `name` and run fn(tuner, info, checkpoint_path) against
-   * its ask-tell tuner directly — the access the server's async run path
-   * needs to drive tell-as-results-land (the frame-level suggest/observe
-   * exchange is inherently batch-shaped). The session stays locked for
-   * fn's whole duration, so concurrent requests for it queue up behind
-   * the drive. Returns false — without invoking fn — when the session is
-   * absent or has a suggested-but-unobserved protocol batch (an async
-   * drive may not interleave with a frame-level exchange).
+   * its ask-tell tuner directly: the server's run request drives the
+   * tuner with execute() here, sync and async alike. The session stays
+   * locked for fn's whole duration, so concurrent requests for it queue
+   * up behind the drive. Returns false — without invoking fn — when the
+   * session is absent or has a suggested-but-unobserved protocol batch (a
+   * drive may not interleave with a frame-level exchange). Exceptions
+   * from fn propagate with the session unlocked.
    */
   bool with_tuner(
       const std::string& name,

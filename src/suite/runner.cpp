@@ -14,52 +14,22 @@ namespace {
 const double kInf = std::numeric_limits<double>::infinity();
 }
 
-std::string
-method_name(Method m)
-{
-    switch (m) {
-      case Method::kBaco: return "BaCO";
-      case Method::kBacoMinusMinus: return "BaCO--";
-      case Method::kAtfOpenTuner: return "ATF";
-      case Method::kYtopt: return "Ytopt";
-      case Method::kYtoptGp: return "Ytopt(GP)";
-      case Method::kUniform: return "Uniform";
-      case Method::kCotSampling: return "CoT";
-    }
-    return "?";
-}
-
-const std::vector<Method>&
+const std::vector<std::string>&
 headline_methods()
 {
-    static const std::vector<Method> kMethods = {
-        Method::kBaco, Method::kAtfOpenTuner, Method::kYtopt,
-        Method::kUniform, Method::kCotSampling,
+    static const std::vector<std::string> kMethods = {
+        "BaCO", "ATF", "Ytopt", "Uniform", "CoT",
     };
     return kMethods;
 }
 
-std::unique_ptr<AskTellTuner>
-make_ask_tell(const SearchSpace& space, Method m, int budget, int doe_samples,
-              std::uint64_t seed)
-{
-    // The MethodRegistry owns the factories; the enum's display name
-    // resolves as a registry alias, so enum- and string-keyed callers
-    // construct through the same code path.
-    MethodSpec spec;
-    spec.budget = budget;
-    spec.doe_samples = doe_samples;
-    spec.seed = seed;
-    return MethodRegistry::global().make(method_name(m), space, spec);
-}
-
 TuningHistory
-run_method(const Benchmark& b, Method m, int budget, std::uint64_t seed,
-           const SpaceVariant& variant)
+run_method(const Benchmark& b, const std::string& method, int budget,
+           std::uint64_t seed, const SpaceVariant& variant)
 {
     std::shared_ptr<SearchSpace> space = b.make_space(variant);
-    std::unique_ptr<AskTellTuner> tuner =
-        make_ask_tell(*space, m, budget, b.doe_samples, seed);
+    std::unique_ptr<AskTellTuner> tuner = MethodRegistry::global().make(
+        method, *space, {budget, b.doe_samples, seed});
     return drive_serial(*tuner, b.evaluate);
 }
 
@@ -138,11 +108,24 @@ RepStats::mean_trajectory() const
     return mean;
 }
 
-namespace {
-
 RepStats
-assemble_stats(std::vector<TuningHistory> histories)
+run_repetitions(const Benchmark& b, const std::string& method, int budget,
+                int reps, std::uint64_t seed0, int num_threads,
+                const SpaceVariant& variant)
 {
+    std::vector<TuningHistory> histories(
+        static_cast<std::size_t>(std::max(0, reps)));
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(histories.size());
+    for (int r = 0; r < reps; ++r) {
+        tasks.push_back([&, r] {
+            histories[static_cast<std::size_t>(r)] =
+                run_method(b, method, budget,
+                           seed0 + static_cast<std::uint64_t>(r), variant);
+        });
+    }
+    ThreadPool(num_threads).run(std::move(tasks));
+
     RepStats stats;
     for (TuningHistory& h : histories) {
         stats.trajectories.push_back(h.best_trajectory());
@@ -154,42 +137,6 @@ assemble_stats(std::vector<TuningHistory> histories)
         stats.mean_eval_seconds /= static_cast<double>(histories.size());
     }
     return stats;
-}
-
-}  // namespace
-
-RepStats
-run_repetitions(const Benchmark& b, Method m, int budget, int reps,
-                std::uint64_t seed0, const SpaceVariant& variant)
-{
-    std::vector<TuningHistory> histories;
-    histories.reserve(static_cast<std::size_t>(std::max(0, reps)));
-    for (int r = 0; r < reps; ++r) {
-        histories.push_back(run_method(
-            b, m, budget, seed0 + static_cast<std::uint64_t>(r), variant));
-    }
-    return assemble_stats(std::move(histories));
-}
-
-RepStats
-run_repetitions_parallel(const Benchmark& b, Method m, int budget, int reps,
-                         std::uint64_t seed0, int num_threads,
-                         const SpaceVariant& variant)
-{
-    if (reps <= 0)
-        return RepStats{};
-    std::vector<TuningHistory> histories(static_cast<std::size_t>(reps));
-    ThreadPool pool(num_threads);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(static_cast<std::size_t>(reps));
-    for (int r = 0; r < reps; ++r) {
-        tasks.push_back([&, r] {
-            histories[static_cast<std::size_t>(r)] = run_method(
-                b, m, budget, seed0 + static_cast<std::uint64_t>(r), variant);
-        });
-    }
-    pool.run(std::move(tasks));
-    return assemble_stats(std::move(histories));
 }
 
 int

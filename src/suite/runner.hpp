@@ -8,15 +8,15 @@
  * paper's figures report (mean best-so-far trajectories, performance
  * relative to expert, expert-success counts, evaluations-to-reach factors).
  *
- * Every method is constructed through the MethodRegistry (the enum here
- * resolves by display name), so the same code path serves the serial
- * loop, the thread-pool fan-out of seed repetitions
- * (run_repetitions_parallel), and the serve protocol. Batched,
- * asynchronous and distributed runs go through the baco::Study front
- * door (api/study.hpp) with an ExecutionPolicy.
+ * Methods are MethodRegistry names: the paper's display names ("BaCO",
+ * "ATF", "Uniform", ...) resolve as registry aliases, so the figure
+ * harnesses, Study and the serve protocol construct tuners through the
+ * same registry. run_repetitions fans seed repetitions out over a thread
+ * pool (one lane runs them inline). Batched, asynchronous and
+ * distributed runs go through the baco::Study front door
+ * (api/study.hpp) with an ExecutionPolicy.
  */
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,36 +25,17 @@
 
 namespace baco::suite {
 
-/** The five competing methods of Sec. 5.1, plus the Fig. 8 variants. */
-enum class Method {
-  kBaco,
-  kBacoMinusMinus,
-  kAtfOpenTuner,
-  kYtopt,
-  kYtoptGp,
-  kUniform,
-  kCotSampling,
-};
-
-/** Display name ("BaCO", "ATF", "Ytopt", ...). */
-std::string method_name(Method m);
-
-/** The paper's five headline competitors (Fig. 5-7, Tables 5-9). */
-const std::vector<Method>& headline_methods();
+/** The paper's five headline competitors (Fig. 5-7, Tables 5-9), by
+ *  display name: "BaCO", "ATF", "Ytopt", "Uniform", "CoT". */
+const std::vector<std::string>& headline_methods();
 
 /**
- * Build the ask-tell tuner for a method through the MethodRegistry. The
- * space reference must outlive the returned tuner. doe_samples is
- * clamped to the budget.
+ * Run the MethodRegistry method `method` once, serially, with the
+ * benchmark's DoE size. The SpaceVariant feeds the Fig. 8/9 ablations.
+ * @throws std::runtime_error on an unknown method name.
  */
-std::unique_ptr<AskTellTuner> make_ask_tell(const SearchSpace& space,
-                                            Method m, int budget,
-                                            int doe_samples,
-                                            std::uint64_t seed);
-
-/** Run one method once. The SpaceVariant feeds the Fig. 8/9 ablations. */
-TuningHistory run_method(const Benchmark& b, Method m, int budget,
-                         std::uint64_t seed,
+TuningHistory run_method(const Benchmark& b, const std::string& method,
+                         int budget, std::uint64_t seed,
                          const SpaceVariant& variant = SpaceVariant{});
 
 /** Run BaCO with fully custom options (ablation studies). */
@@ -82,21 +63,16 @@ struct RepStats {
   std::vector<double> mean_trajectory() const;
 };
 
-/** Run `reps` repetitions with seeds seed0, seed0+1, ... */
-RepStats run_repetitions(const Benchmark& b, Method m, int budget, int reps,
-                         std::uint64_t seed0,
-                         const SpaceVariant& variant = SpaceVariant{});
-
 /**
- * run_repetitions with the repetitions fanned out across a work-stealing
- * thread pool (num_threads lanes; 0 = hardware concurrency). Results are
- * assembled in seed order, so the statistics are identical to the serial
- * sweep regardless of scheduling.
+ * Run `reps` repetitions with seeds seed0, seed0+1, ... on a
+ * work-stealing pool of num_threads lanes (0 = hardware concurrency;
+ * 1 runs them inline, one after another). Results are assembled in seed
+ * order, so the statistics do not depend on num_threads.
  */
-RepStats run_repetitions_parallel(const Benchmark& b, Method m, int budget,
-                                  int reps, std::uint64_t seed0,
-                                  int num_threads = 0,
-                                  const SpaceVariant& variant = SpaceVariant{});
+RepStats run_repetitions(const Benchmark& b, const std::string& method,
+                         int budget, int reps, std::uint64_t seed0,
+                         int num_threads = 1,
+                         const SpaceVariant& variant = SpaceVariant{});
 
 /**
  * First evaluation count at which trajectory reaches target (<=), or -1.

@@ -182,9 +182,9 @@ TEST(MethodRegistry, SuiteDisplayNamesResolveAsAliases)
     EXPECT_EQ(*registry.resolve("Ytopt"), "ytopt");
     EXPECT_EQ(*registry.resolve("Ytopt(GP)"), "ytopt-gp");
     EXPECT_EQ(*registry.resolve("CoT"), "cot");
-    // Every suite enum constructs through the registry.
-    for (suite::Method m : suite::headline_methods())
-        EXPECT_TRUE(registry.contains(suite::method_name(m)));
+    // Every headline method the suite names resolves in the registry.
+    for (const std::string& m : suite::headline_methods())
+        EXPECT_TRUE(registry.contains(m)) << m;
 }
 
 TEST(MethodRegistry, UnknownNameThrowsWithSuggestions)
@@ -414,6 +414,52 @@ TEST(Study, EventsFireAfterTheCheckpointUnderEveryPolicyAndTell)
     study.tell(batch, results);
     EXPECT_EQ(checked, 3);
     std::remove(path.c_str());
+}
+
+TEST(Study, FailedCheckpointWriteStopsTheExchange)
+{
+    // The checkpoint's directory does not exist, so every write fails.
+    // The first tell observes its results and then throws, naming the
+    // path, instead of finishing the budget with no checkpoint. (A
+    // permission-denied directory would not do: root ignores permission
+    // bits.)
+    const std::string path =
+        testing::TempDir() + "baco_api_study_no_such_dir/run.ckpt";
+    for (ExecutionPolicy policy :
+         {ExecutionPolicy::Serial(), ExecutionPolicy::Batched(2),
+          ExecutionPolicy::Async(2)}) {
+        SCOPED_TRACE(execution_mode_name(policy.mode));
+        int events = 0;
+        Study study = parity_study(policy, "random")
+                          .checkpoint(path)
+                          .on_event([&](const AsyncEvent&) { ++events; })
+                          .build();
+        try {
+            study.run();
+            ADD_FAILURE() << "run() finished without a checkpoint";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+                << e.what();
+        }
+        // Barrier rounds tell two results at once, the others one.
+        const std::size_t first_tell =
+            policy.mode == ExecutionPolicy::Mode::kBatched ? 2 : 1;
+        EXPECT_EQ(study.tuner().history().size(), first_tell);
+        EXPECT_EQ(events, 0);
+    }
+
+    const Benchmark& b = suite::find_benchmark(kBench);
+    Study study = parity_study(ExecutionPolicy::Serial(), "random")
+                      .checkpoint(path)
+                      .build();
+    std::vector<Configuration> batch = study.ask(2);
+    std::vector<EvalResult> results;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        RngEngine rng = eval_rng_for(kSeed, i);
+        results.push_back(b.evaluate(batch[i], rng));
+    }
+    EXPECT_THROW(study.tell(batch, results), std::runtime_error);
+    EXPECT_EQ(study.tuner().history().size(), 2u);
 }
 
 TEST(Study, RealAndLogScaledIntegerParametersRunInBounds)

@@ -129,17 +129,14 @@ TEST(BatchedDrive, ConstantLiarBatchIsDiverse)
 
 TEST(BatchedDrive, BaselinesRunBatchedToFullBudget)
 {
-    using suite::Method;
     SearchSpace s = synthetic_space();
-    const Method methods[] = {Method::kAtfOpenTuner, Method::kYtopt,
-                              Method::kUniform, Method::kCotSampling};
-    for (Method m : methods) {
+    for (const char* m : {"ATF", "Ytopt", "Uniform", "CoT"}) {
         std::unique_ptr<AskTellTuner> tuner =
-            suite::make_ask_tell(s, m, 20, 6, 11);
+            MethodRegistry::global().make(m, s, {20, 6, 11});
         TuningHistory h =
             pool_drive(*tuner, synthetic_eval, 2, drive_options(4));
-        EXPECT_EQ(h.size(), 20u) << suite::method_name(m);
-        EXPECT_TRUE(h.best_config.has_value()) << suite::method_name(m);
+        EXPECT_EQ(h.size(), 20u) << m;
+        EXPECT_TRUE(h.best_config.has_value()) << m;
     }
 }
 
@@ -187,9 +184,9 @@ TEST(SuiteRunner, ParallelRepetitionsMatchSerialStatistics)
     const Benchmark& b = suite::find_benchmark("SDDMM/email-Enron");
     int budget = 12;
     suite::RepStats serial =
-        suite::run_repetitions(b, suite::Method::kUniform, budget, 4, 21);
-    suite::RepStats parallel = suite::run_repetitions_parallel(
-        b, suite::Method::kUniform, budget, 4, 21, /*num_threads=*/4);
+        suite::run_repetitions(b, "Uniform", budget, 4, 21);
+    suite::RepStats parallel = suite::run_repetitions(
+        b, "Uniform", budget, 4, 21, /*num_threads=*/4);
 
     ASSERT_EQ(serial.trajectories.size(), parallel.trajectories.size());
     for (std::size_t r = 0; r < serial.trajectories.size(); ++r)
@@ -201,7 +198,7 @@ TEST(SuiteRunner, BatchedStudyMatchesRunMethodAtBatch1)
     const Benchmark& b = suite::find_benchmark("SDDMM/email-Enron");
     TuningHistory serial = reference_run(b, "Uniform", 10, 31);
     EXPECT_TRUE(histories_equal(
-        serial, suite::run_method(b, suite::Method::kUniform, 10, 31)));
+        serial, suite::run_method(b, "Uniform", 10, 31)));
     TuningHistory batched = StudyBuilder()
                                 .benchmark(b)
                                 .method("Uniform")

@@ -145,9 +145,9 @@ TEST(ServeConcurrent, ConcurrentFleetRunsMatchSerialRuns)
         drivers.emplace_back([&fleet, &got, &seeds, &b, i] {
             std::shared_ptr<SearchSpace> space =
                 b.make_space(SpaceVariant{});
-            std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
-                *space, suite::Method::kBaco, budget, b.doe_samples,
-                seeds[i]);
+            std::unique_ptr<AskTellTuner> tuner =
+                MethodRegistry::global().make(
+                    "BaCO", *space, {budget, b.doe_samples, seeds[i]});
             {
                 CoordinatorExecutor exec(fleet.coordinator, b.name,
                                          seeds[i], batch);
@@ -441,8 +441,8 @@ TEST(ServeConcurrent, WorkerReconnectsAfterHeartbeatDeath)
 
     auto drive = [&](std::uint64_t seed) {
         std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
-        std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
-            *space, suite::Method::kUniform, budget, b.doe_samples, seed);
+        std::unique_ptr<AskTellTuner> tuner = MethodRegistry::global().make(
+            "Uniform", *space, {budget, b.doe_samples, seed});
         {
             CoordinatorExecutor exec(coordinator, b.name, seed, batch);
             baco::drive(*tuner, exec, drive_options(batch));

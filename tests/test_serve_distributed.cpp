@@ -166,8 +166,8 @@ TEST(ServeDistributed, AsyncDriveStreamsEveryResultAndKillResumeRecovers)
     std::uint64_t streamed = 0;
     {
         Fleet fleet(3);
-        std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
-            *space, suite::Method::kBaco, budget, b.doe_samples, seed);
+        std::unique_ptr<AskTellTuner> tuner = MethodRegistry::global().make(
+            "BaCO", *space, {budget, b.doe_samples, seed});
         DriveOptions dopt = drive_options(slots, /*async=*/true);
         dopt.checkpoint_path = ckpt;
         dopt.on_event = [&](const AsyncEvent& ev) {
@@ -200,8 +200,8 @@ TEST(ServeDistributed, AsyncDriveStreamsEveryResultAndKillResumeRecovers)
     // independence) resumes the killed run and finishes the budget
     // without double-telling anything.
     Fleet fleet2(2);
-    std::unique_ptr<AskTellTuner> resumed = suite::make_ask_tell(
-        *space, suite::Method::kBaco, budget, b.doe_samples, seed);
+    std::unique_ptr<AskTellTuner> resumed = MethodRegistry::global().make(
+        "BaCO", *space, {budget, b.doe_samples, seed});
     std::vector<PendingEval> pending;
     ASSERT_TRUE(resume_from_checkpoint(snapshot, *resumed, &pending));
     ASSERT_EQ(pending.size(), snap->pending.size());
@@ -235,8 +235,8 @@ TEST(ServeDistributed, SuggestAheadSingleSlotMatchesSerialRun)
 
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
     Fleet fleet(2);
-    std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
-        *space, suite::Method::kBaco, 12, b.doe_samples, 17);
+    std::unique_ptr<AskTellTuner> tuner = MethodRegistry::global().make(
+        "BaCO", *space, {12, b.doe_samples, 17});
     DriveOptions dopt = drive_options(/*slots=*/1, /*async=*/true);
     dopt.suggest_ahead = true;
     fleet_drive(fleet.coordinator, *tuner, dopt);
@@ -254,8 +254,8 @@ TEST(ServeDistributed, SuggestAheadFleetPrefetchesAndStaysExactlyOnce)
     const int budget = 18;
 
     Fleet fleet(3);
-    std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
-        *space, suite::Method::kBaco, budget, b.doe_samples, 23);
+    std::unique_ptr<AskTellTuner> tuner = MethodRegistry::global().make(
+        "BaCO", *space, {budget, b.doe_samples, 23});
     DriveOptions dopt = drive_options(/*slots=*/4, /*async=*/true);
     dopt.suggest_ahead = true;
 
@@ -345,8 +345,8 @@ TEST(ServeDistributed, SurvivesWorkerDeathMidRun)
     ASSERT_GE(coordinator.add_worker(std::move(c2)), 0);
     ASSERT_EQ(coordinator.num_workers(), 2u);
 
-    std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
-        *space, suite::Method::kUniform, 12, b.doe_samples, 31);
+    std::unique_ptr<AskTellTuner> tuner = MethodRegistry::global().make(
+        "Uniform", *space, {12, b.doe_samples, 31});
     fleet_drive(coordinator, *tuner, drive_options(4));
     TuningHistory history = tuner->take_history();
     coordinator.shutdown();
@@ -528,8 +528,8 @@ TEST(ServeDistributed, KilledDistributedRunResumesFromCheckpoint)
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
     {
         Fleet fleet(2);
-        std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
-            *space, suite::Method::kBaco, budget, b.doe_samples, seed);
+        std::unique_ptr<AskTellTuner> tuner = MethodRegistry::global().make(
+            "BaCO", *space, {budget, b.doe_samples, seed});
         DriveOptions dopt = drive_options(batch);
         dopt.max_evals = 8;
         dopt.checkpoint_path = path;
@@ -540,8 +540,8 @@ TEST(ServeDistributed, KilledDistributedRunResumesFromCheckpoint)
 
     // Resumed half: a fresh fleet and tuner pick the run back up.
     Fleet fleet(2);
-    std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
-        *space, suite::Method::kBaco, budget, b.doe_samples, seed);
+    std::unique_ptr<AskTellTuner> tuner = MethodRegistry::global().make(
+        "BaCO", *space, {budget, b.doe_samples, seed});
     ASSERT_TRUE(resume_from_checkpoint(path, *tuner));
     ASSERT_EQ(tuner->history().size(), 8u);
     fleet_drive(fleet.coordinator, *tuner, drive_options(batch));

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,12 +16,12 @@
 #include "exec/checkpoint.hpp"
 #include "exec/eval_cache.hpp"
 #include "serve/client.hpp"
+#include "serve/coordinator.hpp"
 #include "serve/server.hpp"
 #include "serve/session_manager.hpp"
 #include "serve/transport.hpp"
 #include "serve/worker.hpp"
 #include "suite/registry.hpp"
-#include "suite/runner.hpp"
 
 namespace baco::serve {
 namespace {
@@ -42,6 +45,78 @@ open_request(const std::string& name, const std::string& method, int budget,
     return m;
 }
 
+/** The observe frame for a configs reply, evaluated client-side under
+ *  the session's (seed, index) noise streams. */
+Message
+observe_request(const std::string& name, const Message& configs,
+                std::uint64_t seed)
+{
+    const Benchmark& bench = suite::find_benchmark(kBench);
+    Message tell;
+    tell.type = MsgType::kObserve;
+    tell.session = name;
+    for (std::size_t i = 0; i < configs.configs.size(); ++i) {
+        ObservedResult r;
+        r.config = configs.configs[i];
+        EvalResult res = evaluate_on(bench, r.config, seed, configs.index + i);
+        r.value = res.value;
+        r.feasible = res.feasible;
+        tell.results.push_back(std::move(r));
+    }
+    return tell;
+}
+
+Message
+run_request(const std::string& name, int n, int budget = 0,
+            bool async = false)
+{
+    Message run;
+    run.type = MsgType::kRun;
+    run.session = name;
+    run.n = n;
+    run.budget = budget;
+    run.async = async;
+    return run;
+}
+
+/**
+ * serve_connection on one end of a loopback pair, on its own thread,
+ * with a handshaken client on the other. Shuts the connection down and
+ * joins on scope exit.
+ */
+class LoopbackConnection {
+ public:
+  explicit LoopbackConnection(const ServerContext& ctx)
+  {
+      auto [client_end, server_end] = loopback_pair();
+      transport_ = std::move(client_end);
+      thread_ = std::thread(
+          [&ctx, s = std::shared_ptr<Transport>(std::move(server_end))] {
+              serve_connection(*s, ctx);
+          });
+      client_ = std::make_unique<SessionClient>(*transport_);
+      EXPECT_TRUE(client_->handshake());
+  }
+
+  LoopbackConnection(const LoopbackConnection&) = delete;
+  LoopbackConnection& operator=(const LoopbackConnection&) = delete;
+
+  ~LoopbackConnection()
+  {
+      Message bye;
+      bye.type = MsgType::kShutdown;
+      transport_->send(encode(bye));
+      thread_.join();
+  }
+
+  SessionClient& client() { return *client_; }
+
+ private:
+  std::unique_ptr<Transport> transport_;
+  std::thread thread_;
+  std::unique_ptr<SessionClient> client_;
+};
+
 /**
  * Drive a session through the ask-tell protocol exchange, evaluating
  * client-side exactly as a remote evaluation farm would. Returns the
@@ -51,7 +126,6 @@ std::uint64_t
 drive_session(SessionManager& sm, const std::string& name, int batch,
               int max_evals = -1)
 {
-    const Benchmark& bench = suite::find_benchmark(kBench);
     std::optional<SessionInfo> info = sm.info(name);
     EXPECT_TRUE(info.has_value());
     std::uint64_t evals = info->evals;
@@ -67,19 +141,7 @@ drive_session(SessionManager& sm, const std::string& name, int batch,
         EXPECT_EQ(configs.type, MsgType::kConfigs) << configs.text;
         if (configs.configs.empty())
             break;
-        Message tell;
-        tell.type = MsgType::kObserve;
-        tell.session = name;
-        for (std::size_t i = 0; i < configs.configs.size(); ++i) {
-            ObservedResult r;
-            r.config = configs.configs[i];
-            EvalResult res = evaluate_on(bench, r.config, info->seed,
-                                         configs.index + i);
-            r.value = res.value;
-            r.feasible = res.feasible;
-            tell.results.push_back(std::move(r));
-        }
-        Message ok = sm.handle(tell);
+        Message ok = sm.handle(observe_request(name, configs, info->seed));
         EXPECT_EQ(ok.type, MsgType::kOk) << ok.text;
         evals = ok.evals;
         done += static_cast<int>(configs.configs.size());
@@ -360,6 +422,90 @@ TEST(ServeSession, SharedCacheIsNamespacedPerSession)
     EXPECT_EQ(cache.size(), after_first);
 }
 
+TEST(ServeSession, FailedCheckpointWriteIsReportedAndTheBatchIsDone)
+{
+    // The checkpoint directory's parent does not exist, so the manager
+    // cannot create it and every write fails. (A permission-denied
+    // directory would not do: root ignores permission bits.)
+    SessionManagerOptions opt;
+    opt.checkpoint_dir = testing::TempDir() + "baco_no_such_parent/ckpts";
+    SessionManager sm(opt);
+    ASSERT_EQ(sm.handle(open_request("lost", "Uniform", 10, 3)).type,
+              MsgType::kOpened);
+
+    Message ask;
+    ask.type = MsgType::kSuggest;
+    ask.session = "lost";
+    ask.n = 2;
+    Message batch = sm.handle(ask);
+    ASSERT_EQ(batch.type, MsgType::kConfigs) << batch.text;
+    ASSERT_EQ(batch.configs.size(), 2u);
+
+    Message reply = sm.handle(observe_request("lost", batch, 3));
+    ASSERT_EQ(reply.type, MsgType::kError);
+    EXPECT_NE(reply.text.find("results recorded but checkpoint write "
+                              "failed: " + sm.checkpoint_path("lost")),
+              std::string::npos)
+        << reply.text;
+    // The results are observed, and the batch is no longer outstanding:
+    // the next suggest deals a fresh batch instead of re-sending it.
+    EXPECT_EQ(sm.info("lost")->evals, 2u);
+    Message next = sm.handle(ask);
+    ASSERT_EQ(next.type, MsgType::kConfigs) << next.text;
+    EXPECT_EQ(next.index, 2u);
+    EXPECT_EQ(next.configs.size(), 2u);
+}
+
+TEST(ServeSession, ObserveRejectsNonFiniteFeasibleValuesAndEvalSeconds)
+{
+    SessionManager sm;
+    ASSERT_EQ(sm.handle(open_request("nan", "BaCO", 10, 4)).type,
+              MsgType::kOpened);
+    Message ask;
+    ask.type = MsgType::kSuggest;
+    ask.session = "nan";
+    ask.n = 2;
+    Message batch = sm.handle(ask);
+    ASSERT_EQ(batch.type, MsgType::kConfigs) << batch.text;
+    const Message valid = observe_request("nan", batch, 4);
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<Message> malformed;
+    for (double v : {nan, inf, -inf}) {
+        Message m = valid;
+        m.results[1].value = v;
+        m.results[1].feasible = true;
+        malformed.push_back(m);
+    }
+    for (double seconds : {-1.0, nan, inf}) {
+        Message m = valid;
+        m.eval_seconds = seconds;
+        malformed.push_back(m);
+    }
+    // Each goes through the wire codec, as a remote client sends it, and
+    // is refused without touching the history or the outstanding batch.
+    for (const Message& m : malformed) {
+        Message decoded;
+        ASSERT_TRUE(decode(encode(m), decoded)) << encode(m);
+        Message reply = sm.handle(decoded);
+        EXPECT_EQ(reply.type, MsgType::kError) << encode(m);
+        EXPECT_EQ(sm.info("nan")->evals, 0u);
+    }
+
+    // An infeasible result may carry any value; the batch is still the
+    // outstanding one, so this observe of it succeeds.
+    Message ok_frame = valid;
+    ok_frame.results[0].feasible = false;
+    ok_frame.results[0].value = nan;
+    ok_frame.eval_seconds = 0.25;
+    Message decoded;
+    ASSERT_TRUE(decode(encode(ok_frame), decoded));
+    Message ok = sm.handle(decoded);
+    ASSERT_EQ(ok.type, MsgType::kOk) << ok.text;
+    EXPECT_EQ(ok.evals, 2u);
+}
+
 TEST(ServeConnection, HandshakeAndMalformedFrames)
 {
     SessionManager sm;
@@ -547,6 +693,98 @@ TEST(ServeConnection, AsyncRunStreamsResultFramesBeforeDone)
     bye.type = MsgType::kShutdown;
     ASSERT_TRUE(client->send(encode(bye)));
     srv.join();
+}
+
+TEST(ServeConnection, SyncRunCheckpointHoldsTheBarrierLoopHistory)
+{
+    // A sync run is barrier rounds of n told through drive()'s tell
+    // step: the session checkpoint it leaves holds the reference barrier
+    // loop's history bit for bit, evaluated in-process and on a fleet of
+    // two loopback workers.
+    const Benchmark& bench = suite::find_benchmark(kBench);
+    const TuningHistory reference = reference_run(bench, "BaCO", 16, 21, 4);
+    for (int workers : {0, 2}) {
+        SCOPED_TRACE(workers);
+        SessionManagerOptions opt;
+        opt.checkpoint_dir = testing::TempDir();
+        SessionManager sm(opt);
+        Coordinator coordinator;
+        std::vector<std::thread> threads =
+            attach_loopback_workers(coordinator, workers);
+        ServerContext ctx;
+        ctx.sessions = &sm;
+        ctx.coordinator = &coordinator;
+        const std::string name = "sync-ckpt-" + std::to_string(workers);
+        {
+            LoopbackConnection conn(ctx);
+            ASSERT_EQ(conn.client().open(name, kBench, "BaCO", 16, 21).type,
+                      MsgType::kOpened);
+            Message done = conn.client().rpc(run_request(name, 4));
+            ASSERT_EQ(done.type, MsgType::kDone) << done.text;
+            EXPECT_EQ(done.evals, 16u);
+            EXPECT_EQ(done.best, reference.best_value);
+        }
+        std::optional<CheckpointData> data =
+            load_checkpoint(sm.checkpoint_path(name));
+        ASSERT_TRUE(data.has_value());
+        EXPECT_TRUE(histories_equal(reference, data->history));
+        EXPECT_TRUE(data->pending.empty());
+        std::remove(sm.checkpoint_path(name).c_str());
+        coordinator.shutdown();
+        for (std::thread& t : threads)
+            t.join();
+    }
+}
+
+TEST(ServeConnection, RunTellsExactlyItsEvalCap)
+{
+    // A run frame's budget caps the evaluations it tells, also when the
+    // cap is not a multiple of n.
+    SessionManager sm;
+    ServerContext ctx;
+    ctx.sessions = &sm;
+    LoopbackConnection conn(ctx);
+    for (bool async : {false, true}) {
+        const std::string name = async ? "cap-async" : "cap-sync";
+        ASSERT_EQ(conn.client().open(name, kBench, "Uniform", 20, 5).type,
+                  MsgType::kOpened);
+        Message done = conn.client().rpc(run_request(name, 4, 5, async));
+        ASSERT_EQ(done.type, MsgType::kDone) << done.text;
+        EXPECT_EQ(done.evals, 5u);
+        EXPECT_EQ(sm.info(name)->evals, 5u);
+    }
+}
+
+TEST(ServeConnection, RunRefusesASessionWithAnOutstandingBatch)
+{
+    // A run may not interleave with a frame-level exchange: with a
+    // suggested batch outstanding, sync and async runs are refused, and
+    // the batch is left to its observe.
+    SessionManager sm;
+    ServerContext ctx;
+    ctx.sessions = &sm;
+    LoopbackConnection conn(ctx);
+    SessionClient& client = conn.client();
+    ASSERT_EQ(client.open("busy", kBench, "Uniform", 10, 9).type,
+              MsgType::kOpened);
+    Message batch = client.suggest("busy", 3);
+    ASSERT_EQ(batch.type, MsgType::kConfigs) << batch.text;
+    ASSERT_EQ(batch.configs.size(), 3u);
+
+    for (bool async : {false, true}) {
+        Message refused = client.rpc(run_request("busy", 2, 0, async));
+        ASSERT_EQ(refused.type, MsgType::kError);
+        EXPECT_NE(refused.text.find("outstanding"), std::string::npos)
+            << refused.text;
+    }
+    EXPECT_EQ(sm.info("busy")->evals, 0u);
+
+    Message ok = client.rpc(observe_request("busy", batch, 9));
+    ASSERT_EQ(ok.type, MsgType::kOk) << ok.text;
+    EXPECT_EQ(ok.evals, 3u);
+    Message done = client.rpc(run_request("busy", 2));
+    ASSERT_EQ(done.type, MsgType::kDone) << done.text;
+    EXPECT_EQ(done.evals, 10u);
 }
 
 const StatEntry*

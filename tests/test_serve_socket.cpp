@@ -36,7 +36,6 @@
 #include "serve/session_manager.hpp"
 #include "serve/transport.hpp"
 #include "serve/worker.hpp"
-#include "suite/runner.hpp"
 
 namespace baco::serve {
 namespace {
@@ -524,9 +523,8 @@ TEST(ServeSocket, DeadWorkerDetectedViaMissedHeartbeats)
     const int budget = 16;
     const Benchmark& bench = suite::find_benchmark(kBench);
     auto space = bench.make_space(SpaceVariant{});
-    std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
-        *space, suite::Method::kUniform, budget, /*doe_samples=*/4,
-        /*seed=*/77);
+    std::unique_ptr<AskTellTuner> tuner = MethodRegistry::global().make(
+        "Uniform", *space, {budget, /*doe_samples=*/4, /*seed=*/77});
     {
         CoordinatorExecutor exec(coordinator, kBench, 77, /*max_inflight=*/4);
         drive(*tuner, exec, drive_options(/*batch_size=*/4));
