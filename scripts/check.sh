@@ -23,7 +23,11 @@
 #             merged Chrome timeline); then scripts/bench_diff.py gates
 #             every BENCH_*.json artifact against the committed
 #             bench/baselines/ (regression past a row's tolerance fails;
-#             refresh deliberately with bench_diff.py --update-baselines)
+#             refresh deliberately with bench_diff.py --update-baselines);
+#             finally compiles, without running, the end-to-end benchmark
+#             (perfbench/ and the baco_worker it spawns) in its own
+#             build directory, so a library change that breaks it fails
+#             here
 #   tidy      clang build with -Wthread-safety promoted to errors
 #             (BACO_THREAD_SAFETY=ON, which also runs the negative-
 #             compile checks in tests/test_static_analysis.cmake at
@@ -119,6 +123,10 @@ stage_bench() {
     else
         echo "check.sh: python3 unavailable; skipping bench_diff gate"
     fi
+    # Compile only: perfbench/run.py runs it, and nothing else builds it.
+    cmake -B "$BUILD_DIR-perfbench" -S perfbench \
+          -DCMAKE_BUILD_TYPE=Release "${CMAKE_EXTRA[@]}"
+    cmake --build "$BUILD_DIR-perfbench" -j --target perfbench baco_worker
 }
 
 find_clang() {

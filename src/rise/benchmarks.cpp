@@ -229,8 +229,11 @@ make_rise_benchmark(const std::string& name)
     b.has_hidden_constraints = name == "MM_CPU" || name == "MM_GPU" ||
                                name == "Scal_GPU" || name == "K-means_GPU";
     b.default_config = make_default(name);
-    b.expert = derive_expert(name, *build_space(name, SpaceVariant{}));
-    b.reference_cost = b.true_cost(*b.expert);
+    b.expert = Lazy<std::optional<Configuration>>([name] {
+        return derive_expert(name, *build_space(name, SpaceVariant{}));
+    });
+    b.reference_cost = Lazy<double>(
+        [expert = b.expert, cost = b.true_cost] { return cost(*expert); });
     return b;
 }
 

@@ -163,8 +163,7 @@ SessionManager::find_or_reload(const std::string& name)
         session->tuner = MethodRegistry::global().make(meta.method,
                                                        *session->space,
                                                        spec);
-        session->cache_namespace =
-            EvalCache::namespace_key(bench.name, *session->space);
+        session->cache_namespace = cache_namespace(bench, *session->space);
         if (std::optional<CheckpointData> data =
                 load_checkpoint(checkpoint_path(name))) {
             if (data->seed != session->tuner->run_seed())
@@ -319,6 +318,16 @@ SessionManager::enforce_live_cap()
 }
 
 std::string
+SessionManager::cache_namespace(const Benchmark& bench,
+                                const SearchSpace& space) const
+{
+    // The fingerprint hashes every value of every parameter; only a
+    // cache reads it.
+    return opt_.cache ? EvalCache::namespace_key(bench.name, space)
+                      : std::string{};
+}
+
+std::string
 SessionManager::checkpoint_path(const std::string& name) const
 {
     if (opt_.checkpoint_dir.empty())
@@ -373,10 +382,10 @@ SessionManager::open_session(const Message& req)
     // The canonical name, so a spilled session reloads the exact same
     // method even if the client opened it through an alias.
     session->method = *MethodRegistry::global().resolve(req.method);
-    session->cache_namespace =
-        EvalCache::namespace_key(bench.name, *session->space);
+    session->cache_namespace = cache_namespace(bench, *session->space);
 
     bool resumed = false;
+    std::vector<PendingEval> in_flight;
     std::string ckpt = checkpoint_path(req.session);
     if (req.resume && !ckpt.empty()) {
         // A missing checkpoint means a fresh session; a present-but-
@@ -391,10 +400,15 @@ SessionManager::open_session(const Message& req)
                 return make_error(req.id,
                                   "checkpoint could not be restored");
             }
+            in_flight = std::move(data->pending);
             resumed = true;
         }
     }
 
+    // Locked before it is published, so no other request reaches the
+    // session before its in-flight evaluations are told. (Session before
+    // stripe is the established lock order; see spill_one.)
+    std::unique_lock<std::mutex> session_lock(session->mutex);
     Stripe& stripe = stripe_for(req.session);
     {
         MutexLock lock(stripe.mutex);
@@ -411,7 +425,29 @@ SessionManager::open_session(const Message& req)
         }
         stripe.sessions.emplace(req.session, session);
     }
-    enforce_live_cap();
+    if (!in_flight.empty()) {
+        // The work a killed server-side async run left in flight: told
+        // once, under its original indices, as Study::run does first.
+        DriveOptions opt;
+        opt.max_evals = static_cast<int>(in_flight.size());
+        opt.cache = opt_.cache;
+        opt.cache_namespace = session->cache_namespace;
+        opt.checkpoint_path = ckpt;
+        opt.resume_pending = std::move(in_flight);
+        try {
+            ThreadPoolExecutor exec(bench.evaluate,
+                                    session->tuner->run_seed());
+            drive(*session->tuner, exec, std::move(opt));
+        } catch (...) {
+            // Not opened: the checkpoint on disk still holds the work in
+            // flight, so a retried open tells it again.
+            MutexLock lock(stripe.mutex);
+            auto it = stripe.sessions.find(req.session);
+            if (it != stripe.sessions.end() && it->second == session)
+                stripe.sessions.erase(it);
+            throw;
+        }
+    }
 
     Message reply;
     reply.type = MsgType::kOpened;
@@ -420,6 +456,8 @@ SessionManager::open_session(const Message& req)
     reply.evals = session->tuner->history().size();
     reply.budget = session->budget;
     reply.resumed = resumed;
+    session_lock.unlock();
+    enforce_live_cap();
     return reply;
 }
 

@@ -32,10 +32,14 @@
  * finishes with the history the uninterrupted run would have produced.
  * An unobserved in-flight batch is deliberately NOT checkpointed: the
  * on-disk state then corresponds to the moment before that suggest(),
- * so the resumed tuner re-suggests the identical batch.
+ * so the resumed tuner re-suggests the identical batch. A server-side
+ * async run does list its in-flight evaluations in the checkpoint; a
+ * resumed open evaluates them with the registry objective and tells them
+ * under their original indices before it replies, as Study::run does.
  *
  * A shared EvalCache (optional) is namespaced per session by benchmark
- * identity, so one cache file serves every session safely.
+ * identity, so one cache file serves every session safely. Without a
+ * cache no namespace is computed.
  *
  * Bounded live registry: with max_live_sessions > 0 (and a checkpoint
  * directory), opening a session beyond the cap spills the least-
@@ -95,7 +99,7 @@ struct SessionManagerOptions {
 struct SessionInfo {
   std::string name;
   std::string benchmark;
-  std::string cache_namespace;
+  std::string cache_namespace;  ///< empty when the manager has no cache
   std::uint64_t seed = 0;
   std::uint64_t evals = 0;
   int budget = 0;
@@ -205,6 +209,9 @@ class SessionManager {
    */
   std::shared_ptr<Session> acquire(const std::string& name,
                                    std::unique_lock<std::mutex>& lock_out);
+  /** EvalCache::namespace_key with a cache attached, else empty. */
+  std::string cache_namespace(const Benchmark& bench,
+                              const SearchSpace& space) const;
   /** Spill least-recently-touched idle sessions down to the cap. */
   void enforce_live_cap();
   bool spill_one(const std::string& name);

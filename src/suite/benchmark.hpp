@@ -10,8 +10,10 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "core/evaluator.hpp"
 #include "core/search_space.hpp"
@@ -25,6 +27,47 @@ namespace baco {
 struct SpaceVariant {
   bool log_transforms = true;
   PermutationMetric permutation_metric = PermutationMetric::kSpearman;
+};
+
+/**
+ * A value derived on first read. The derivation runs once, on the first
+ * thread that reads; concurrent first readers wait for it, and every read
+ * returns the same value. Copies share the one derivation. It reads like
+ * the value it holds: it converts to `const T&`, and when T is a
+ * std::optional it also offers `*`, `->`, `has_value()` and a test for
+ * presence.
+ */
+template <typename T>
+class Lazy {
+ public:
+  /** Derives T{}. */
+  Lazy() : Lazy([] { return T{}; }) {}
+  explicit Lazy(std::function<T()> derive)
+      : state_(std::make_shared<State>(std::move(derive)))
+  {
+  }
+
+  const T& get() const
+  {
+      State& s = *state_;
+      std::call_once(s.once, [&s] { s.value = s.derive(); });
+      return s.value;
+  }
+  operator const T&() const { return get(); }
+
+  decltype(auto) operator*() const { return *get(); }
+  auto operator->() const { return &*get(); }
+  bool has_value() const { return get().has_value(); }
+  explicit operator bool() const { return get().has_value(); }
+
+ private:
+  struct State {
+    explicit State(std::function<T()> d) : derive(std::move(d)) {}
+    std::once_flag once;
+    std::function<T()> derive;
+    T value{};
+  };
+  std::shared_ptr<State> state_;
 };
 
 /** One autotuning benchmark instance (kernel x dataset/backend). */
@@ -50,7 +93,11 @@ struct Benchmark {
   /** True when some configurations fail at evaluation time (Table 3's H). */
   bool has_hidden_constraints = false;
 
-  std::optional<Configuration> expert;          ///< absent for HPVM2FPGA
+  /**
+   * The expert configuration, absent for HPVM2FPGA. Its search runs on
+   * first read, so only code that reports against it pays for it.
+   */
+  Lazy<std::optional<Configuration>> expert;
   std::optional<Configuration> default_config;
 
   /**
@@ -58,8 +105,9 @@ struct Benchmark {
    * expert": the expert's cost when an expert exists, otherwise the
    * virtual-best cost from an offline search (HPVM2FPGA, whose relative
    * performance the paper reports against the best-known design).
+   * Derived on first read, like `expert`.
    */
-  double reference_cost = 0.0;
+  Lazy<double> reference_cost;
 
   /** Budget tiers (Sec. 5.2): tiny = 1/3, small = 2/3 of full. */
   int tiny_budget() const { return std::max(1, full_budget / 3); }

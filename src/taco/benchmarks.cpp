@@ -203,9 +203,11 @@ make_taco_benchmark(TacoKernel k, const std::string& tensor_name)
         return EvalResult{v, true};
     };
     b.has_hidden_constraints = k == TacoKernel::kTTV;
-    b.expert = derive_expert(k, t);
+    b.expert = Lazy<std::optional<Configuration>>(
+        [k, t] { return derive_expert(k, t); });
     b.default_config = make_default(k);
-    b.reference_cost = b.true_cost(*b.expert);
+    b.reference_cost = Lazy<double>(
+        [expert = b.expert, cost = b.true_cost] { return cost(*expert); });
     return b;
 }
 

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/study.hpp"
 #include "drive_reference.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/eval_cache.hpp"
@@ -160,6 +161,8 @@ TEST(ServeSession, ProtocolDrivenRunMatchesDirectRun)
     EXPECT_EQ(drive_session(sm, "s1", 3), 12u);
     std::optional<SessionInfo> info = sm.info("s1");
     ASSERT_TRUE(info.has_value());
+    // No cache, so no space fingerprint is computed.
+    EXPECT_TRUE(info->cache_namespace.empty());
 
     // The protocol exchange is the barrier-round exchange over frames:
     // the session history must match the batched in-process run exactly.
@@ -331,6 +334,62 @@ TEST(ServeSession, ServerCrashResumesFromCheckpointAndMatches)
     ASSERT_TRUE(final_state.has_value());
     EXPECT_TRUE(histories_equal(final_state->history, reference));
     std::remove(sm.checkpoint_path(name).c_str());
+}
+
+TEST(ServeSession, ResumeTellsTheCheckpointsInFlightEvaluations)
+{
+    // A server-side async run lists its in-flight evaluations in the
+    // session's checkpoint. Built here the way
+    // Study.AsyncCheckpointPendingResumesUnderEveryPolicy builds one: 4
+    // told evaluations and index 4 in flight. The resumed session must
+    // tell index 4 under its own noise stream before anything new, so
+    // its history is the resumed Study's.
+    const int kBudget = 12;
+    const std::uint64_t kSeed = 21;
+    const std::string name = "in-flight";
+    SessionManagerOptions opt;
+    opt.checkpoint_dir = testing::TempDir();
+    SessionManager sm(opt);
+    const std::string path = sm.checkpoint_path(name);
+    const Benchmark& bench = suite::find_benchmark(kBench);
+
+    auto study = [&] {
+        StudyBuilder sb;
+        sb.benchmark(kBench).method("random").budget(kBudget).seed(kSeed);
+        return sb;
+    };
+    auto make_pending_checkpoint = [&] {
+        std::remove(path.c_str());
+        Study s = study().build();
+        for (int i = 0; i < 4; ++i) {
+            std::vector<Configuration> batch = s.ask(1);
+            std::uint64_t index = s.tuner().history().size();
+            s.tell(batch.front(),
+                   evaluate_on(bench, batch.front(), kSeed, index));
+        }
+        std::vector<Configuration> next = s.ask(1);
+        ASSERT_TRUE(save_checkpoint(path, s.tuner(),
+                                    {PendingEval{4, next.front()}}));
+    };
+
+    make_pending_checkpoint();
+    TuningHistory via_study =
+        study().checkpoint(path, /*resume=*/true).build().run().history;
+    ASSERT_EQ(via_study.size(), static_cast<std::size_t>(kBudget));
+
+    make_pending_checkpoint();
+    Message opened = sm.handle(
+        open_request(name, "random", kBudget, kSeed, /*resume=*/true));
+    ASSERT_EQ(opened.type, MsgType::kOpened) << opened.text;
+    EXPECT_TRUE(opened.resumed);
+    EXPECT_EQ(opened.evals, 5u);  // told before the reply
+    EXPECT_EQ(drive_session(sm, name, 1), static_cast<std::uint64_t>(kBudget));
+
+    std::optional<CheckpointData> via_session = load_checkpoint(path);
+    ASSERT_TRUE(via_session.has_value());
+    EXPECT_TRUE(via_session->pending.empty());
+    EXPECT_TRUE(histories_equal(via_study, via_session->history));
+    std::remove(path.c_str());
 }
 
 TEST(ServeSession, ResumeWithWrongSeedIsRejected)
