@@ -6,10 +6,11 @@
 # temporary git worktree, and at the working tree — runs both and compares
 # the outputs: every observation of BaCO on every registry benchmark at
 # full budget — serially at 2 seeds, and at seed 1 in Batched(4) and
-# Distributed(2, 4) barrier rounds — values as hexfloats. A change that claims to leave
-# the search untouched (a performance change) must report "identical";
-# algorithmic changes legitimately differ, so the verdict is information,
-# not a gate.
+# Distributed(2, 4) barrier rounds and over a serve session in rounds of 4
+# that a fresh SessionManager resumes from its checkpoint at half budget —
+# values as hexfloats. A change that claims to leave the search untouched
+# (a performance change) must report "identical"; algorithmic changes
+# legitimately differ, so the verdict is information, not a gate.
 #
 # Both builds use the working tree's digest source, so BASE_REF needs only
 # the public API the tool uses, not the tool itself.

@@ -61,46 +61,6 @@ attach_remote_worker(serve::Coordinator& coordinator,
 
 }  // namespace
 
-void
-execute(AskTellTuner& tuner, const ExecRequest& req)
-{
-    const ExecutionPolicy& p = req.policy;
-    DriveOptions opt;
-    opt.batch_size = p.mode == ExecutionPolicy::Mode::kSerial
-                         ? 1
-                         : std::max(1, p.batch_size);
-    opt.async_mode = p.mode == ExecutionPolicy::Mode::kAsync ||
-                     (p.mode == ExecutionPolicy::Mode::kDistributed &&
-                      p.async);
-    opt.suggest_ahead = p.suggest_ahead;
-    opt.max_evals = req.max_evals;
-    opt.cache = req.cache;
-    opt.cache_namespace = req.cache_namespace;
-    opt.checkpoint_path = req.checkpoint_path;
-    opt.on_event = req.on_event;
-    opt.resume_pending = req.resume_pending;
-
-    if (p.mode == ExecutionPolicy::Mode::kDistributed) {
-        if (!req.coordinator)
-            throw std::invalid_argument(
-                "distributed execution requires a coordinator with "
-                "attached workers");
-        serve::CoordinatorExecutor exec(*req.coordinator, req.benchmark,
-                                        tuner.run_seed(), opt.batch_size);
-        drive(tuner, exec, std::move(opt));
-        return;
-    }
-    if (!req.objective)
-        throw std::invalid_argument(
-            "in-process execution requires an objective");
-    // Serial never has more than one evaluation in flight: one lane
-    // evaluates inline instead of spawning idle workers.
-    ThreadPoolExecutor exec(
-        req.objective, tuner.run_seed(),
-        p.mode == ExecutionPolicy::Mode::kSerial ? 1 : p.num_threads);
-    drive(tuner, exec, std::move(opt));
-}
-
 // ---------------------------------------------------------------------------
 // Study
 // ---------------------------------------------------------------------------
@@ -108,64 +68,95 @@ execute(AskTellTuner& tuner, const ExecRequest& req)
 StudyResult
 Study::run()
 {
+    advance(policy_, -1, on_event_);
+    return finalize(tuner_->take_history());
+}
+
+void
+Study::advance(const ExecutionPolicy& p, int max_evals,
+               const StudyEventFn& on_event)
+{
     ensure_not_finalized();
-    ExecRequest req;
-    req.policy = policy_;
-    req.cache = cache_;
-    req.cache_namespace = cache_namespace_;
-    req.checkpoint_path = checkpoint_path_;
-    req.on_event = on_event_;
-    req.resume_pending = std::move(resume_pending_);
+    const bool distributed = p.mode == ExecutionPolicy::Mode::kDistributed;
+    if (!distributed && !objective_)
+        throw std::invalid_argument(
+            "in-process execution requires an objective");
+    if (distributed && !benchmark_)
+        throw std::invalid_argument(
+            "distributed execution requires a registry benchmark");
+    DriveOptions opt = tell_options();
+    opt.on_event = on_event;
+    opt.batch_size = p.mode == ExecutionPolicy::Mode::kSerial
+                         ? 1
+                         : std::max(1, p.batch_size);
+    opt.async_mode =
+        p.mode == ExecutionPolicy::Mode::kAsync || (distributed && p.async);
+    opt.suggest_ahead = p.suggest_ahead;
+    opt.max_evals = max_evals;
+    opt.resume_pending = std::move(resume_pending_);
     resume_pending_.clear();
 
-    if (policy_.mode == ExecutionPolicy::Mode::kDistributed) {
-        req.benchmark = benchmark_ ? benchmark_->name : std::string{};
-        if (policy_.fleet) {
-            // Attached fleet: externally owned — drive it, don't shut
-            // it down (other studies/clients may share it). The
-            // Coordinator multiplexes concurrent tenants itself.
-            req.coordinator = policy_.fleet;
-            execute(*tuner_, req);
-            return finalize(tuner_->take_history());
-        }
-        serve::CoordinatorOptions copt;
-        copt.max_inflight_per_worker = policy_.max_inflight_per_worker;
-        copt.straggler_ms = policy_.straggler_ms;
-        serve::Coordinator coordinator(copt);
-        std::vector<std::thread> worker_threads;
-        std::vector<int> worker_pids;
-        req.coordinator = &coordinator;
-        auto wind_down = [&] {
-            coordinator.shutdown();
-            for (std::thread& t : worker_threads)
-                t.join();
-            for (int pid : worker_pids)
-                serve::wait_process(pid);
-        };
-        // Attachment happens inside the guarded region: a fleet that
-        // fails to assemble halfway (one worker spawned, the next
-        // unreachable) must still shut down and reap what it spawned,
-        // or every failed Remote study leaks a zombie child.
-        try {
-            if (!policy_.worker_addresses.empty()) {
-                for (const std::string& addr : policy_.worker_addresses)
-                    attach_remote_worker(coordinator, addr, worker_pids);
-            } else {
-                worker_threads = serve::attach_loopback_workers(
-                    coordinator, std::max(1, policy_.workers),
-                    policy_.max_inflight_per_worker);
-            }
-            execute(*tuner_, req);
-        } catch (...) {
-            wind_down();
-            throw;
-        }
-        wind_down();
-    } else {
-        req.objective = objective_;
-        execute(*tuner_, req);
+    if (!distributed) {
+        // Serial never has more than one evaluation in flight: one lane
+        // evaluates inline instead of spawning idle workers.
+        ThreadPoolExecutor exec(
+            objective_, tuner_->run_seed(),
+            p.mode == ExecutionPolicy::Mode::kSerial ? 1 : p.num_threads);
+        drive(*tuner_, exec, std::move(opt));
+        return;
     }
-    return finalize(tuner_->take_history());
+    auto drive_on = [&](serve::Coordinator& fleet) {
+        serve::CoordinatorExecutor exec(fleet, benchmark_->name,
+                                        tuner_->run_seed(), opt.batch_size);
+        drive(*tuner_, exec, std::move(opt));
+    };
+    if (p.fleet) {
+        // Attached fleet: externally owned — drive it, don't shut it
+        // down (other studies/clients may share it). The Coordinator
+        // multiplexes concurrent tenants itself.
+        drive_on(*p.fleet);
+        return;
+    }
+    serve::CoordinatorOptions copt;
+    copt.max_inflight_per_worker = p.max_inflight_per_worker;
+    copt.straggler_ms = p.straggler_ms;
+    serve::Coordinator coordinator(copt);
+    std::vector<std::thread> worker_threads;
+    std::vector<int> worker_pids;
+    auto wind_down = [&] {
+        coordinator.shutdown();
+        for (std::thread& t : worker_threads)
+            t.join();
+        for (int pid : worker_pids)
+            serve::wait_process(pid);
+    };
+    // Attachment happens inside the guarded region: a fleet that fails to
+    // assemble halfway (one worker spawned, the next unreachable) must
+    // still shut down and reap what it spawned, or every failed Remote
+    // study leaks a zombie child.
+    try {
+        if (!p.worker_addresses.empty()) {
+            for (const std::string& addr : p.worker_addresses)
+                attach_remote_worker(coordinator, addr, worker_pids);
+        } else {
+            worker_threads = serve::attach_loopback_workers(
+                coordinator, std::max(1, p.workers),
+                p.max_inflight_per_worker);
+        }
+        drive_on(coordinator);
+    } catch (...) {
+        wind_down();
+        throw;
+    }
+    wind_down();
+}
+
+bool
+Study::save() const
+{
+    ensure_not_finalized();
+    return !checkpoint_path_.empty() &&
+           save_checkpoint(checkpoint_path_, *tuner_, resume_pending_);
 }
 
 std::vector<Configuration>
@@ -182,7 +173,7 @@ Study::ask(int n)
 
 void
 Study::tell(const std::vector<Configuration>& configs,
-            const std::vector<EvalResult>& results)
+            const std::vector<EvalResult>& results, double eval_seconds)
 {
     ensure_not_finalized();
     if (!resume_pending_.empty())
@@ -199,6 +190,8 @@ Study::tell(const std::vector<Configuration>& configs,
         events[i].config = configs[i];
         events[i].result = results[i];
     }
+    if (!events.empty())
+        events.front().eval_seconds = eval_seconds;
     tell_results(*tuner_, std::move(events), tell_options(),
                  resume_pending_);
 }
@@ -237,10 +230,11 @@ Study::tell_options() const
 }
 
 void
-Study::tell(const Configuration& config, const EvalResult& result)
+Study::tell(const Configuration& config, const EvalResult& result,
+            double eval_seconds)
 {
     tell(std::vector<Configuration>{config},
-         std::vector<EvalResult>{result});
+         std::vector<EvalResult>{result}, eval_seconds);
 }
 
 StudyResult
@@ -279,7 +273,7 @@ Study::finalize(TuningHistory history)
     r.method = method_;
     r.benchmark = benchmark_ ? benchmark_->name : std::string{};
     r.mode = policy_.mode;
-    r.seed = seed_;
+    r.seed = spec_.seed;
     r.resumed = resumed_;
     r.resumed_evals = resumed_evals_;
     r.checkpoint_path = checkpoint_path_;
@@ -527,7 +521,7 @@ StudyBuilder::build()
                 "objective() cannot be shipped to them");
     }
 
-    MethodSpec spec;
+    MethodSpec& spec = study.spec_;
     spec.budget = budget_ > 0
                       ? budget_
                       : (benchmark_ ? benchmark_->full_budget : 0);
@@ -542,7 +536,6 @@ StudyBuilder::build()
     study.tuner_ = registry.make(method_, *study.space_, spec);
     study.method_ = *registry.resolve(method_);
     study.policy_ = policy_;
-    study.seed_ = seed_;
 
     study.cache_ = cache_;
     if (cache_) {

@@ -23,11 +23,13 @@
  * embedding into an external loop, ask()/tell() expose the underlying
  * ask-tell exchange and result() finalizes without driving.
  *
- * The lower-level execute() dispatcher — an ExecutionPolicy applied to an
- * *existing* ask-tell tuner — is what Study::run() and the serve layer's
- * run request (sync and async) share. It only picks an Executor; every
- * policy then runs the one exec-layer drive() loop, so local and remote
- * execution cannot drift.
+ * run() is advance() under the study's own policy, then finalization.
+ * advance() alone drives the study without finalizing it, under any
+ * policy, eval cap and observer; it only picks an Executor and runs the
+ * one exec-layer drive() loop, so local and remote execution cannot
+ * drift. The serve layer holds one Study per session: its run request is
+ * an advance(), its suggest/observe frames are ask()/tell(), and save()
+ * writes the checkpoint a spilled or closed session resumes from.
  */
 
 #include <cstdint>
@@ -37,6 +39,7 @@
 #include <vector>
 
 #include "api/execution_policy.hpp"
+#include "api/method_registry.hpp"
 #include "exec/ask_tell.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/drive.hpp"
@@ -48,10 +51,6 @@ namespace baco {
 class EvalCache;
 class SearchSpace;
 
-namespace serve {
-class Coordinator;
-}
-
 /**
  * Per-evaluation observer. Fires once per told result, after the tell
  * and its checkpoint, in history order for deterministic modes and
@@ -60,47 +59,6 @@ class Coordinator;
  * from_cache marks results answered by the cache.
  */
 using StudyEventFn = AsyncResultFn;
-
-/**
- * One execution request against an existing ask-tell tuner: the shared
- * dispatcher behind Study::run() and the serve layer's run request.
- */
-struct ExecRequest {
-  ExecutionPolicy policy;
-  /** In-process objective (serial/batched/async modes). */
-  BlackBoxFn objective;
-  /**
-   * Sharded evaluation over an attached worker fleet (distributed mode;
-   * not owned — the caller manages the fleet's lifetime).
-   */
-  serve::Coordinator* coordinator = nullptr;
-  /** Registry benchmark name workers resolve (distributed mode). */
-  std::string benchmark;
-  EvalCache* cache = nullptr;
-  std::string cache_namespace;
-  std::string checkpoint_path;
-  /** Stop after this many evaluations; -1 = budget exhaustion. */
-  int max_evals = -1;
-  StudyEventFn on_event;
-  /**
-   * In-flight evaluations of a resumed async checkpoint. Every policy
-   * re-dispatches them under their original indices before anything new
-   * is suggested — each is told exactly once even when the resumed run
-   * picked a different ExecutionPolicy than the one that was killed.
-   */
-  std::vector<PendingEval> resume_pending;
-};
-
-/**
- * Drive `tuner` under the request's ExecutionPolicy: pick the Executor
- * (a thread pool — one lane for Serial — or the coordinator's fleet,
- * which must have live workers) and run drive() on it. Serial, Batched
- * and synchronous Distributed runs are barrier rounds; Async and
- * Distributed(async=true) tell results as they land.
- * @throws std::invalid_argument on an unusable request (distributed
- * without a coordinator, in-process without an objective).
- */
-void execute(AskTellTuner& tuner, const ExecRequest& req);
 
 /** Everything a finished (or finalized) study reports. */
 struct StudyResult {
@@ -147,11 +105,31 @@ class Study {
 
   /**
    * Drive the study to budget exhaustion under its ExecutionPolicy and
-   * return the finalized result. Call once: a second run()/result()
-   * throws std::logic_error (finalization moves the history out). A
-   * failed checkpoint write stops the drive with std::runtime_error.
+   * return the finalized result: advance(policy()) with the study's
+   * on_event, then result(). Call once: a second run()/result() throws
+   * std::logic_error (finalization moves the history out). A failed
+   * checkpoint write stops the drive with std::runtime_error.
    */
   StudyResult run();
+
+  /**
+   * Advance the study without finalizing it: drive its tuner under
+   * `policy` until the budget is spent or max_evals results were told
+   * (-1 = no cap), with on_event in place of the study's observer. The
+   * policy picks the Executor: a thread pool (one lane for Serial), its
+   * attached fleet, or a fleet assembled for this call. Serial, Batched
+   * and synchronous Distributed drives are barrier rounds; Async and
+   * Distributed(async=true) tell results as they land. resume_pending()
+   * is told first, under its original indices, and counts against
+   * max_evals. The study's objective, cache and checkpoint apply. On an
+   * error the drive stops suggesting, drains what is in flight without
+   * telling it (the checkpoint still lists that work as pending) and
+   * rethrows.
+   * @throws std::invalid_argument when the policy needs what the study
+   * lacks: an objective in-process, a benchmark on a fleet.
+   */
+  void advance(const ExecutionPolicy& policy, int max_evals = -1,
+               const StudyEventFn& on_event = {});
 
   // --- Ask-tell embedding (external evaluation loops). ---
   /** Propose up to n configurations (empty once the budget is spent).
@@ -161,19 +139,23 @@ class Study {
    *  tell_pending() first, so it is told exactly once. */
   std::vector<Configuration> ask(int n = 1);
   /** Report results for an ask()ed batch, in ask() order, through
-   *  drive()'s tell step: cache (when attached), observe, checkpoint,
-   *  then on_event per result with the same as-if-serial evals/best
-   *  counters run() emits. Like ask(), throws std::logic_error while
+   *  drive()'s tell step: cache (when attached), observe, charge
+   *  eval_seconds (the batch's black-box time) to the history,
+   *  checkpoint, then on_event per result with the same as-if-serial
+   *  evals/best counters run() emits (the first event carries
+   *  eval_seconds). Like ask(), throws std::logic_error while
    *  resume_pending() is undrained; throws std::runtime_error when the
    *  checkpoint write fails (the results are observed by then). */
   void tell(const std::vector<Configuration>& configs,
-            const std::vector<EvalResult>& results);
+            const std::vector<EvalResult>& results,
+            double eval_seconds = 0.0);
   /** Single-result tell. */
-  void tell(const Configuration& config, const EvalResult& result);
+  void tell(const Configuration& config, const EvalResult& result,
+            double eval_seconds = 0.0);
 
   /** In-flight evaluations restored from a resumed async checkpoint,
-   *  still awaiting tell_pending(). (Study::run() drains these
-   *  automatically; the ask/tell path must do it explicitly.) */
+   *  still awaiting tell_pending(). (run() and advance() tell these
+   *  first; the ask/tell path must do it explicitly.) */
   const std::vector<PendingEval>& resume_pending() const
   {
       return resume_pending_;
@@ -188,6 +170,15 @@ class Study {
   /** Evaluations left before the budget is exhausted. */
   int remaining() const { return tuner_->remaining(); }
 
+  /**
+   * Rewrite the checkpoint with the study's current state, undrained
+   * resume_pending() included: the point a resume continues from. Every
+   * tell already leaves the file in this state; save() is for a
+   * checkpoint taken on request or before the study is dropped. Returns
+   * false when the write fails or the study has no checkpoint path.
+   */
+  bool save() const;
+
   /** Finalize without driving (the ask/tell path's run()). Call once. */
   StudyResult result();
 
@@ -195,6 +186,21 @@ class Study {
   const ExecutionPolicy& policy() const { return policy_; }
   /** The underlying ask-tell tuner (advanced embedding). */
   AskTellTuner& tuner() { return *tuner_; }
+
+  // --- Provenance (as result() reports it). ---
+  /** The canonical MethodRegistry name. */
+  const std::string& method() const { return method_; }
+  /** The study's benchmark; null for a space() or inline-DSL study. */
+  const Benchmark* benchmark() const
+  {
+      return benchmark_ ? &*benchmark_ : nullptr;
+  }
+  /** The budget, DoE size and seed the tuner was built with. */
+  const MethodSpec& spec() const { return spec_; }
+  /** The cache namespace; empty without a cache (or when anonymous). */
+  const std::string& cache_namespace() const { return cache_namespace_; }
+  /** True when build() restored a checkpoint. */
+  bool resumed() const { return resumed_; }
 
  private:
   friend class StudyBuilder;
@@ -221,7 +227,7 @@ class Study {
   std::vector<PendingEval> resume_pending_;
   bool resumed_ = false;
   std::size_t resumed_evals_ = 0;
-  std::uint64_t seed_ = 0;
+  MethodSpec spec_;
   std::uint64_t cache_hits0_ = 0;
   std::uint64_t cache_misses0_ = 0;
   bool finalized_ = false;

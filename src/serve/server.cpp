@@ -11,7 +11,6 @@
 #include "serve/coordinator.hpp"
 #include "serve/stats_util.hpp"
 #include "serve/transport.hpp"
-#include "suite/registry.hpp"
 
 namespace baco::serve {
 
@@ -130,13 +129,13 @@ handle_server_stats(const Message& req, const ServerContext& ctx)
 }
 
 /**
- * Server-side drive of one session through the execute() dispatcher
- * Study::run uses, on the coordinator's fleet when workers are attached
- * and in-process otherwise. A sync run drives barrier rounds of n; an
- * async run keeps n evaluations in flight, tells each as it lands and
- * streams one result frame per told evaluation. The drive's executor
- * opens its own coordinator run lease (subject to admission control), so
- * nothing here serializes connections against each other.
+ * Server-side drive of one session: Study::advance on the session's
+ * study, on the coordinator's fleet when workers are attached and
+ * in-process otherwise. A sync run drives barrier rounds of n; an async
+ * run keeps n evaluations in flight, tells each as it lands and streams
+ * one result frame per told evaluation. The drive's executor opens its
+ * own coordinator run lease (subject to admission control), so nothing
+ * here serializes connections against each other.
  */
 Message
 handle_run(const Message& req, const ServerContext& ctx, Transport& stream)
@@ -150,21 +149,14 @@ handle_run(const Message& req, const ServerContext& ctx, Transport& stream)
     const int n = async ? std::clamp(req.n > 0 ? req.n : kDefaultAsyncSlots,
                                      1, kMaxAsyncSlots)
                         : std::max(1, req.n);
-    const bool sharded =
-        ctx.coordinator && ctx.coordinator->num_workers() > 0;
-
-    ExecRequest run;
-    if (sharded) {
-        run.policy = ExecutionPolicy::Distributed(/*workers=*/0, n, async);
-        run.coordinator = ctx.coordinator;
-    } else {
-        run.policy = async ? ExecutionPolicy::Async(n, /*num_threads=*/n)
-                           : ExecutionPolicy::Batched(n, /*num_threads=*/1);
-    }
-    run.cache = ctx.sessions->cache();
-    run.max_evals = req.budget > 0 ? req.budget : -1;
+    const ExecutionPolicy policy =
+        ctx.coordinator && ctx.coordinator->num_workers() > 0
+            ? ExecutionPolicy::Attached(ctx.coordinator, n, async)
+        : async ? ExecutionPolicy::Async(n, /*num_threads=*/n)
+                : ExecutionPolicy::Batched(n, /*num_threads=*/1);
+    StudyEventFn on_event;
     if (async) {
-        run.on_event = [&](const AsyncEvent& ev) {
+        on_event = [&](const AsyncEvent& ev) {
             Message frame;
             frame.type = MsgType::kResult;
             frame.id = req.id;
@@ -188,20 +180,11 @@ handle_run(const Message& req, const ServerContext& ctx, Transport& stream)
     Message done;
     done.type = MsgType::kDone;
     done.id = req.id;
-    bool drove = ctx.sessions->with_tuner(
-        req.session,
-        [&](AskTellTuner& tuner, const SessionInfo& info,
-            const std::string& checkpoint) {
-            run.benchmark = info.benchmark;
-            if (!sharded)
-                run.objective =
-                    suite::find_benchmark(info.benchmark).evaluate;
-            run.cache_namespace = info.cache_namespace;
-            run.checkpoint_path = checkpoint;
-            execute(tuner, run);
-            done.evals = tuner.history().size();
-            done.best = tuner.history().best_value;
-        });
+    bool drove = ctx.sessions->with_study(req.session, [&](Study& study) {
+        study.advance(policy, req.budget > 0 ? req.budget : -1, on_event);
+        done.evals = study.tuner().history().size();
+        done.best = study.tuner().history().best_value;
+    });
     if (!drove) {
         return make_error(req.id,
                           "no such session (or a batch is outstanding): " +

@@ -11,13 +11,12 @@
  * The connection opens with a hello/welcome handshake (protocol-version
  * checked), then answers requests until shutdown or transport close.
  * Session requests go to the SessionManager; the run request is handled
- * here: it locks the session (SessionManager::with_tuner) and drives its
- * tuner through the api layer's execute() dispatcher — the same one
- * behind baco::Study — so a server-side run is one drive() with drive()'s
- * tell step, cache and checkpoint. Evaluations shard over the
- * coordinator's workers when any are attached and run in-process
- * otherwise, under the same (seed, index)-derived noise streams either
- * way.
+ * here: it locks the session (SessionManager::with_study) and advances
+ * the session's Study (Study::advance, the step Study::run takes), so a
+ * server-side run is one drive() with drive()'s tell step, cache and
+ * checkpoint. Evaluations shard over the coordinator's workers when any
+ * are attached and run in-process otherwise, under the same (seed,
+ * index)-derived noise streams either way.
  *
  * A sync run drives barrier rounds of the request's n. A run request
  * with "async":true (or a server started with async runs forced on) is
@@ -26,7 +25,11 @@
  * value, feasibility, history size and incumbent — before the final done
  * frame, so the client watches the run progress instead of waiting out
  * the slowest compile. Either kind is refused while the session has a
- * frame-level suggested batch outstanding.
+ * frame-level suggested batch outstanding. A run that throws (an async
+ * run whose client is gone, a fleet that lost every worker) answers an
+ * error frame; with a checkpoint directory its session is then reloaded
+ * on its next request, which tells the run's in-flight work first (see
+ * session_manager.hpp).
  */
 
 #include <atomic>

@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 #include <sys/stat.h>
 
-#include "api/method_registry.hpp"
-#include "exec/checkpoint.hpp"
-#include "exec/drive.hpp"
-#include "exec/eval_cache.hpp"
+#include "api/study.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "serve/stats_util.hpp"
-#include "suite/registry.hpp"
 
 namespace baco::serve {
 
@@ -40,31 +37,44 @@ struct ServeMetrics {
   }
 };
 
+/** The ok frame reporting a session's progress. */
+Message
+ok_reply(std::uint64_t id, std::uint64_t evals, double best)
+{
+    Message reply;
+    reply.type = MsgType::kOk;
+    reply.id = id;
+    reply.evals = evals;
+    reply.best = best;
+    return reply;
+}
+
 }  // namespace
 
 struct SessionManager::Session {
+  Session(std::string session_name, Study s)
+      : name(std::move(session_name)), study(std::move(s))
+  {
+  }
+
   // Deliberately a raw std::mutex, not baco::Mutex: acquire() hands the
   // held lock to its caller through a std::unique_lock out-parameter — a
   // dynamic ownership transfer the static analysis cannot express. The
   // session-level discipline stays TSAN's job; everything registry-level
-  // (stripes, spill state) is statically checked.
+  // (stripes, spill state) is statically checked. Whoever removes a
+  // session from the registry holds this mutex, so its holder sees stable
+  // membership.
   std::mutex mutex;
   std::string name;
-  const Benchmark* benchmark = nullptr;
-  std::shared_ptr<SearchSpace> space;
-  std::unique_ptr<AskTellTuner> tuner;
-  std::string cache_namespace;
-  std::string method;  ///< canonical registry name (for spill/reload)
-  int budget = 0;
-  int doe = 0;         ///< DoE samples the tuner was built with
+  Study study;
 
-  /** The suggested-but-unobserved batch (at most one per session). */
+  /** The suggested-but-unobserved batch (at most one per session). It
+   *  starts at the history's size: nothing is told while it is out. */
   std::vector<Configuration> pending;
-  std::uint64_t pending_first = 0;
 
   /**
    * Per-session request latencies, served back over the stats frame.
-   * The live histograms die with the tuner on spill, so each spill
+   * The live histograms die with the study on spill, so each spill
    * folds their snapshot into the *_base totals (carried through the
    * spill metadata); session_stats reports base merged with current,
    * i.e. lifetime counts across every incarnation.
@@ -128,6 +138,48 @@ SessionManager::find(const std::string& name) const
 }
 
 std::shared_ptr<SessionManager::Session>
+SessionManager::build_session(const std::string& name,
+                              const std::string& benchmark,
+                              const std::string& method,
+                              const MethodSpec& spec, bool resume) const
+{
+    // Local Study construction: unknown names throw with the closest
+    // registered ones, and an unusable checkpoint throws naming a seed
+    // mismatch or a failed restore (handle() makes them error frames).
+    return std::make_shared<Session>(
+        name, StudyBuilder()
+                  .benchmark(benchmark)
+                  .method(method)
+                  .budget(spec.budget)
+                  .doe(spec.doe_samples)
+                  .seed(spec.seed)
+                  .checkpoint(checkpoint_path(name), resume)
+                  .cache(opt_.cache)
+                  .build());
+}
+
+void
+SessionManager::tell_in_flight(const std::shared_ptr<Session>& session,
+                               bool reloaded)
+{
+    Study& study = session->study;
+    if (study.resume_pending().empty())
+        return;
+    try {
+        study.advance(ExecutionPolicy::Serial(),
+                      static_cast<int>(study.resume_pending().size()));
+    } catch (...) {
+        // The checkpoint on disk still holds the work in flight, so the
+        // retried open or the next request tells it again.
+        if (reloaded)
+            park(session);
+        else
+            unpublish(session);
+        throw;
+    }
+}
+
+std::shared_ptr<SessionManager::Session>
 SessionManager::find_or_reload(const std::string& name)
 {
     for (;;) {
@@ -143,44 +195,16 @@ SessionManager::find_or_reload(const std::string& name)
             meta = it->second;
         }
 
-        // Rebuild the tuner outside all locks (registry + restore can
-        // be slow). This is the same resume path open_session(resume)
-        // takes, so a reloaded session continues bit-for-bit.
+        // Rebuild outside all locks (registry + restore can be slow),
+        // through the path open_session(resume) takes, so a reloaded
+        // session continues bit-for-bit. A missing checkpoint file means
+        // the session was spilled before it ever observed anything: the
+        // fresh study IS the correct state.
         obs::ScopedTimer reload_timer(ServeMetrics::get().reload,
                                       "serve.reload", "serve");
-        const Benchmark& bench = suite::find_benchmark(meta.benchmark);
-        auto session = std::make_shared<Session>();
-        session->name = name;
-        session->benchmark = &bench;
-        session->space = bench.make_space(SpaceVariant{});
-        session->budget = meta.budget;
-        session->doe = meta.doe;
-        session->method = meta.method;
-        MethodSpec spec;
-        spec.budget = meta.budget;
-        spec.doe_samples = meta.doe;
-        spec.seed = meta.seed;
-        session->tuner = MethodRegistry::global().make(meta.method,
-                                                       *session->space,
-                                                       spec);
-        session->cache_namespace = cache_namespace(bench, *session->space);
-        if (std::optional<CheckpointData> data =
-                load_checkpoint(checkpoint_path(name))) {
-            if (data->seed != session->tuner->run_seed())
-                throw std::runtime_error(
-                    "spilled checkpoint seed mismatch for session " +
-                    name);
-            if (!session->tuner->restore(data->history,
-                                         data->sampler_state)) {
-                throw std::runtime_error(
-                    "spilled checkpoint could not be restored for "
-                    "session " + name);
-            }
-        }
-        // A missing checkpoint file means the session was spilled
-        // before it ever observed anything: the fresh tuner IS the
-        // correct state.
-
+        std::shared_ptr<Session> session = build_session(
+            name, meta.benchmark, meta.method, meta.spec, /*resume=*/true);
+        std::unique_lock<std::mutex> session_lock(session->mutex);
         Stripe& stripe = stripe_for(name);
         {
             MutexLock lock(stripe.mutex);
@@ -201,9 +225,11 @@ SessionManager::find_or_reload(const std::string& name)
             session->observe_base = meta.observe_hist;
             stripe.sessions.emplace(name, session);
         }
+        tell_in_flight(session, /*reloaded=*/true);
         obs::log_info("serve", "session_reloaded",
                       obs::LogFields().str("session", name).num(
-                          "evals", session->tuner->history().size()));
+                          "evals", session->study.tuner().history().size()));
+        session_lock.unlock();
         enforce_live_cap();
         return session;
     }
@@ -221,13 +247,59 @@ SessionManager::acquire(const std::string& name,
         // A concurrent cap enforcement may have spilled this session
         // between the lookup and the lock. Its checkpoint then captures
         // exactly this moment's state, so retrying the lookup reloads
-        // an identical tuner — mutating the orphaned object instead
+        // an identical study — mutating the orphaned object instead
         // would record the request on state the registry no longer has.
         if (find(name) == session) {
             lock_out = std::move(lock);
             return session;
         }
     }
+}
+
+void
+SessionManager::unpublish(const std::shared_ptr<Session>& session)
+{
+    Stripe& stripe = stripe_for(session->name);
+    MutexLock lock(stripe.mutex);
+    auto it = stripe.sessions.find(session->name);
+    if (it != stripe.sessions.end() && it->second == session)
+        stripe.sessions.erase(it);
+}
+
+bool
+SessionManager::park(const std::shared_ptr<Session>& session)
+{
+    Stripe& stripe = stripe_for(session->name);
+    MutexLock lock(stripe.mutex);
+    auto it = stripe.sessions.find(session->name);
+    if (it == stripe.sessions.end() || it->second != session)
+        return false;  // closed meanwhile
+    Study& study = session->study;
+    const TuningHistory& history = study.tuner().history();
+    SpilledSession meta;
+    meta.benchmark = study.benchmark()->name;
+    meta.method = study.method();
+    meta.spec = study.spec();
+    meta.evals = history.size();
+    meta.best = history.best_value;
+    meta.spilled_at = Clock::now();
+    // Fold this incarnation's request latencies into the lifetime
+    // totals before the histograms die with the session object.
+    meta.suggest_hist = session->suggest_base;
+    meta.suggest_hist.merge(session->suggest_hist.snapshot());
+    meta.observe_hist = session->observe_base;
+    meta.observe_hist.merge(session->observe_hist.snapshot());
+    {
+        MutexLock spill_lock(spill_mutex_);
+        meta.generation = ++spill_generation_;
+        spilled_.emplace(session->name, std::move(meta));
+        ++spill_count_;
+    }
+    stripe.sessions.erase(it);
+    obs::log_info("serve", "session_spilled",
+                  obs::LogFields().str("session", session->name).num(
+                      "evals", history.size()));
+    return true;
 }
 
 bool
@@ -238,9 +310,10 @@ SessionManager::spill_one(const std::string& name)
         return false;
     std::unique_lock<std::mutex> guard(session->mutex, std::try_to_lock);
     // Mid-request or mid-batch sessions are not spillable (exactly the
-    // evict_idle rule); and a spill without a durable checkpoint would
-    // silently discard history.
-    if (!guard.owns_lock() || !session->pending.empty())
+    // evict_idle rule), nor is one closed since the lookup; and a spill
+    // without a durable checkpoint would silently discard history.
+    if (!guard.owns_lock() || !session->pending.empty() ||
+        find(name) != session)
         return false;
     obs::ScopedTimer spill_timer(ServeMetrics::get().spill, "serve.spill",
                                  "serve");
@@ -250,37 +323,7 @@ SessionManager::spill_one(const std::string& name)
     // mutex while taking a stripe mutex is the established order:
     // acquire() does the same; stripe holders only ever try_lock
     // sessions, so the inverse never blocks.)
-    if (!save_checkpoint(checkpoint_path(name), *session->tuner))
-        return false;
-    Stripe& stripe = stripe_for(name);
-    MutexLock lock(stripe.mutex);
-    auto it = stripe.sessions.find(name);
-    if (it == stripe.sessions.end() || it->second != session)
-        return false;  // closed while we were checkpointing
-    {
-        MutexLock spill_lock(spill_mutex_);
-        SpilledSession meta;
-        meta.benchmark = session->benchmark->name;
-        meta.method = session->method;
-        meta.budget = session->budget;
-        meta.doe = session->doe;
-        meta.seed = session->tuner->run_seed();
-        meta.generation = ++spill_generation_;
-        meta.spilled_at = Clock::now();
-        // Fold this incarnation's request latencies into the lifetime
-        // totals before the histograms die with the session object.
-        meta.suggest_hist = session->suggest_base;
-        meta.suggest_hist.merge(session->suggest_hist.snapshot());
-        meta.observe_hist = session->observe_base;
-        meta.observe_hist.merge(session->observe_hist.snapshot());
-        spilled_.emplace(name, std::move(meta));
-        ++spill_count_;
-    }
-    stripe.sessions.erase(it);
-    obs::log_info("serve", "session_spilled",
-                  obs::LogFields().str("session", name).num(
-                      "evals", session->tuner->history().size()));
-    return true;
+    return session->study.save() && park(session);
 }
 
 void
@@ -318,16 +361,6 @@ SessionManager::enforce_live_cap()
 }
 
 std::string
-SessionManager::cache_namespace(const Benchmark& bench,
-                                const SearchSpace& space) const
-{
-    // The fingerprint hashes every value of every parameter; only a
-    // cache reads it.
-    return opt_.cache ? EvalCache::namespace_key(bench.name, space)
-                      : std::string{};
-}
-
-std::string
 SessionManager::checkpoint_path(const std::string& name) const
 {
     if (opt_.checkpoint_dir.empty())
@@ -361,49 +394,9 @@ SessionManager::open_session(const Message& req)
 {
     if (!valid_session_name(req.session))
         return make_error(req.id, "invalid session name");
-    const Benchmark& bench = suite::find_benchmark(req.benchmark);
-
-    auto session = std::make_shared<Session>();
-    session->name = req.session;
-    session->benchmark = &bench;
-    session->space = bench.make_space(SpaceVariant{});
-    session->budget = req.budget > 0 ? req.budget : bench.full_budget;
-    session->doe = req.doe > 0 ? req.doe : bench.doe_samples;
-    // Remote construction goes through the same MethodRegistry as local
-    // Study construction, so the two can never drift; unknown names
-    // throw with the closest registered methods (caught into an error
-    // frame by handle()).
-    MethodSpec spec;
-    spec.budget = session->budget;
-    spec.doe_samples = session->doe;
-    spec.seed = req.seed;
-    session->tuner = MethodRegistry::global().make(
-        req.method, *session->space, spec);
-    // The canonical name, so a spilled session reloads the exact same
-    // method even if the client opened it through an alias.
-    session->method = *MethodRegistry::global().resolve(req.method);
-    session->cache_namespace = cache_namespace(bench, *session->space);
-
-    bool resumed = false;
-    std::vector<PendingEval> in_flight;
-    std::string ckpt = checkpoint_path(req.session);
-    if (req.resume && !ckpt.empty()) {
-        // A missing checkpoint means a fresh session; a present-but-
-        // unusable one is an error rather than a silent cold start.
-        if (std::optional<CheckpointData> data = load_checkpoint(ckpt)) {
-            if (data->seed != session->tuner->run_seed())
-                return make_error(req.id,
-                                  "checkpoint seed does not match the "
-                                  "requested session seed");
-            if (!session->tuner->restore(data->history,
-                                         data->sampler_state)) {
-                return make_error(req.id,
-                                  "checkpoint could not be restored");
-            }
-            in_flight = std::move(data->pending);
-            resumed = true;
-        }
-    }
+    std::shared_ptr<Session> session =
+        build_session(req.session, req.benchmark, req.method,
+                      MethodSpec{req.budget, req.doe, req.seed}, req.resume);
 
     // Locked before it is published, so no other request reaches the
     // session before its in-flight evaluations are told. (Session before
@@ -425,37 +418,22 @@ SessionManager::open_session(const Message& req)
         }
         stripe.sessions.emplace(req.session, session);
     }
-    if (!in_flight.empty()) {
-        // The work a killed server-side async run left in flight: told
-        // once, under its original indices, as Study::run does first.
-        DriveOptions opt;
-        opt.max_evals = static_cast<int>(in_flight.size());
-        opt.cache = opt_.cache;
-        opt.cache_namespace = session->cache_namespace;
-        opt.checkpoint_path = ckpt;
-        opt.resume_pending = std::move(in_flight);
-        try {
-            ThreadPoolExecutor exec(bench.evaluate,
-                                    session->tuner->run_seed());
-            drive(*session->tuner, exec, std::move(opt));
-        } catch (...) {
-            // Not opened: the checkpoint on disk still holds the work in
-            // flight, so a retried open tells it again.
-            MutexLock lock(stripe.mutex);
-            auto it = stripe.sessions.find(req.session);
-            if (it != stripe.sessions.end() && it->second == session)
-                stripe.sessions.erase(it);
-            throw;
-        }
-    }
+    // A fresh session owns its name's checkpoint from here on. A file an
+    // earlier session of that name left must not become its resume point
+    // before its first write: a run that throws drops the live study, and
+    // the reload reads whatever file is there.
+    if (!req.resume && !opt_.checkpoint_dir.empty())
+        std::remove(checkpoint_path(req.session).c_str());
+    tell_in_flight(session, /*reloaded=*/false);
 
+    Study& study = session->study;
     Message reply;
     reply.type = MsgType::kOpened;
     reply.id = req.id;
     reply.session = req.session;
-    reply.evals = session->tuner->history().size();
-    reply.budget = session->budget;
-    reply.resumed = resumed;
+    reply.evals = study.tuner().history().size();
+    reply.budget = study.spec().budget;
+    reply.resumed = study.resumed();
     session_lock.unlock();
     enforce_live_cap();
     return reply;
@@ -473,17 +451,14 @@ SessionManager::suggest(const Message& req)
     obs::ScopedTimer session_timer(session->suggest_hist);
     obs::ScopedTimer serve_timer(ServeMetrics::get().suggest,
                                  "serve.suggest", "serve");
-    if (session->pending.empty()) {
-        int n = std::max(1, req.n);
-        session->pending_first = session->tuner->history().size();
-        session->pending = session->tuner->suggest(n);
-    }
+    if (session->pending.empty())
+        session->pending = session->study.ask(std::max(1, req.n));
     // else: idempotent retry — re-send the outstanding batch.
 
     Message reply;
     reply.type = MsgType::kConfigs;
     reply.id = req.id;
-    reply.index = session->pending_first;
+    reply.index = session->study.tuner().history().size();
     reply.configs = session->pending;
     return reply;
 }
@@ -504,6 +479,7 @@ SessionManager::observe(const Message& req)
         return make_error(req.id, "observe with no batch outstanding");
     if (req.results.size() != session->pending.size())
         return make_error(req.id, "observe size does not match batch");
+    std::vector<EvalResult> results;
     for (std::size_t i = 0; i < req.results.size(); ++i) {
         if (!configs_equal(req.results[i].config, session->pending[i]))
             return make_error(req.id,
@@ -515,43 +491,28 @@ SessionManager::observe(const Message& req)
             return make_error(req.id,
                               "observe result " + std::to_string(i) +
                                   " is feasible with a non-finite value");
+        results.push_back(
+            EvalResult{req.results[i].value, req.results[i].feasible});
     }
     if (!std::isfinite(req.eval_seconds) || req.eval_seconds < 0.0)
         return make_error(req.id, "observe eval_seconds must be finite "
                                   "and non-negative");
 
-    std::vector<AsyncEvent> events(req.results.size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        events[i].index = session->pending_first + i;
-        events[i].config = session->pending[i];
-        events[i].result = EvalResult{req.results[i].value,
-                                      req.results[i].feasible};
-    }
-    // The frame reports one black-box time for the whole batch.
-    events.front().eval_seconds = req.eval_seconds;
-    DriveOptions opt;
-    opt.cache = opt_.cache;
-    opt.cache_namespace = session->cache_namespace;
-    opt.checkpoint_path = checkpoint_path(session->name);
-    const std::size_t before = session->tuner->history().size();
+    const TuningHistory& history = session->study.tuner().history();
+    const std::size_t before = history.size();
     try {
-        tell_results(*session->tuner, std::move(events), opt, {});
+        // The frame reports one black-box time for the whole batch.
+        session->study.tell(session->pending, results, req.eval_seconds);
     } catch (...) {
         // A failed checkpoint write throws after the tell: the batch is
         // observed, so a retry must not observe it twice. handle() turns
         // the error into the reply frame.
-        if (session->tuner->history().size() != before)
+        if (history.size() != before)
             session->pending.clear();
         throw;
     }
     session->pending.clear();
-
-    Message reply;
-    reply.type = MsgType::kOk;
-    reply.id = req.id;
-    reply.evals = session->tuner->history().size();
-    reply.best = session->tuner->history().best_value;
-    return reply;
+    return ok_reply(req.id, history.size(), history.best_value);
 }
 
 Message
@@ -563,8 +524,7 @@ SessionManager::checkpoint(const Message& req)
         return make_error(req.id, "no such session: " + req.session);
     session->last_touch = Clock::now();
 
-    std::string ckpt = checkpoint_path(session->name);
-    if (ckpt.empty())
+    if (opt_.checkpoint_dir.empty())
         return make_error(req.id, "checkpointing disabled (no directory)");
     if (!session->pending.empty()) {
         // A checkpoint taken mid-batch would capture the sampler stream
@@ -573,14 +533,12 @@ SessionManager::checkpoint(const Message& req)
         return make_error(req.id, "cannot checkpoint with a batch in "
                                   "flight; observe it first");
     }
-    if (!save_checkpoint(ckpt, *session->tuner))
+    std::string ckpt = checkpoint_path(session->name);
+    if (!session->study.save())
         return make_error(req.id, "checkpoint write failed: " + ckpt);
 
-    Message reply;
-    reply.type = MsgType::kOk;
-    reply.id = req.id;
-    reply.evals = session->tuner->history().size();
-    reply.best = session->tuner->history().best_value;
+    const TuningHistory& history = session->study.tuner().history();
+    Message reply = ok_reply(req.id, history.size(), history.best_value);
     reply.text = ckpt;
     return reply;
 }
@@ -589,52 +547,51 @@ Message
 SessionManager::close_session(const Message& req)
 {
     Stripe& stripe = stripe_for(req.session);
-    std::shared_ptr<Session> session;
-    {
-        // spill_one moves a name from the stripe map to the spill map
-        // with the stripe mutex held, so holding it here gives an
-        // atomic view of both.
-        MutexLock lock(stripe.mutex);
-        auto it = stripe.sessions.find(req.session);
-        if (it == stripe.sessions.end()) {
-            MutexLock spill_lock(spill_mutex_);
-            auto sit = spilled_.find(req.session);
-            if (sit == spilled_.end())
-                return make_error(req.id,
-                                  "no such session: " + req.session);
-            // Closing a spilled session: its per-observe checkpoint is
-            // already the durable resume point — just drop the metadata
-            // and report the checkpointed progress.
-            spilled_.erase(sit);
-            Message reply;
-            reply.type = MsgType::kOk;
-            reply.id = req.id;
-            if (std::optional<CheckpointData> data =
-                    load_checkpoint(checkpoint_path(req.session))) {
-                reply.evals = data->history.size();
-                reply.best = data->history.best_value;
+    for (;;) {
+        std::shared_ptr<Session> session;
+        {
+            // Spills and reloads move a name between the two maps with
+            // the stripe mutex held, so holding it here gives an atomic
+            // view of both.
+            MutexLock lock(stripe.mutex);
+            auto it = stripe.sessions.find(req.session);
+            if (it != stripe.sessions.end()) {
+                session = it->second;
+            } else {
+                MutexLock spill_lock(spill_mutex_);
+                auto sit = spilled_.find(req.session);
+                if (sit == spilled_.end())
+                    return make_error(req.id,
+                                      "no such session: " + req.session);
+                // A spilled session's checkpoint is already its durable
+                // resume point, and its metadata holds the progress.
+                Message reply =
+                    ok_reply(req.id, sit->second.evals, sit->second.best);
+                spilled_.erase(sit);
+                return reply;
             }
-            return reply;
         }
-        session = it->second;
-        stripe.sessions.erase(it);
+        // Locked before it is unpublished (session → stripe, as spill_one
+        // does): a request or run holding the session finishes first, and
+        // the name stays taken until the final save is written, so no
+        // re-opened session can share the checkpoint file with this one.
+        std::lock_guard<std::mutex> guard(session->mutex);
+        if (find(req.session) != session)
+            continue;  // spilled or closed while we waited
+        const bool saved = opt_.checkpoint_dir.empty() ||
+                           !session->pending.empty() ||
+                           session->study.save();
+        unpublish(session);
+        if (!saved) {
+            // The session is closed either way; surface the lost
+            // durability.
+            return make_error(req.id,
+                              "session closed but checkpoint write failed: " +
+                                  checkpoint_path(req.session));
+        }
+        const TuningHistory& history = session->study.tuner().history();
+        return ok_reply(req.id, history.size(), history.best_value);
     }
-    std::lock_guard<std::mutex> lock(session->mutex);
-    std::string ckpt = checkpoint_path(session->name);
-    if (!ckpt.empty() && session->pending.empty() &&
-        !save_checkpoint(ckpt, *session->tuner)) {
-        // The session is closed either way; surface the lost durability.
-        return make_error(req.id,
-                          "session closed but checkpoint write failed: " +
-                              ckpt);
-    }
-
-    Message reply;
-    reply.type = MsgType::kOk;
-    reply.id = req.id;
-    reply.evals = session->tuner->history().size();
-    reply.best = session->tuner->history().best_value;
-    return reply;
 }
 
 Message
@@ -652,13 +609,13 @@ SessionManager::session_stats(const Message& req)
     reply.id = req.id;
     reply.session = session->name;
     reply.stats_version = kStatsVersion;
-    reply.stats.push_back(stat_counter(
-        "session.evals",
-        static_cast<double>(session->tuner->history().size())));
+    const TuningHistory& history = session->study.tuner().history();
     reply.stats.push_back(
-        stat_gauge("session.best", session->tuner->history().best_value));
+        stat_counter("session.evals", static_cast<double>(history.size())));
+    reply.stats.push_back(stat_gauge("session.best", history.best_value));
     reply.stats.push_back(stat_gauge(
-        "session.budget", static_cast<double>(session->budget)));
+        "session.budget",
+        static_cast<double>(session->study.spec().budget)));
     reply.stats.push_back(stat_gauge(
         "session.pending", static_cast<double>(session->pending.size())));
     // Lifetime latencies: spill folds the live histograms into the
@@ -681,39 +638,41 @@ SessionManager::info(const std::string& name)
     std::shared_ptr<Session> session = acquire(name, lock);
     if (!session)
         return std::nullopt;
+    Study& study = session->study;
     SessionInfo out;
     out.name = session->name;
-    out.benchmark = session->benchmark->name;
-    out.cache_namespace = session->cache_namespace;
-    out.seed = session->tuner->run_seed();
-    out.evals = session->tuner->history().size();
-    out.budget = session->budget;
-    out.best = session->tuner->history().best_value;
+    out.benchmark = study.benchmark()->name;
+    out.cache_namespace = study.cache_namespace();
+    out.seed = study.spec().seed;
+    out.evals = study.tuner().history().size();
+    out.budget = study.spec().budget;
+    out.best = study.tuner().history().best_value;
     return out;
 }
 
 bool
-SessionManager::with_tuner(
-    const std::string& name,
-    const std::function<void(AskTellTuner&, const SessionInfo&,
-                             const std::string&)>& fn)
+SessionManager::with_study(const std::string& name,
+                           const std::function<void(Study&)>& fn)
 {
+    // Declared before the lock: once park() drops the registry's
+    // reference, this one keeps the session's mutex alive until the lock
+    // releases it.
+    std::shared_ptr<Session> session;
     std::unique_lock<std::mutex> lock;
-    std::shared_ptr<Session> session = acquire(name, lock);
-    if (!session)
-        return false;
-    if (!session->pending.empty())
+    session = acquire(name, lock);
+    if (!session || !session->pending.empty())
         return false;
     session->last_touch = Clock::now();
-    SessionInfo info;
-    info.name = session->name;
-    info.benchmark = session->benchmark->name;
-    info.cache_namespace = session->cache_namespace;
-    info.seed = session->tuner->run_seed();
-    info.evals = session->tuner->history().size();
-    info.budget = session->budget;
-    info.best = session->tuner->history().best_value;
-    fn(*session->tuner, info, checkpoint_path(name));
+    try {
+        fn(session->study);
+    } catch (...) {
+        // A drive that throws drains its in-flight work untold, and its
+        // last checkpoint lists that work as pending: drop the live study
+        // there, so the next request reloads the session and tells it.
+        if (!opt_.checkpoint_dir.empty())
+            park(session);
+        throw;
+    }
     session->last_touch = Clock::now();
     return true;
 }
@@ -814,10 +773,11 @@ SessionManager::checkpoint_all()
                 sessions.push_back(session);
         }
         for (auto& session : sessions) {
+            // Only a session still published may write its file: a closed
+            // one's name may belong to a re-opened session by now.
             std::lock_guard<std::mutex> lock(session->mutex);
-            if (session->pending.empty())
-                save_checkpoint(checkpoint_path(session->name),
-                                *session->tuner);
+            if (session->pending.empty() && find(session->name) == session)
+                session->study.save();
         }
     }
 }

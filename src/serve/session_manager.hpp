@@ -5,12 +5,14 @@
  * @file
  * Multiplexes many named tuning sessions behind the wire protocol.
  *
- * Each session owns one ask-tell tuner (any MethodRegistry method —
- * open_session resolves the request's method string through the same
- * registry local Study construction uses), its search space, and its
- * pending suggest() batch; the manager maps protocol requests onto the
- * ask-tell exchange while enforcing its contract (every suggested batch
- * is observed, in order, before the next one).
+ * Each session holds one Study, built by StudyBuilder from the open
+ * request (benchmark, method, budget, doe, seed, the session's checkpoint
+ * and the shared cache): the same registry, construction and resume path
+ * as a local study, so the two cannot drift. The session adds only what
+ * the wire needs: the outstanding suggest() batch, per-session latency
+ * histograms and the last-touch time. The manager maps protocol requests
+ * onto the study's ask()/tell() while enforcing the exchange's contract
+ * (every suggested batch is observed, in order, before the next one).
  *
  * Concurrency: sessions live in a lock-striped registry — requests for
  * different sessions proceed in parallel, requests for one session
@@ -20,22 +22,34 @@
  *
  * An observe frame is checked against the outstanding batch (sizes,
  * configs in order, finite feasible values, a finite non-negative
- * eval_seconds) and then told through drive()'s tell step
- * (tell_results), so cache, observe, black-box time and checkpoint
- * happen exactly as in a local drive.
+ * eval_seconds) and then told through Study::tell, drive()'s tell step,
+ * so cache, observe, black-box time and checkpoint happen exactly as in
+ * a local drive.
  *
  * Durability: with a checkpoint directory configured every observed
- * batch atomically rewrites <dir>/<session>.ckpt.jsonl. A crashed
- * server (or an evicted idle session) resumes by re-opening the session
- * with resume=true: the tuner restores history + sampler state and —
- * because suggest() draws only from the restored sampler stream —
- * finishes with the history the uninterrupted run would have produced.
- * An unobserved in-flight batch is deliberately NOT checkpointed: the
- * on-disk state then corresponds to the moment before that suggest(),
- * so the resumed tuner re-suggests the identical batch. A server-side
- * async run does list its in-flight evaluations in the checkpoint; a
- * resumed open evaluates them with the registry objective and tells them
- * under their original indices before it replies, as Study::run does.
+ * batch atomically rewrites <dir>/<session>.ckpt.jsonl, and one session
+ * is the only writer of its file; a session opened without resume first
+ * removes the file an earlier session of its name left. A crashed server
+ * (or an evicted idle session) resumes by re-opening the session with
+ * resume=true: the study restores history + sampler state and — because
+ * suggest() draws only from the restored sampler stream — finishes with
+ * the history the uninterrupted run would have produced. An unobserved
+ * in-flight batch is deliberately NOT checkpointed: the on-disk state
+ * then corresponds to the moment before that suggest(), so the resumed
+ * study re-suggests the identical batch. A server-side async run does
+ * list its in-flight evaluations in the checkpoint, and opening or
+ * reloading a session tells them (with the registry objective, under
+ * their original indices) before any request sees it, as Study::run does
+ * first.
+ *
+ * Aborted runs: a server-side run that throws (its client gone, its
+ * fleet lost) drains its in-flight work untold. With a checkpoint
+ * directory the manager then drops the live study as a spill that writes
+ * nothing, since the drive's last checkpoint is the resume point, and the
+ * next request reloads the session and tells that work first (a run that
+ * stopped on a failed checkpoint write resumes from the last write that
+ * succeeded). Without a checkpoint directory the live session continues
+ * as it is, and the work the run had in flight is never told.
  *
  * A shared EvalCache (optional) is namespaced per session by benchmark
  * identity, so one cache file serves every session safely. Without a
@@ -43,13 +57,18 @@
  *
  * Bounded live registry: with max_live_sessions > 0 (and a checkpoint
  * directory), opening a session beyond the cap spills the least-
- * recently-touched idle session to disk — its tuner is dropped, its
- * checkpoint and a small metadata record remain — so a long-lived
+ * recently-touched idle session to disk — Study::save() writes its
+ * checkpoint, the study is dropped and a small metadata record (what to
+ * rebuild it from, plus its evals and best) remains — so a long-lived
  * multi-client server holds at most the cap's worth of tuner state in
  * memory. A spilled session is still "open" to the protocol: the next
- * request that names it transparently reloads the tuner from its
- * checkpoint (the same bit-for-bit resume path open_session(resume)
- * uses), possibly spilling another session to make room.
+ * request that names it transparently rebuilds the study with resume=true
+ * (the open path, in-flight work included), possibly spilling another
+ * session to make room, and closing it reads no checkpoint.
+ *
+ * Closing a session waits for the request or run holding it, saves it,
+ * and only then unpublishes its name, so a re-open of the name is
+ * refused until the close is done.
  */
 
 #include <chrono>
@@ -62,15 +81,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "api/method_registry.hpp"
 #include "core/thread_annotations.hpp"
 #include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 
 namespace baco {
-class AskTellTuner;
 class EvalCache;
-class SearchSpace;
-struct Benchmark;
+class Study;
 }
 
 namespace baco::serve {
@@ -127,19 +145,18 @@ class SessionManager {
   std::optional<SessionInfo> info(const std::string& name);
 
   /**
-   * Lock session `name` and run fn(tuner, info, checkpoint_path) against
-   * its ask-tell tuner directly: the server's run request drives the
-   * tuner with execute() here, sync and async alike. The session stays
-   * locked for fn's whole duration, so concurrent requests for it queue
-   * up behind the drive. Returns false — without invoking fn — when the
-   * session is absent or has a suggested-but-unobserved protocol batch (a
-   * drive may not interleave with a frame-level exchange). Exceptions
-   * from fn propagate with the session unlocked.
+   * Lock session `name` and run fn against its Study: the server's run
+   * request drives it with Study::advance here, sync and async alike. The
+   * session stays locked for fn's whole duration, so concurrent requests
+   * for it queue up behind the drive. Returns false — without invoking
+   * fn — when the session is absent or has a suggested-but-unobserved
+   * protocol batch (a drive may not interleave with a frame-level
+   * exchange). Exceptions from fn propagate with the session unlocked;
+   * with a checkpoint directory the session is first spilled without a
+   * write (see the file comment).
    */
-  bool with_tuner(
-      const std::string& name,
-      const std::function<void(AskTellTuner&, const SessionInfo&,
-                               const std::string&)>& fn);
+  bool with_study(const std::string& name,
+                  const std::function<void(Study&)>& fn);
 
   /** Number of live (in-memory) sessions. */
   std::size_t size() const;
@@ -166,31 +183,29 @@ class SessionManager {
   /** The checkpoint file of a session name (empty when disabled). */
   std::string checkpoint_path(const std::string& name) const;
 
-  /** The shared evaluation cache (may be null). */
-  EvalCache* cache() const { return opt_.cache; }
-
  private:
   struct Session;
   struct Stripe;
 
-  /** Everything needed to rebuild a spilled session's tuner. */
+  /** Everything needed to rebuild a spilled session's study. */
   struct SpilledSession {
     std::string benchmark;
     std::string method;  ///< canonical MethodRegistry name
-    int budget = 0;
-    int doe = 0;
-    std::uint64_t seed = 0;
+    MethodSpec spec;     ///< budget, doe and seed as built
+    /** Progress at the spill, reported when the session is closed. */
+    std::uint64_t evals = 0;
+    double best = 0.0;
     /**
      * Stamped per spill event: a reloader that read the metadata (and
      * the checkpoint) before an intervening reload + re-spill must not
-     * install its now-stale tuner — it re-reads when the generation
+     * install its now-stale study — it re-reads when the generation
      * under the insert lock differs.
      */
     std::uint64_t generation = 0;
     std::chrono::steady_clock::time_point spilled_at;
     /**
      * Lifetime request-latency totals, folded in at every spill (the
-     * live per-session histograms reset with the tuner). A reload
+     * live per-session histograms reset with the study). A reload
      * re-attaches these as the session's base, so stats on a reloaded
      * session reports counts across all its incarnations.
      */
@@ -209,11 +224,33 @@ class SessionManager {
    */
   std::shared_ptr<Session> acquire(const std::string& name,
                                    std::unique_lock<std::mutex>& lock_out);
-  /** EvalCache::namespace_key with a cache attached, else empty. */
-  std::string cache_namespace(const Benchmark& bench,
-                              const SearchSpace& space) const;
+  /** A session around a StudyBuilder-built Study: the registry's
+   *  benchmark and method, the session's checkpoint (restored when
+   *  `resume`) and the shared cache. */
+  std::shared_ptr<Session> build_session(const std::string& name,
+                                         const std::string& benchmark,
+                                         const std::string& method,
+                                         const MethodSpec& spec,
+                                         bool resume) const;
+  /**
+   * The drain open and reload share: with the session published and
+   * locked, tell its resumed checkpoint's in-flight evaluations before
+   * any request sees it. If that throws, the open is undone (unpublish)
+   * or the reload re-spilled (park) before the error propagates.
+   */
+  void tell_in_flight(const std::shared_ptr<Session>& session,
+                      bool reloaded);
+  /** Drop a session from its stripe (when still the registered one). */
+  void unpublish(const std::shared_ptr<Session>& session);
+  /**
+   * Move a locked live session to the spilled map without writing (its
+   * checkpoint must already hold its resume point). False when it was
+   * no longer registered.
+   */
+  bool park(const std::shared_ptr<Session>& session);
   /** Spill least-recently-touched idle sessions down to the cap. */
   void enforce_live_cap();
+  /** Save an idle session through its study, then park it. */
   bool spill_one(const std::string& name);
 
   Message open_session(const Message& req);
@@ -227,7 +264,7 @@ class SessionManager {
   std::unique_ptr<Stripe[]> stripes_;
 
   // Lock order: a Session's mutex may be held while taking a Stripe's
-  // mutex and then spill_mutex_ (spill_one); stripe holders only ever
+  // mutex and then spill_mutex_ (park); stripe holders only ever
   // try_lock sessions, so the inverse never blocks.
   mutable Mutex spill_mutex_;
   std::unordered_map<std::string, SpilledSession> spilled_

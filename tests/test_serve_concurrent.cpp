@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -386,13 +389,73 @@ TEST(ServeConcurrent, BusyRunRequestGetsStructuredErrorFrame)
         w.join();
 }
 
+/** Makes one worker's result frames wait for another worker's first. */
+struct ResultGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false;   ///< the waiting worker's results wait while set
+  bool opened = false;  ///< the opening worker has sent a result
+};
+
+/**
+ * A worker's transport whose result frames either open the gate or wait
+ * (at most 10 s) until it is open. Every other frame, heartbeats
+ * included, passes straight through.
+ */
+class GatedTransport : public Transport {
+ public:
+  GatedTransport(std::unique_ptr<Transport> inner, ResultGate& gate,
+                 bool opener)
+      : inner_(std::move(inner)), gate_(gate), opener_(opener)
+  {
+  }
+
+  bool
+  send(const std::string& line) override
+  {
+      Message m;
+      if (decode(line, m) && m.type == MsgType::kResult) {
+          std::unique_lock<std::mutex> lock(gate_.mu);
+          if (opener_) {
+              gate_.opened = true;
+              gate_.cv.notify_all();
+          } else {
+              gate_.cv.wait_for(lock, std::chrono::seconds(10), [this] {
+                  return !gate_.armed || gate_.opened;
+              });
+          }
+      }
+      return inner_->send(line);
+  }
+
+  RecvStatus
+  recv(std::string& line, int timeout_ms) override
+  {
+      return inner_->recv(line, timeout_ms);
+  }
+
+  void
+  close() override
+  {
+      inner_->close();
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  ResultGate& gate_;
+  const bool opener_;
+};
+
 TEST(ServeConcurrent, WorkerReconnectsAfterHeartbeatDeath)
 {
     // A worker goes silent mid-run (hung evaluation shape: socket open,
     // no beats). The run must complete on the survivor with results
     // identical to an undisturbed fleet; the SAME worker binary then
     // reconnects through the acceptor's registration path, is re-leased
-    // work, and the next run matches its undisturbed reference too.
+    // work, and the next run matches its undisturbed reference too. In
+    // that run the healthy worker's results wait for the reborn worker's
+    // first, so how many shards the reborn one serves depends on the
+    // fleet, not on scheduling.
     const Benchmark& b = suite::find_benchmark(kBench);
     const int budget = 16;
     const int batch = 4;
@@ -414,12 +477,14 @@ TEST(ServeConcurrent, WorkerReconnectsAfterHeartbeatDeath)
     Acceptor acceptor(std::move(listener), ctx);
     std::thread server([&acceptor] { acceptor.run(); });
 
-    std::thread healthy([&path] {
+    ResultGate gate;
+    std::thread healthy([&path, &gate] {
         std::unique_ptr<Transport> t = connect_socket("unix:" + path);
         ASSERT_TRUE(t);
+        GatedTransport gated(std::move(t), gate, /*opener=*/false);
         WorkerOptions opt;
         opt.heartbeat_ms = 50;
-        run_worker_loop(*t, opt);
+        run_worker_loop(gated, opt);
     });
     // The wedged worker: advertises a 50ms beacon, accepts work, never
     // answers and never beats — only missed heartbeats can catch it.
@@ -456,15 +521,20 @@ TEST(ServeConcurrent, WorkerReconnectsAfterHeartbeatDeath)
 
     // Re-registration: the same worker loop reconnects over the same
     // listening socket and must be admitted back into the fleet.
-    std::thread reborn([&path] {
+    std::thread reborn([&path, &gate] {
         std::unique_ptr<Transport> t = connect_socket("unix:" + path);
         ASSERT_TRUE(t);
+        GatedTransport gated(std::move(t), gate, /*opener=*/true);
         WorkerOptions opt;
         opt.heartbeat_ms = 50;
-        run_worker_loop(*t, opt);
+        run_worker_loop(gated, opt);
     });
     while (coordinator.num_workers() < 2)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    {
+        std::lock_guard<std::mutex> lock(gate.mu);
+        gate.armed = true;
+    }
 
     TuningHistory after_rebirth = drive(78);
     EXPECT_TRUE(histories_equal(ref2, after_rebirth));

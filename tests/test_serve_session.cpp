@@ -1,10 +1,16 @@
 // The multi-session manager and serve loop: protocol-driven tuning
 // sessions, idempotent retries, concurrent sessions from many threads,
-// idle eviction, the version handshake, and crash/resume recovery.
+// idle eviction, spill and close, the version handshake, and crash/resume
+// recovery.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <future>
 #include <limits>
 #include <memory>
 #include <set>
@@ -411,6 +417,90 @@ TEST(ServeSession, ResumeWithWrongSeedIsRejected)
     ASSERT_EQ(right.type, MsgType::kOpened) << right.text;
     EXPECT_TRUE(right.resumed);
     std::remove(sm.checkpoint_path(name).c_str());
+}
+
+TEST(ServeSession, ReopenIsRefusedUntilTheCloseCompletes)
+{
+    // A close waits for the run holding its session, and the name stays
+    // taken until the close is done: a re-open in between would put a
+    // second study on the same checkpoint file.
+    SessionManagerOptions opt;
+    opt.checkpoint_dir = testing::TempDir();
+    SessionManager sm(opt);
+    const std::string name = "close-race";
+    std::remove(sm.checkpoint_path(name).c_str());
+    ASSERT_EQ(sm.handle(open_request(name, "Uniform", 10, 3)).type,
+              MsgType::kOpened);
+    drive_session(sm, name, 2, 4);
+
+    std::promise<void> holding;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::thread run([&] {
+        EXPECT_TRUE(sm.with_study(name, [&](Study&) {
+            holding.set_value();
+            released.wait();
+        }));
+    });
+    holding.get_future().wait();
+    Message close;
+    close.type = MsgType::kClose;
+    close.session = name;
+    std::atomic<bool> closed{false};
+    Message closed_reply;
+    std::thread closer([&] {
+        closed_reply = sm.handle(close);
+        closed.store(true);
+    });
+    // Time for the close to reach the session, which the run holds.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    Message reopen =
+        sm.handle(open_request(name, "Uniform", 10, 3, /*resume=*/true));
+    EXPECT_EQ(reopen.type, MsgType::kError) << reopen.text;
+    EXPECT_FALSE(closed.load());
+
+    release.set_value();
+    run.join();
+    closer.join();
+    ASSERT_EQ(closed_reply.type, MsgType::kOk) << closed_reply.text;
+    EXPECT_EQ(closed_reply.evals, 4u);
+    Message again =
+        sm.handle(open_request(name, "Uniform", 10, 3, /*resume=*/true));
+    ASSERT_EQ(again.type, MsgType::kOpened) << again.text;
+    EXPECT_TRUE(again.resumed);
+    EXPECT_EQ(again.evals, 4u);
+    std::remove(sm.checkpoint_path(name).c_str());
+}
+
+TEST(ServeSession, ClosingASpilledSessionReportsItsSpilledProgress)
+{
+    // The spill metadata carries evals and best, so closing a spilled
+    // session reads no checkpoint: the reply holds even with the file
+    // gone.
+    SessionManagerOptions opt;
+    opt.checkpoint_dir = testing::TempDir();
+    opt.max_live_sessions = 1;
+    SessionManager sm(opt);
+    const std::string older = "spill-close-a";
+    const std::string newer = "spill-close-b";
+    ASSERT_EQ(sm.handle(open_request(older, "Uniform", 10, 5)).type,
+              MsgType::kOpened);
+    drive_session(sm, older, 2, 4);
+    const double best = sm.info(older)->best;
+    ASSERT_EQ(sm.handle(open_request(newer, "Uniform", 10, 6)).type,
+              MsgType::kOpened);
+    ASSERT_EQ(sm.spilled_sessions(), 1u);
+    ASSERT_EQ(std::remove(sm.checkpoint_path(older).c_str()), 0);
+
+    Message close;
+    close.type = MsgType::kClose;
+    close.session = older;
+    Message reply = sm.handle(close);
+    ASSERT_EQ(reply.type, MsgType::kOk) << reply.text;
+    EXPECT_EQ(reply.evals, 4u);
+    EXPECT_EQ(reply.best, best);
+    EXPECT_EQ(sm.spilled_sessions(), 0u);
+    std::remove(sm.checkpoint_path(newer).c_str());
 }
 
 TEST(ServeSession, IdleSessionsAreEvicted)
@@ -844,6 +934,168 @@ TEST(ServeConnection, RunRefusesASessionWithAnOutstandingBatch)
     Message done = client.rpc(run_request("busy", 2));
     ASSERT_EQ(done.type, MsgType::kDone) << done.text;
     EXPECT_EQ(done.evals, 10u);
+}
+
+/**
+ * The server's end of a connection whose client vanishes once it has
+ * been sent `results` result frames: every later send fails.
+ */
+class VanishingClient : public Transport {
+ public:
+  VanishingClient(std::unique_ptr<Transport> inner, int results)
+      : inner_(std::move(inner)), results_left_(results)
+  {
+  }
+
+  bool
+  send(const std::string& line) override
+  {
+      Message m;
+      if (decode(line, m) && m.type == MsgType::kResult &&
+          results_left_-- <= 0)
+          gone_ = true;
+      return !gone_ && inner_->send(line);
+  }
+
+  RecvStatus
+  recv(std::string& line, int timeout_ms) override
+  {
+      return inner_->recv(line, timeout_ms);
+  }
+
+  void
+  close() override
+  {
+      inner_->close();
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  int results_left_;
+  bool gone_ = false;
+};
+
+TEST(ServeConnection, AbortedAsyncRunTellsItsInFlightWorkOnce)
+{
+    // An async run whose client vanishes stops with work in flight, which
+    // its last checkpoint lists as pending. With a checkpoint directory
+    // the session must resume from that checkpoint, telling the work once
+    // under its own indices, so its history is the one a Study resumed
+    // from the same checkpoint produces. Without one the live session
+    // keeps what it told.
+    const int kBudget = 20;
+    const std::uint64_t kSeed = 9;
+    const std::string name = "aborted-run";
+    for (bool durable : {true, false}) {
+        SCOPED_TRACE(durable);
+        SessionManagerOptions opt;
+        if (durable)
+            opt.checkpoint_dir = testing::TempDir();
+        SessionManager sm(opt);
+        ServerContext ctx;
+        ctx.sessions = &sm;
+        const std::string path = sm.checkpoint_path(name);
+        if (durable)
+            std::remove(path.c_str());
+
+        auto [client, server] = loopback_pair();
+        Message hello;
+        hello.type = MsgType::kHello;
+        for (const Message& m :
+             {hello, open_request(name, "random", kBudget, kSeed),
+              run_request(name, 4, 0, /*async=*/true)})
+            ASSERT_TRUE(client->send(encode(m)));
+        VanishingClient vanishing(std::move(server), /*results=*/5);
+        serve_connection(vanishing, ctx);  // ends at the failed send
+
+        if (!durable) {
+            EXPECT_EQ(sm.info(name)->evals, 6u);
+            continue;
+        }
+        std::optional<CheckpointData> at_abort = load_checkpoint(path);
+        ASSERT_TRUE(at_abort.has_value());
+        EXPECT_EQ(at_abort->history.size(), 6u);
+        EXPECT_EQ(at_abort->pending.size(), 3u);
+        const std::string copy = path + ".at-abort";
+        std::filesystem::copy_file(
+            path, copy, std::filesystem::copy_options::overwrite_existing);
+
+        EXPECT_EQ(drive_session(sm, name, 1),
+                  static_cast<std::uint64_t>(kBudget));
+        std::optional<CheckpointData> final_state = load_checkpoint(path);
+        ASSERT_TRUE(final_state.has_value());
+        TuningHistory via_study = StudyBuilder()
+                                      .benchmark(kBench)
+                                      .method("random")
+                                      .budget(kBudget)
+                                      .seed(kSeed)
+                                      .checkpoint(copy, /*resume=*/true)
+                                      .build()
+                                      .run()
+                                      .history;
+        EXPECT_TRUE(histories_equal(via_study, final_state->history));
+        const std::vector<Observation>& told =
+            final_state->history.observations;
+        for (const PendingEval& p : at_abort->pending) {
+            ASSERT_LT(p.index, told.size());
+            EXPECT_TRUE(configs_equal(told[p.index].config, p.config))
+                << "index " << p.index;
+            EXPECT_EQ(std::count_if(told.begin(), told.end(),
+                                    [&](const Observation& o) {
+                                        return configs_equal(o.config,
+                                                             p.config);
+                                    }),
+                      1)
+                << "index " << p.index;
+        }
+        std::remove(path.c_str());
+        std::remove(copy.c_str());
+    }
+}
+
+TEST(ServeConnection, RefusedRunLeavesAFreshSessionFresh)
+{
+    // A run refused before it tells anything still drops the live study
+    // (a checkpoint directory is set), so the next request reloads the
+    // session from its checkpoint file. A session opened without resume
+    // owns that file from its open: the file an earlier session of the
+    // same name left must not become its history.
+    const std::string name = "fresh-over-stale";
+    SessionManagerOptions opt;
+    opt.checkpoint_dir = testing::TempDir();
+    SessionManager sm(opt);
+    CoordinatorOptions copt;
+    copt.max_active_runs = 1;
+    Coordinator coordinator(copt);
+    std::vector<std::thread> workers = attach_loopback_workers(coordinator, 1);
+    ServerContext ctx;
+    ctx.sessions = &sm;
+    ctx.coordinator = &coordinator;
+    {
+        LoopbackConnection conn(ctx);
+        SessionClient& client = conn.client();
+        ASSERT_EQ(client.open(name, kBench, "Uniform", 10, 3).type,
+                  MsgType::kOpened);
+        ASSERT_EQ(client.rpc(run_request(name, 2, 4)).evals, 4u);
+        ASSERT_EQ(client.close(name).type, MsgType::kOk);
+
+        ASSERT_EQ(client.open(name, kBench, "Uniform", 10, 3).type,
+                  MsgType::kOpened);
+        {
+            Coordinator::RunLease occupant = coordinator.begin_run();
+            Message refused = client.rpc(run_request(name, 2));
+            ASSERT_EQ(refused.type, MsgType::kError) << refused.text;
+            EXPECT_EQ(refused.code, "busy");
+        }
+        EXPECT_EQ(sm.info(name)->evals, 0u);
+        Message done = client.rpc(run_request(name, 2));
+        ASSERT_EQ(done.type, MsgType::kDone) << done.text;
+        EXPECT_EQ(done.evals, 10u);
+    }
+    coordinator.shutdown();
+    for (std::thread& t : workers)
+        t.join();
+    std::remove(sm.checkpoint_path(name).c_str());
 }
 
 const StatEntry*
