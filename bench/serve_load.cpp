@@ -127,6 +127,8 @@ run_phase(int clients, int sessions_per_client, int budget, int batch,
     SessionManager sessions(sopt);
     ServerContext ctx;
     ctx.sessions = &sessions;
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::global().snapshot();
     Acceptor acceptor(std::move(listener), ctx);
     std::thread server([&acceptor] { acceptor.run(); });
 
@@ -220,9 +222,12 @@ run_phase(int clients, int sessions_per_client, int budget, int batch,
     phase.ok = phase.ok && phase.evals == expected;
     // The spill phase must actually have exercised the spill/reload
     // ping-pong it claims to measure.
-    if (expect_spill)
-        phase.ok = phase.ok && sessions.spill_count() > 0 &&
-                   sessions.reload_count() > 0;
+    if (expect_spill) {
+        const obs::MetricsSnapshot moved =
+            obs::MetricsRegistry::global().snapshot().delta_since(before);
+        phase.ok = phase.ok && moved.value("sessions.spill_total") > 0 &&
+                   moved.value("sessions.reload_total") > 0;
+    }
     acceptor.stop();
     server.join();
     return phase;

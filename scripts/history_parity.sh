@@ -2,13 +2,13 @@
 # History parity: does the working tree make BaCO suggest exactly what
 # BASE_REF did?
 #
-# Builds tools/baco_history_digest twice — at BASE_REF, checked out in a
-# temporary git worktree, and at the working tree — runs both and compares
-# the outputs: every observation of BaCO on every registry benchmark at
-# full budget — serially at 2 seeds, and at seed 1 in Batched(4) and
-# Distributed(2, 4) barrier rounds and over a serve session in rounds of 4
-# that a fresh SessionManager resumes from its checkpoint at half budget —
-# values as hexfloats. A change that claims to leave the search untouched
+# Builds tools/baco_history_digest twice — at BASE_REF, exported with
+# git archive into a temporary directory, and at the working tree — runs
+# both and compares the outputs: every observation of BaCO on every
+# registry benchmark at full budget — serially at 2 seeds, and at seed 1
+# in Batched(4) and Distributed(2, 4) barrier rounds and over a serve
+# session in rounds of 4 that a fresh SessionManager resumes from its
+# checkpoint at half budget — values as hexfloats. A change that claims to leave the search untouched
 # (a performance change) must report "identical"; algorithmic changes
 # legitimately differ, so the verdict is information, not a gate.
 #
@@ -31,11 +31,7 @@ cd "$(dirname "$0")/.."
 ROOT="$(pwd)"
 
 TMP="$(mktemp -d)"
-cleanup() {
-    git -C "$ROOT" worktree remove --force "$TMP/base" >/dev/null 2>&1 || true
-    rm -rf "$TMP"
-}
-trap cleanup EXIT
+trap 'rm -rf "$TMP"' EXIT
 
 CMAKE_EXTRA=()
 if command -v ccache >/dev/null 2>&1; then
@@ -47,7 +43,8 @@ fi
 build_digest() {
     cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release -DBUILD_TESTING=OFF \
           "${CMAKE_EXTRA[@]}" >&2 || exit 2
-    cmake --build "$2" --target baco_history_digest -j >&2 || exit 2
+    cmake --build "$2" --target baco_history_digest -j "$(nproc)" >&2 ||
+        exit 2
     "$2/baco_history_digest" > "$3" || exit 2
     if [ ! -s "$3" ]; then
         echo "history_parity: $2/baco_history_digest printed nothing" >&2
@@ -55,8 +52,9 @@ build_digest() {
     fi
 }
 
-if ! git worktree add --detach "$TMP/base" "$BASE_REF" >&2; then
-    echo "history_parity: cannot check out $BASE_REF" >&2
+mkdir "$TMP/base"
+if ! git archive --format=tar "$BASE_REF" | tar -x -C "$TMP/base"; then
+    echo "history_parity: cannot export $BASE_REF" >&2
     exit 2
 fi
 cp tools/baco_history_digest.cpp "$TMP/base/tools/" || exit 2

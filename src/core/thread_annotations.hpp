@@ -7,8 +7,8 @@
  * annotated mutex primitives every lock in this codebase goes through.
  *
  * The serving stack is deeply concurrent — a work-stealing ThreadPool,
- * the drive's landing queue, the multi-client Acceptor, the lock-striped
- * SessionManager, the Coordinator's WorkerHealth registry — and its
+ * the drive's landing queue, the multi-client Acceptor, the
+ * SessionManager, the Coordinator's scheduler and worker records — and its
  * locking discipline used to be enforced only by TSAN runs over the
  * interleavings the test suite happens to produce. These annotations
  * move that discipline to compile time: under clang, `-Wthread-safety`

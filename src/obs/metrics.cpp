@@ -169,26 +169,6 @@ HistogramSnapshot::delta_since(const HistogramSnapshot& earlier) const
     return d;
 }
 
-void
-HistogramSnapshot::merge(const HistogramSnapshot& other)
-{
-    if (other.count == 0 && other.buckets.empty())
-        return;
-    if (other.buckets.size() > buckets.size())
-        buckets.resize(other.buckets.size(), 0);
-    for (std::size_t i = 0; i < other.buckets.size(); ++i)
-        buckets[i] += other.buckets[i];
-    if (count == 0) {
-        min = other.min;
-        max = other.max;
-    } else if (other.count > 0) {
-        min = std::min(min, other.min);
-        max = std::max(max, other.max);
-    }
-    count += other.count;
-    sum += other.sum;
-}
-
 const char*
 MetricValue::kind_name(Kind k)
 {
@@ -198,6 +178,24 @@ MetricValue::kind_name(Kind k)
       case Kind::kHistogram: return "histogram";
     }
     return "?";
+}
+
+MetricValue
+MetricValue::counter(std::string name, double value)
+{
+    MetricValue m;
+    m.name = std::move(name);
+    m.kind = Kind::kCounter;
+    m.value = value;
+    return m;
+}
+
+MetricValue
+MetricValue::gauge(std::string name, double value)
+{
+    MetricValue m = counter(std::move(name), value);
+    m.kind = Kind::kGauge;
+    return m;
 }
 
 const MetricValue*
@@ -333,29 +331,56 @@ MetricsRegistry::histogram(const std::string& name)
     return *entry(name, MetricValue::Kind::kHistogram).histogram;
 }
 
+std::uint64_t
+MetricsRegistry::add_source(MetricsSource source)
+{
+    MutexLock lock(sources_mutex_);
+    std::uint64_t id = next_source_++;
+    sources_.emplace(id, std::move(source));
+    return id;
+}
+
+void
+MetricsRegistry::remove_source(std::uint64_t id)
+{
+    MutexLock lock(sources_mutex_);
+    sources_.erase(id);
+}
+
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
     MetricsSnapshot s;
-    MutexLock lock(mutex_);
-    s.metrics.reserve(entries_.size());
-    for (const auto& [name, e] : entries_) {
-        MetricValue m;
-        m.name = name;
-        m.kind = e.kind;
-        switch (e.kind) {
-          case MetricValue::Kind::kCounter:
-            m.value = static_cast<double>(e.counter->value());
-            break;
-          case MetricValue::Kind::kGauge:
-            m.value = e.gauge->value();
-            break;
-          case MetricValue::Kind::kHistogram:
-            m.histogram = e.histogram->snapshot();
-            break;
+    {
+        MutexLock lock(mutex_);
+        s.metrics.reserve(entries_.size());
+        for (const auto& [name, e] : entries_) {
+            MetricValue m;
+            m.name = name;
+            m.kind = e.kind;
+            switch (e.kind) {
+              case MetricValue::Kind::kCounter:
+                m.value = static_cast<double>(e.counter->value());
+                break;
+              case MetricValue::Kind::kGauge:
+                m.value = e.gauge->value();
+                break;
+              case MetricValue::Kind::kHistogram:
+                m.histogram = e.histogram->snapshot();
+                break;
+            }
+            s.metrics.push_back(std::move(m));
         }
-        s.metrics.push_back(std::move(m));
     }
+    MutexLock lock(sources_mutex_);
+    if (sources_.empty())
+        return s;
+    for (const auto& [id, source] : sources_)
+        source(s.metrics);
+    std::stable_sort(s.metrics.begin(), s.metrics.end(),
+                     [](const MetricValue& a, const MetricValue& b) {
+                         return a.name < b.name;
+                     });
     return s;
 }
 

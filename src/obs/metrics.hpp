@@ -5,9 +5,19 @@
  * @file
  * Always-on metrics for the tuner, the execution engines and the serve
  * layer: counters, gauges and fixed-bucket latency histograms behind a
- * named registry.
+ * named registry, plus sources that report live entities.
  *
- * Design constraints (the ISSUE-6 overhead discipline):
+ * The registry is the one place a number reaches a reader: the serve
+ * stats frame, baco_serve's --metrics-file lines and its shutdown log
+ * all format one snapshot(). Numbers that change at an event (a request,
+ * a spill, a worker's death) are counters and gauges updated where the
+ * event happens. Numbers that belong to something alive (a coordinator's
+ * active runs and attached workers) come from a source its owner
+ * registers: snapshot() asks the source for its entries, so an entity
+ * that ended is simply no longer reported and values derived from the
+ * clock (a worker's last_seen_s, its "slow" state) are exact at the read.
+ *
+ * Design constraints (the overhead discipline):
  *   - The update fast path is lock-free — one or two relaxed atomic
  *     operations per event — so instrumentation can stay on in the
  *     hot suggest/observe/evaluate loops (< 1% on table10).
@@ -31,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -56,10 +67,20 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/** Last-written instantaneous value; set()/set_max() are lock-free. */
+/** Last-written instantaneous value; set()/add()/set_max() are
+ *  lock-free. */
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
+  /** Move the value by d: a level that several owners raise and lower
+   *  (live sessions, live clients) stays their process-wide total. */
+  void add(double d)
+  {
+      double cur = value_.load(std::memory_order_relaxed);
+      while (!value_.compare_exchange_weak(cur, cur + d,
+                                           std::memory_order_relaxed)) {
+      }
+  }
   /** High-water update: keep the maximum of the current value and v. */
   void set_max(double v)
   {
@@ -107,11 +128,6 @@ struct HistogramSnapshot {
   /** Events recorded here but not in `earlier` (bucket-wise subtract;
    *  min/max fall back to this snapshot's bounds). */
   HistogramSnapshot delta_since(const HistogramSnapshot& earlier) const;
-
-  /** Fold `other` into this snapshot (bucket-wise add, combined
-   *  count/sum, widened min/max) — the inverse of delta_since, used to
-   *  report lifetime stats across histogram resets (session spill). */
-  void merge(const HistogramSnapshot& other);
 };
 
 /**
@@ -147,7 +163,15 @@ struct MetricValue {
   HistogramSnapshot histogram;  ///< kHistogram only
 
   static const char* kind_name(Kind k);
+  static MetricValue counter(std::string name, double value);
+  static MetricValue gauge(std::string name, double value);
 };
+
+/**
+ * A source appends the entries of the live entities it owns; snapshot()
+ * calls it on every read. It must not take a snapshot itself.
+ */
+using MetricsSource = std::function<void(std::vector<MetricValue>&)>;
 
 /** A consistent value copy of a registry, sorted by metric name. */
 struct MetricsSnapshot {
@@ -180,6 +204,8 @@ struct MetricsSnapshot {
  * first use and return a reference that stays valid for the registry's
  * lifetime; the returned objects are the lock-free update handles.
  * Using one name with two different kinds throws std::logic_error.
+ * add_source() registers a MetricsSource, whose owner calls
+ * remove_source() before it is destroyed.
  */
 class MetricsRegistry {
  public:
@@ -191,7 +217,16 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  MetricsSnapshot snapshot() const;
+  /** Register a source; returns the id remove_source() takes. */
+  std::uint64_t add_source(MetricsSource source)
+      BACO_EXCLUDES(sources_mutex_);
+  /** Unregister a source. Waits for a snapshot that is calling it, so
+   *  what the source reads may be destroyed once this returns. */
+  void remove_source(std::uint64_t id) BACO_EXCLUDES(sources_mutex_);
+
+  /** Every metric and every source's entries, sorted by name. */
+  MetricsSnapshot snapshot() const
+      BACO_EXCLUDES(mutex_, sources_mutex_);
 
  private:
   struct Entry {
@@ -206,6 +241,13 @@ class MetricsRegistry {
 
   mutable baco::Mutex mutex_;
   std::map<std::string, Entry> entries_ BACO_GUARDED_BY(mutex_);
+
+  /** Held while snapshot() calls the sources; never together with
+   *  mutex_, so a source may register metrics. */
+  mutable baco::Mutex sources_mutex_;
+  std::map<std::uint64_t, MetricsSource> sources_
+      BACO_GUARDED_BY(sources_mutex_);
+  std::uint64_t next_source_ BACO_GUARDED_BY(sources_mutex_) = 1;
 };
 
 }  // namespace baco::obs

@@ -224,6 +224,8 @@ socket_parity_check(const std::string& listen_spec,
     SessionManager sessions;
     ServerContext ctx;
     ctx.sessions = &sessions;
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::global().snapshot();
     Acceptor acceptor(std::move(listener), ctx);
     std::string address = acceptor.address().str();
     std::thread server([&acceptor] { acceptor.run(); });
@@ -251,7 +253,8 @@ socket_parity_check(const std::string& listen_spec,
     acceptor.stop();
     server.join();
 
-    result.stats = acceptor.stats();
+    result.metrics =
+        obs::MetricsRegistry::global().snapshot().delta_since(before);
     if (got1 == ref1 && got2 == ref2) {
         result.ok = true;
     } else {

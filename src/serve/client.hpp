@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
@@ -52,8 +53,7 @@ class SessionClient {
   /**
    * Observability snapshot (kStatsReport): the named session's counters
    * and suggest/observe latency histograms, or — with an empty session
-   * name — the server-wide metrics registry plus acceptor and
-   * session-manager totals.
+   * name — one snapshot of the server's metrics registry.
    */
   Message stats(const std::string& session = std::string());
 
@@ -92,7 +92,8 @@ std::vector<double> sequential_session_values(const std::string& session,
 struct SocketParityResult {
   bool ok = false;                  ///< histories matched, non-vacuously
   std::size_t evals_per_client = 0; ///< history length of each client
-  AcceptorStats stats;              ///< the acceptor's final counters
+  /** Registry traffic of the concurrent leg (delta_since its start). */
+  obs::MetricsSnapshot metrics;
   std::string detail;               ///< failure description when !ok
 };
 

@@ -41,7 +41,7 @@ struct CoordMetrics {
   obs::Counter& runs_completed = counter("coord.runs.completed_total");
   obs::Gauge& runs_active = gauge("coord.runs.active");
   obs::Histogram& run_seconds = hist("coord.run.seconds");
-  // Fleet-health surface (WorkerHealth registry).
+  // Fleet-health surface.
   obs::Counter& worker_dead = counter("coord.worker.dead");
   obs::Counter& heartbeats = counter("coord.worker.heartbeats_total");
   obs::Gauge& workers_alive = gauge("coord.worker.alive");
@@ -79,7 +79,7 @@ drop_worker(std::vector<std::size_t>& live_on, std::size_t w)
 /**
  * One registered worker. The transport itself is internally synchronized
  * (send is thread-safe; the reader thread is its single receiver); the
- * dispatch-accounting fields are guarded by Coordinator::mu_.
+ * dispatch accounting and health fields are guarded by Coordinator::mu_.
  */
 struct Coordinator::Worker {
   std::unique_ptr<Transport> transport;
@@ -95,6 +95,11 @@ struct Coordinator::Worker {
    * only a reply whose id was never dispatched marks the worker dead.
    */
   std::unordered_set<std::uint64_t> outstanding;
+  std::uint64_t completed = 0;   ///< result frames received
+  std::uint64_t heartbeats = 0;  ///< heartbeat frames received
+  double ewma_latency_s = 0.0;   ///< smoothed result round-trip
+  Clock::time_point last_seen = Clock::now();  ///< last frame received
+  int heartbeat_ms = 0;  ///< advertised interval (0 = none)
 };
 
 /** One in-flight or queued evaluation of a run, keyed by wire index. */
@@ -128,10 +133,13 @@ Coordinator::Coordinator(CoordinatorOptions opt) : opt_(opt)
         opt_.max_inflight_per_worker = 1;
     if (opt_.poll_ms < 1)
         opt_.poll_ms = 1;
+    metrics_source_ = obs::MetricsRegistry::global().add_source(
+        [this](std::vector<obs::MetricValue>& out) { report(out); });
 }
 
 Coordinator::~Coordinator()
 {
+    obs::MetricsRegistry::global().remove_source(metrics_source_);
     shutdown();
 }
 
@@ -171,13 +179,13 @@ Coordinator::add_worker_registered(std::unique_ptr<Transport> transport,
         w->transport = std::move(transport);
         w->capacity = std::clamp(capacity > 0 ? capacity : 1, 1,
                                  opt_.max_inflight_per_worker);
+        w->heartbeat_ms = std::max(0, heartbeat_ms);
         clamped = w->capacity;
         Worker* raw = w.get();
         workers_.push_back(std::move(w));
         id = static_cast<int>(workers_.size()) - 1;
-        // Registered under mu_ so workers_ and health_ stay
-        // index-parallel when attaches race (lock order mu_ -> health).
-        health_register(heartbeat_ms > 0 ? heartbeat_ms : 0);
+        CoordMetrics::get().workers_alive.set(
+            static_cast<double>(alive_workers()));
         raw->reader = std::thread(
             [this, raw, idx = static_cast<std::size_t>(id)] {
                 reader_loop(raw, idx);
@@ -200,15 +208,8 @@ Coordinator::add_worker_registered(std::unique_ptr<Transport> transport,
 std::size_t
 Coordinator::num_workers() const
 {
-    // Count from the health registry, not workers_: the Acceptor may be
-    // registering a late worker hello on its routing thread while a stats
-    // connection (or the Acceptor's own fleet-wait) polls this.
-    MutexLock lock(health_mutex_);
-    std::size_t n = 0;
-    for (const HealthState& h : health_)
-        if (h.alive)
-            ++n;
-    return n;
+    MutexLock lock(mu_);
+    return alive_workers();
 }
 
 std::size_t
@@ -216,23 +217,6 @@ Coordinator::active_runs() const
 {
     MutexLock lock(mu_);
     return runs_.size();
-}
-
-std::vector<RunStatsSnapshot>
-Coordinator::run_stats() const
-{
-    std::vector<RunStatsSnapshot> out;
-    MutexLock lock(mu_);
-    out.reserve(runs_.size());
-    for (const auto& [id, run] : runs_) {
-        RunStatsSnapshot s;
-        s.run = id;
-        s.inflight = run->inflight;
-        s.queued = run->ready.size();
-        s.landed = run->landed_total;
-        out.push_back(s);
-    }
-    return out;
 }
 
 void
@@ -267,9 +251,7 @@ Coordinator::shutdown()
         for (auto& w : workers_) {
             if (!w->alive)
                 continue;
-            w->alive = false;
-            w->inflight = 0;
-            w->outstanding.clear();
+            retire_worker(*w);
             w->transport->close();
         }
         dispatches_.clear();
@@ -281,14 +263,6 @@ Coordinator::shutdown()
             if (w->reader.joinable())
                 readers.push_back(std::move(w->reader));
     }
-    {
-        MutexLock lock(health_mutex_);
-        for (HealthState& h : health_) {
-            h.alive = false;
-            h.inflight = 0;
-        }
-    }
-    CoordMetrics::get().workers_alive.set(0.0);
     for (std::thread& t : readers)
         t.join();
 }
@@ -298,31 +272,61 @@ Coordinator::health() const
 {
     std::vector<WorkerHealthSnapshot> out;
     auto now = Clock::now();
-    MutexLock lock(health_mutex_);
-    out.reserve(health_.size());
-    for (std::size_t i = 0; i < health_.size(); ++i) {
-        const HealthState& h = health_[i];
+    MutexLock lock(mu_);
+    out.reserve(workers_.size());
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+        const Worker& wk = *workers_[i];
         WorkerHealthSnapshot s;
         s.worker = static_cast<int>(i);
-        s.inflight = h.inflight;
-        s.completed = h.completed;
-        s.heartbeats = h.heartbeats;
-        s.ewma_latency_s = h.ewma_latency_s;
+        s.inflight = wk.inflight;
+        s.completed = wk.completed;
+        s.heartbeats = wk.heartbeats;
+        s.ewma_latency_s = wk.ewma_latency_s;
         s.last_seen_s =
-            std::chrono::duration<double>(now - h.last_seen).count();
-        s.heartbeat_ms = h.heartbeat_ms;
-        if (!h.alive) {
-            s.state = "dead";
-        } else if (h.heartbeat_ms > 0 && h.inflight > 0 &&
-                   now - h.last_seen >
-                       std::chrono::milliseconds(h.heartbeat_ms)) {
-            s.state = "slow";
-        } else {
-            s.state = "alive";
-        }
+            std::chrono::duration<double>(now - wk.last_seen).count();
+        s.heartbeat_ms = wk.heartbeat_ms;
+        s.state = !wk.alive            ? "dead"
+                  : silent(wk, now, 1) ? "slow"
+                                       : "alive";
         out.push_back(std::move(s));
     }
     return out;
+}
+
+void
+Coordinator::report(std::vector<obs::MetricValue>& out) const
+{
+    using obs::MetricValue;
+    auto now = Clock::now();
+    MutexLock lock(mu_);
+    for (const auto& [id, run] : runs_) {
+        std::string prefix = "coord.run." + std::to_string(id) + ".";
+        out.push_back(MetricValue::gauge(prefix + "inflight", run->inflight));
+        out.push_back(MetricValue::gauge(
+            prefix + "queued", static_cast<double>(run->ready.size())));
+        out.push_back(MetricValue::counter(
+            prefix + "landed", static_cast<double>(run->landed_total)));
+    }
+    double slow = 0.0;
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+        const Worker& wk = *workers_[w];
+        const bool is_slow = silent(wk, now, 1);
+        slow += is_slow ? 1.0 : 0.0;
+        std::string prefix = "coord.worker." + std::to_string(w) + ".";
+        out.push_back(MetricValue::gauge(
+            prefix + "state", !wk.alive ? 0.0 : is_slow ? 1.0 : 2.0));
+        out.push_back(MetricValue::gauge(prefix + "inflight", wk.inflight));
+        out.push_back(MetricValue::counter(
+            prefix + "completed", static_cast<double>(wk.completed)));
+        out.push_back(MetricValue::counter(
+            prefix + "heartbeats", static_cast<double>(wk.heartbeats)));
+        out.push_back(
+            MetricValue::gauge(prefix + "ewma_latency_s", wk.ewma_latency_s));
+        out.push_back(MetricValue::gauge(
+            prefix + "last_seen_s",
+            std::chrono::duration<double>(now - wk.last_seen).count()));
+    }
+    out.push_back(MetricValue::gauge("coord.fleet.slow", slow));
 }
 
 // ---------------------------------------------------------------------
@@ -463,12 +467,10 @@ Coordinator::wait_landed(std::uint64_t run_id, int timeout_ms)
 void
 Coordinator::sweep()
 {
-    // Stale-worker detection reads only the health registry; collect the
-    // victims before taking mu_ so the lock order stays mu_ -> health.
-    std::vector<std::size_t> stale = stale_workers();
     MutexLock lock(mu_);
-    for (std::size_t w : stale)
-        if (w < workers_.size() && workers_[w]->alive)
+    const auto swept = Clock::now();
+    for (std::size_t w = 0; w < workers_.size(); ++w)
+        if (silent(*workers_[w], swept, std::max(1, opt_.heartbeat_grace)))
             kill_worker(w, "heartbeat");
 
     // Straggler re-dispatch: duplicate an old outstanding task onto a
@@ -517,6 +519,24 @@ Coordinator::alive_workers() const
         if (w->alive)
             ++n;
     return n;
+}
+
+void
+Coordinator::retire_worker(Worker& wk)
+{
+    wk.alive = false;
+    wk.inflight = 0;
+    wk.outstanding.clear();
+    CoordMetrics::get().workers_alive.set(
+        static_cast<double>(alive_workers()));
+}
+
+bool
+Coordinator::silent(const Worker& wk, Clock::time_point now, int intervals)
+{
+    return wk.alive && wk.heartbeat_ms > 0 && wk.inflight > 0 &&
+           now - wk.last_seen >
+               std::chrono::milliseconds(wk.heartbeat_ms) * intervals;
 }
 
 void
@@ -605,7 +625,6 @@ Coordinator::dispatch_one(RunState& run, std::uint64_t key, std::size_t w,
     }
     t.live_on.push_back(w);
     t.last_sent = Clock::now();
-    health_dispatch(w);
     CoordMetrics& cm = CoordMetrics::get();
     cm.dispatched.add();
     int inflight = 0;
@@ -623,8 +642,6 @@ Coordinator::kill_worker(std::size_t w, const char* reason)
         return;
     CoordMetrics::get().workers_lost.add();
     CoordMetrics::get().worker_dead.add();
-    wk.alive = false;
-    wk.inflight = 0;
     wk.transport->close();
     // Re-queue every task whose only live dispatch was on this worker.
     for (std::uint64_t id : wk.outstanding) {
@@ -647,8 +664,7 @@ Coordinator::kill_worker(std::size_t w, const char* reason)
             run.ready.push_back(d.key);
         }
     }
-    wk.outstanding.clear();
-    health_dead(w);
+    retire_worker(wk);
     obs::log_warn("coord", "worker_dead",
                   obs::LogFields()
                       .num("worker", static_cast<int>(w))
@@ -673,10 +689,7 @@ Coordinator::reader_loop(Worker* wk, std::size_t w)
             if (wk->alive) {
                 if (shutting_down_) {
                     // Clean teardown: not a death worth alarming about.
-                    wk->alive = false;
-                    wk->inflight = 0;
-                    wk->outstanding.clear();
-                    health_dead(w);
+                    retire_worker(*wk);
                 } else {
                     kill_worker(w, "closed");
                     dispatch_ready();
@@ -699,24 +712,27 @@ Coordinator::reader_loop(Worker* wk, std::size_t w)
             shutdown_cv_.notify_all();
             return;
         }
-        health_touch(w);
-        if (reply.type == MsgType::kHeartbeat) {
-            health_heartbeat(w);
-            continue;
-        }
+        if (reply.type == MsgType::kHeartbeat)
+            CoordMetrics::get().heartbeats.add();
         if (reply.type == MsgType::kGoodbye) {
             import_spans(w, reply);
             obs::log_info("coord", "worker_goodbye",
                           obs::LogFields()
                               .num("worker", static_cast<int>(w))
                               .num("evals", reply.evals));
-            MutexLock lock(mu_);
+        }
+
+        MutexLock lock(mu_);
+        wk->last_seen = Clock::now();
+        if (reply.type == MsgType::kHeartbeat) {
+            wk->heartbeats += 1;
+            continue;
+        }
+        if (reply.type == MsgType::kGoodbye) {
             wk->goodbye = true;
             shutdown_cv_.notify_all();
             continue;  // the close (ours or the worker's) ends the loop
         }
-
-        MutexLock lock(mu_);
         if (!wk->alive)
             continue;  // killed concurrently; the close ends the loop
         auto out_it = wk->outstanding.find(reply.id);
@@ -732,7 +748,6 @@ Coordinator::reader_loop(Worker* wk, std::size_t w)
         }
         wk->outstanding.erase(out_it);
         wk->inflight = std::max(0, wk->inflight - 1);
-        health_reply(w);
         auto d_it = dispatches_.find(reply.id);
         if (d_it == dispatches_.end()) {
             // A late reply to a dispatch of an already-ended run (or a
@@ -768,7 +783,11 @@ Coordinator::reader_loop(Worker* wk, std::size_t w)
                     .count();
             CoordMetrics::get().results.add();
             CoordMetrics::get().roundtrip.record(latency);
-            health_result(w, latency);
+            wk->completed += 1;
+            wk->ewma_latency_s =
+                wk->completed == 1
+                    ? latency
+                    : 0.3 * latency + 0.7 * wk->ewma_latency_s;
             import_spans(w, reply);
             LandedEval landed;
             landed.key = d.key;
@@ -828,105 +847,6 @@ Coordinator::import_spans(std::size_t w, const Message& reply)
         spans.push_back(std::move(r));
     }
     obs::Trace::add_remote("worker-" + std::to_string(w), std::move(spans));
-}
-
-void
-Coordinator::health_register(int heartbeat_ms)
-{
-    std::size_t alive = 0;
-    {
-        MutexLock lock(health_mutex_);
-        HealthState h;
-        h.last_seen = Clock::now();
-        h.heartbeat_ms = heartbeat_ms;
-        health_.push_back(h);
-        for (const HealthState& hs : health_)
-            alive += hs.alive ? 1 : 0;
-    }
-    CoordMetrics::get().workers_alive.set(static_cast<double>(alive));
-}
-
-void
-Coordinator::health_touch(std::size_t w)
-{
-    MutexLock lock(health_mutex_);
-    if (w < health_.size())
-        health_[w].last_seen = Clock::now();
-}
-
-void
-Coordinator::health_dispatch(std::size_t w)
-{
-    MutexLock lock(health_mutex_);
-    if (w < health_.size())
-        health_[w].inflight += 1;
-}
-
-void
-Coordinator::health_reply(std::size_t w)
-{
-    MutexLock lock(health_mutex_);
-    if (w < health_.size())
-        health_[w].inflight = std::max(0, health_[w].inflight - 1);
-}
-
-void
-Coordinator::health_result(std::size_t w, double latency_s)
-{
-    MutexLock lock(health_mutex_);
-    if (w >= health_.size())
-        return;
-    HealthState& h = health_[w];
-    h.completed += 1;
-    h.ewma_latency_s = h.completed == 1
-                           ? latency_s
-                           : 0.3 * latency_s + 0.7 * h.ewma_latency_s;
-}
-
-void
-Coordinator::health_heartbeat(std::size_t w)
-{
-    CoordMetrics::get().heartbeats.add();
-    MutexLock lock(health_mutex_);
-    if (w < health_.size()) {
-        health_[w].heartbeats += 1;
-        health_[w].last_seen = Clock::now();
-    }
-}
-
-void
-Coordinator::health_dead(std::size_t w)
-{
-    std::size_t alive = 0;
-    {
-        MutexLock lock(health_mutex_);
-        if (w < health_.size()) {
-            health_[w].alive = false;
-            health_[w].inflight = 0;
-        }
-        for (const HealthState& hs : health_)
-            alive += hs.alive ? 1 : 0;
-    }
-    CoordMetrics::get().workers_alive.set(static_cast<double>(alive));
-}
-
-std::vector<std::size_t>
-Coordinator::stale_workers() const
-{
-    std::vector<std::size_t> out;
-    auto now = Clock::now();
-    int grace = std::max(1, opt_.heartbeat_grace);
-    MutexLock lock(health_mutex_);
-    for (std::size_t i = 0; i < health_.size(); ++i) {
-        const HealthState& h = health_[i];
-        if (!h.alive || h.heartbeat_ms <= 0 || h.inflight <= 0)
-            continue;
-        if (now - h.last_seen >
-            std::chrono::milliseconds(h.heartbeat_ms) * grace) {
-            out.push_back(i);
-        }
-    }
-    return out;
 }
 
 // ---------------------------------------------------------------------

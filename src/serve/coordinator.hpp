@@ -39,14 +39,23 @@
  * late-hello path — and is immediately re-leased to active runs, which
  * is how their re-queued shards drain).
  *
- * Fleet health: every received frame refreshes the worker's last-seen
- * time in a WorkerHealth registry (its own mutex, so health() is safe
- * from stats/dump threads while a drive runs). Workers advertising a
- * heartbeat interval in their hello send heartbeat frames when idle
- * between requests; a worker holding outstanding work that goes silent
- * for heartbeat_grace intervals is declared dead by the executors' sweep
- * — its shards re-queue through the same path as a closed transport,
- * instead of the run wedging on a blocked read.
+ * Fleet health: each worker has one record under the scheduler mutex,
+ * and every received frame refreshes its last-seen time. Workers
+ * advertising a heartbeat interval in their hello send heartbeat frames
+ * when idle between requests; a worker holding outstanding work that
+ * goes silent for heartbeat_grace intervals is declared dead by the
+ * executors' sweep — its shards re-queue through the same path as a
+ * closed transport, instead of the run wedging on a blocked read.
+ *
+ * Metrics: events (dispatches, results, deaths, admissions) update
+ * counters and gauges in obs::MetricsRegistry::global(). The live runs
+ * and workers are a registry source, so every snapshot lists
+ * coord.run.<id>.{inflight,queued,landed} for each active run,
+ * coord.worker.<id>.{state,inflight,completed,heartbeats,ewma_latency_s,
+ * last_seen_s} for each attached worker (state 2 alive, 1 slow, 0 dead;
+ * a dead worker stays listed) and coord.fleet.slow. A run drops out of
+ * the snapshot when it ends. Ids are per coordinator: a process with
+ * several coordinators lists each one's entries.
  */
 
 #include <chrono>
@@ -62,6 +71,7 @@
 
 #include "core/thread_annotations.hpp"
 #include "exec/drive.hpp"
+#include "obs/metrics.hpp"
 
 namespace baco::serve {
 
@@ -109,14 +119,6 @@ struct WorkerHealthSnapshot {
   double ewma_latency_s = 0.0;   ///< smoothed result round-trip
   double last_seen_s = 0.0;      ///< seconds since the last frame
   int heartbeat_ms = 0;          ///< advertised interval (0 = none)
-};
-
-/** Point-in-time view of one active run (see Coordinator::run_stats). */
-struct RunStatsSnapshot {
-  std::uint64_t run = 0;
-  int inflight = 0;           ///< tasks live on the fleet
-  std::size_t queued = 0;     ///< tasks waiting for a worker slot
-  std::uint64_t landed = 0;   ///< results landed so far
 };
 
 /** begin_run() refusal: the run cap (max_active_runs) is reached. */
@@ -209,14 +211,12 @@ class Coordinator {
   std::size_t num_workers() const;
 
   /**
-   * Health snapshot of every registered worker, alive or dead.
-   * Thread-safe against concurrently running drives (the registry has
-   * its own mutex), so stats connections and periodic dumps can read it
-   * mid-run. Staleness ("slow") is only judged while the worker holds
-   * outstanding work — an idle worker's frames sit undrained in the
-   * socket buffer, which is not silence.
+   * Health of every registered worker, alive or dead (the registry
+   * source reports the same records). Staleness ("slow") is only judged
+   * while the worker holds outstanding work — an idle worker's frames
+   * sit undrained in the socket buffer, which is not silence.
    */
-  std::vector<WorkerHealthSnapshot> health() const;
+  std::vector<WorkerHealthSnapshot> health() const BACO_EXCLUDES(mu_);
 
   /**
    * Open a multiplexed run. max_inflight caps how many of this run's
@@ -230,9 +230,6 @@ class Coordinator {
 
   /** Number of currently active (leased) runs. */
   std::size_t active_runs() const BACO_EXCLUDES(mu_);
-
-  /** Per-run scheduler counters for stats endpoints. */
-  std::vector<RunStatsSnapshot> run_stats() const BACO_EXCLUDES(mu_);
 
   /**
    * Send shutdown to every live worker, wait briefly for their goodbye
@@ -259,17 +256,6 @@ class Coordinator {
   struct DispatchRec {
     std::uint64_t run = 0;
     std::uint64_t key = 0;
-  };
-
-  /** Mirror of one worker's liveness, guarded by health_mutex_. */
-  struct HealthState {
-    bool alive = true;
-    int inflight = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t heartbeats = 0;
-    double ewma_latency_s = 0.0;
-    std::chrono::steady_clock::time_point last_seen;
-    int heartbeat_ms = 0;
   };
 
   /** begin_run() body; returns the new run id. */
@@ -322,6 +308,22 @@ class Coordinator {
   /** Workers currently able to take dispatches. */
   std::size_t alive_workers() const BACO_REQUIRES(mu_);
 
+  /** Mark a worker dead, dropping its in-flight accounting, and
+   *  publish the alive count. */
+  void retire_worker(Worker& wk) BACO_REQUIRES(mu_);
+
+  /**
+   * True when a live worker holds outstanding work and advertised a
+   * heartbeat, but has been silent for more than `intervals` of it
+   * ("slow" at one interval, dead at heartbeat_grace).
+   */
+  static bool silent(const Worker& wk,
+                     std::chrono::steady_clock::time_point now,
+                     int intervals);
+
+  /** The registry source: live runs, workers and the slow count. */
+  void report(std::vector<obs::MetricValue>& out) const BACO_EXCLUDES(mu_);
+
   /** Wake every run's completion waiters (fleet topology changed). */
   void notify_runs() BACO_REQUIRES(mu_);
 
@@ -331,26 +333,13 @@ class Coordinator {
   /** Merge a reply's shipped spans into the trace as worker-w's track. */
   static void import_spans(std::size_t w, const Message& reply);
 
-  // WorkerHealth registry updates (all take health_mutex_ themselves,
-  // which is why stats/dump threads can call health() mid-drive).
-  // Lock order: mu_ before health_mutex_, never the reverse.
-  void health_register(int heartbeat_ms) BACO_EXCLUDES(health_mutex_);
-  void health_touch(std::size_t w) BACO_EXCLUDES(health_mutex_);
-  void health_dispatch(std::size_t w) BACO_EXCLUDES(health_mutex_);
-  void health_reply(std::size_t w) BACO_EXCLUDES(health_mutex_);
-  void health_result(std::size_t w, double latency_s)
-      BACO_EXCLUDES(health_mutex_);
-  void health_heartbeat(std::size_t w) BACO_EXCLUDES(health_mutex_);
-  void health_dead(std::size_t w) BACO_EXCLUDES(health_mutex_);
-  /** Workers holding outstanding work silent past the grace window. */
-  std::vector<std::size_t> stale_workers() const
-      BACO_EXCLUDES(health_mutex_);
-
   CoordinatorOptions opt_;
+  /** This coordinator's registry source (see report()). */
+  std::uint64_t metrics_source_ = 0;
 
   /**
-   * The scheduler mutex: guards the worker table's mutable dispatch
-   * state, the run table and the dispatch-id map. Reader threads and
+   * The scheduler mutex: guards the worker records (dispatch state and
+   * health), the run table and the dispatch-id map. Reader threads and
    * driver threads meet here; per-run condition variables (inside
    * RunState) and the admission/shutdown CVs all wait on it.
    */
@@ -371,10 +360,6 @@ class Coordinator {
   CondVar admission_cv_;
   /** Signaled on goodbye frames and reader exits during shutdown(). */
   CondVar shutdown_cv_;
-
-  mutable Mutex health_mutex_;
-  /** Index-parallel with workers_. */
-  std::vector<HealthState> health_ BACO_GUARDED_BY(health_mutex_);
 };
 
 /**

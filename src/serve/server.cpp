@@ -16,15 +16,17 @@ namespace baco::serve {
 
 namespace {
 
-/**
- * Live request totals across every connection (the Acceptor's
- * AcceptorStats aggregates only finished connections, so the stats
- * frame reports these registry counters for an always-current view).
- */
+/** Connection and accept-loop instrumentation handles, registered once
+ *  per process. */
 struct ConnMetrics {
   obs::Counter& requests = counter("serve.requests_total");
   obs::Counter& errors = counter("serve.errors_total");
   obs::Counter& connections = counter("serve.connections_total");
+  obs::Counter& accepted = counter("acceptor.accepted_total");
+  obs::Counter& workers_attached = counter("acceptor.workers_attached_total");
+  obs::Counter& rejected = counter("acceptor.rejected_total");
+  obs::Gauge& live_clients = gauge("acceptor.live_clients");
+  obs::Gauge& peak_clients = gauge("acceptor.peak_clients");
 
   static ConnMetrics& get()
   {
@@ -37,94 +39,22 @@ struct ConnMetrics {
   {
       return obs::MetricsRegistry::global().counter(name);
   }
+  static obs::Gauge& gauge(const char* name)
+  {
+      return obs::MetricsRegistry::global().gauge(name);
+  }
 };
 
-/** The server-wide stats_report: global registry + registry/acceptor
- *  totals (an empty-session stats request). */
+/** The server-wide stats_report (an empty-session stats request): one
+ *  registry snapshot. */
 Message
-handle_server_stats(const Message& req, const ServerContext& ctx)
+handle_server_stats(const Message& req)
 {
     Message reply;
     reply.type = MsgType::kStatsReport;
     reply.id = req.id;
     reply.stats_version = kStatsVersion;
     append_stats(obs::MetricsRegistry::global().snapshot(), reply.stats);
-    reply.stats.push_back(stat_gauge(
-        "sessions.live", static_cast<double>(ctx.sessions->size())));
-    reply.stats.push_back(stat_gauge(
-        "sessions.spilled",
-        static_cast<double>(ctx.sessions->spilled_sessions())));
-    reply.stats.push_back(stat_counter(
-        "sessions.spill_total",
-        static_cast<double>(ctx.sessions->spill_count())));
-    reply.stats.push_back(stat_counter(
-        "sessions.reload_total",
-        static_cast<double>(ctx.sessions->reload_count())));
-    if (ctx.acceptor) {
-        AcceptorStats a = ctx.acceptor->stats();
-        reply.stats.push_back(stat_counter(
-            "acceptor.accepted_total", static_cast<double>(a.accepted)));
-        reply.stats.push_back(
-            stat_counter("acceptor.workers_attached_total",
-                         static_cast<double>(a.workers_attached)));
-        reply.stats.push_back(stat_counter(
-            "acceptor.rejected_total", static_cast<double>(a.rejected)));
-        reply.stats.push_back(stat_counter(
-            "acceptor.finished_requests_total",
-            static_cast<double>(a.requests)));
-        reply.stats.push_back(stat_counter(
-            "acceptor.finished_errors_total",
-            static_cast<double>(a.errors)));
-        reply.stats.push_back(stat_gauge(
-            "acceptor.peak_clients", static_cast<double>(a.peak_clients)));
-        reply.stats.push_back(stat_gauge(
-            "acceptor.live_clients",
-            static_cast<double>(ctx.acceptor->live_clients())));
-    }
-    if (ctx.coordinator) {
-        // Per-run scheduler counters: one gauge triple per active run,
-        // so a stats poll shows who is on the fleet right now.
-        std::vector<RunStatsSnapshot> runs = ctx.coordinator->run_stats();
-        reply.stats.push_back(stat_gauge(
-            "coord.runs.active.now", static_cast<double>(runs.size())));
-        for (const RunStatsSnapshot& r : runs) {
-            std::string prefix = "coord.run." + std::to_string(r.run) + ".";
-            reply.stats.push_back(stat_gauge(
-                prefix + "inflight", static_cast<double>(r.inflight)));
-            reply.stats.push_back(stat_gauge(
-                prefix + "queued", static_cast<double>(r.queued)));
-            reply.stats.push_back(stat_counter(
-                prefix + "landed", static_cast<double>(r.landed)));
-        }
-        // Fleet health from the WorkerHealth registry (its own mutex, so
-        // this is safe while sharded runs are in flight). State is
-        // encoded numerically: 2 alive, 1 slow, 0 dead.
-        double alive = 0.0;
-        double slow = 0.0;
-        for (const WorkerHealthSnapshot& h : ctx.coordinator->health()) {
-            std::string prefix =
-                "coord.worker." + std::to_string(h.worker) + ".";
-            double state = h.state == "alive" ? 2.0
-                           : h.state == "slow" ? 1.0
-                                               : 0.0;
-            alive += h.state != "dead" ? 1.0 : 0.0;
-            slow += h.state == "slow" ? 1.0 : 0.0;
-            reply.stats.push_back(stat_gauge(prefix + "state", state));
-            reply.stats.push_back(stat_gauge(
-                prefix + "inflight", static_cast<double>(h.inflight)));
-            reply.stats.push_back(stat_counter(
-                prefix + "completed", static_cast<double>(h.completed)));
-            reply.stats.push_back(stat_counter(
-                prefix + "heartbeats",
-                static_cast<double>(h.heartbeats)));
-            reply.stats.push_back(
-                stat_gauge(prefix + "ewma_latency_s", h.ewma_latency_s));
-            reply.stats.push_back(
-                stat_gauge(prefix + "last_seen_s", h.last_seen_s));
-        }
-        reply.stats.push_back(stat_gauge("coord.fleet.alive", alive));
-        reply.stats.push_back(stat_gauge("coord.fleet.slow", slow));
-    }
     return reply;
 }
 
@@ -262,7 +192,7 @@ serve_connection(Transport& transport, const ServerContext& ctx,
 
         Message reply;
         if (req.type == MsgType::kStats && req.session.empty()) {
-            reply = handle_server_stats(req, ctx);
+            reply = handle_server_stats(req);
         } else if (req.type == MsgType::kRun) {
             try {
                 reply = handle_run(req, ctx, transport);
@@ -305,9 +235,6 @@ Acceptor::Acceptor(Listener listener, ServerContext ctx, AcceptorOptions opt)
         opt_.max_clients = 1;
     if (opt_.poll_ms < 1)
         opt_.poll_ms = 1;
-    // Connections report the acceptor's aggregation in the server-wide
-    // stats frame.
-    ctx_.acceptor = this;
 }
 
 Acceptor::~Acceptor()
@@ -327,28 +254,17 @@ std::size_t
 Acceptor::live_clients() const
 {
     MutexLock lock(mutex_);
-    std::size_t live = 0;
-    for (const auto& c : connections_)
-        if (c->is_client.load() && !c->done.load())
-            ++live;
-    return live;
-}
-
-AcceptorStats
-Acceptor::stats() const
-{
-    MutexLock lock(mutex_);
-    return stats_;
+    return clients_;
 }
 
 void
 Acceptor::reap(bool all)
 {
     // Joining with mutex_ held would deadlock against a connection
-    // thread recording its stats, so move the finished (or, on
+    // thread releasing its client slot, so move the finished (or, on
     // shutdown, every) connection out first and join unlocked. A
-    // thread's done flag is set strictly after its stats section, so a
-    // done connection never touches the mutex again.
+    // thread's done flag is set strictly after that release, so a done
+    // connection never touches the mutex again.
     std::vector<std::unique_ptr<Connection>> finished;
     {
         MutexLock lock(mutex_);
@@ -444,22 +360,18 @@ Acceptor::route_connection(Connection* conn)
                 std::make_unique<SharedTransport>(conn->transport),
                 hello.capacity, hello.heartbeat_ms);
             conn->released.store(true);
-            MutexLock lock(mutex_);
-            stats_.workers_attached += 1;
+            ConnMetrics::get().workers_attached.add();
             conn->done.store(true);
             return;
         }
     } else {
         // A session client (or a first frame serve_connection will
         // answer with an error): admit it against the client cap.
+        ConnMetrics& m = ConnMetrics::get();
         MutexLock lock(mutex_);
-        std::size_t live = 0;
-        for (const auto& c : connections_)
-            if (c->is_client.load() && !c->done.load())
-                ++live;
-        if (live >= static_cast<std::size_t>(opt_.max_clients)) {
-            stats_.rejected += 1;
+        if (clients_ >= static_cast<std::size_t>(opt_.max_clients)) {
             lock.unlock();
+            m.rejected.add();
             obs::log_warn("serve", "client_rejected",
                           obs::LogFields()
                               .str("reason", "server_full")
@@ -470,26 +382,23 @@ Acceptor::route_connection(Connection* conn)
             conn->done.store(true);
             return;
         }
-        conn->is_client.store(true);
-        stats_.accepted += 1;
-        stats_.peak_clients = std::max<std::uint64_t>(stats_.peak_clients,
-                                                      live + 1);
+        const std::size_t live = ++clients_;
         lock.unlock();
+        m.accepted.add();
+        m.live_clients.add(1.0);
+        m.peak_clients.set_max(static_cast<double>(live));
 
-        ServeStats s = serve_connection(transport, ctx_, hello);
+        serve_connection(transport, ctx_, hello);
+        m.live_clients.add(-1.0);
         MutexLock guard(mutex_);
-        stats_.requests += s.requests;
-        stats_.errors += s.errors;
+        clients_ -= 1;
         conn->done.store(true);
         return;
     }
 
     if (!reject.empty())
         transport.send(encode(make_error(0, reject)));
-    {
-        MutexLock lock(mutex_);
-        stats_.rejected += 1;
-    }
+    ConnMetrics::get().rejected.add();
     conn->done.store(true);
 }
 

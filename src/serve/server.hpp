@@ -30,6 +30,14 @@
  * error frame; with a checkpoint directory its session is then reloaded
  * on its next request, which tells the run's in-flight work first (see
  * session_manager.hpp).
+ *
+ * A stats request without a session name is answered with one
+ * obs::MetricsRegistry snapshot, entry for entry: connection and accept
+ * loop counters (serve.*, acceptor.*), session registry gauges and
+ * spill/reload counts (sessions.*), and the coordinator's live runs and
+ * workers (coord.*) all live in the registry, so the stats frame,
+ * baco_serve's --metrics-file lines and its shutdown log read the same
+ * numbers.
  */
 
 #include <atomic>
@@ -44,7 +52,6 @@
 
 namespace baco::serve {
 
-class Acceptor;
 class Coordinator;
 struct Message;
 
@@ -53,12 +60,6 @@ struct ServerContext {
   SessionManager* sessions = nullptr;
   /** Optional worker fleet for server-side run requests (not owned). */
   Coordinator* coordinator = nullptr;
-  /**
-   * The accept loop this connection belongs to (not owned; null for a
-   * single-connection server). Lets the server-wide stats frame report
-   * the acceptor's per-connection aggregation.
-   */
-  Acceptor* acceptor = nullptr;
   /** Treat every run request as async (baco_serve --async). */
   bool async_runs = false;
 };
@@ -95,23 +96,13 @@ struct AcceptorOptions {
   int hello_timeout_ms = 10000;
 };
 
-/** Aggregate accept-loop counters (finished connections included). */
-struct AcceptorStats {
-  std::uint64_t accepted = 0;          ///< session connections served
-  std::uint64_t workers_attached = 0;  ///< role=worker hellos routed
-  std::uint64_t rejected = 0;  ///< over max_clients / bad first frame
-  std::uint64_t requests = 0;  ///< summed over finished connections
-  std::uint64_t errors = 0;    ///< summed over finished connections
-  std::uint64_t peak_clients = 0;
-};
-
 /**
  * The multi-client accept loop: every accepted connection introduces
  * itself with its hello frame — session clients get their own
  * serve_connection thread against the shared SessionManager; worker
  * hellos (role=worker) are attached to the shared Coordinator, growing
  * the evaluation fleet at runtime (including a worker re-registering
- * after a heartbeat death). The session registry is lock-striped and
+ * after a heartbeat death). Sessions lock one at a time and
  * the Coordinator multiplexes concurrent fleet-driven runs over the
  * shared workers (fair scheduling + admission control), so any number
  * of clients can tune concurrently against one server without
@@ -127,6 +118,11 @@ struct AcceptorStats {
  * POSIX signal handler (it only flips an atomic and shuts the listener
  * down); run() then closes every live connection, joins its threads and
  * returns. Destroy the Acceptor only after run() has returned.
+ *
+ * Its counts are registry metrics: acceptor.accepted_total,
+ * acceptor.workers_attached_total and acceptor.rejected_total (connections
+ * refused for the client cap or a bad first frame), the
+ * acceptor.live_clients gauge and its acceptor.peak_clients high-water.
  */
 class Acceptor {
  public:
@@ -146,15 +142,13 @@ class Acceptor {
   /** The listening address (TCP port resolved after ephemeral bind). */
   const SocketAddress& address() const { return listener_.address(); }
 
-  AcceptorStats stats() const;
+  /** Session connections being served (counted against max_clients). */
   std::size_t live_clients() const;
 
  private:
   struct Connection {
     std::shared_ptr<Transport> transport;
     std::thread thread;
-    /** Counted against max_clients (post-hello session connections). */
-    std::atomic<bool> is_client{false};
     /** Transport ownership moved on (worker attach): reap won't close. */
     std::atomic<bool> released{false};
     std::atomic<bool> done{false};
@@ -172,7 +166,7 @@ class Acceptor {
   mutable Mutex mutex_;
   std::vector<std::unique_ptr<Connection>> connections_
       BACO_GUARDED_BY(mutex_);
-  AcceptorStats stats_ BACO_GUARDED_BY(mutex_);
+  std::size_t clients_ BACO_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace baco::serve

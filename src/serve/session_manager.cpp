@@ -23,6 +23,10 @@ struct ServeMetrics {
   obs::Histogram& observe = hist("serve.observe_seconds");
   obs::Histogram& spill = hist("serve.spill_seconds");
   obs::Histogram& reload = hist("serve.reload_seconds");
+  obs::Counter& spill_total = counter("sessions.spill_total");
+  obs::Counter& reload_total = counter("sessions.reload_total");
+  obs::Gauge& live = gauge("sessions.live");
+  obs::Gauge& spilled = gauge("sessions.spilled");
 
   static ServeMetrics& get()
   {
@@ -35,7 +39,21 @@ struct ServeMetrics {
   {
       return obs::MetricsRegistry::global().histogram(name);
   }
+  static obs::Counter& counter(const char* name)
+  {
+      return obs::MetricsRegistry::global().counter(name);
+  }
+  static obs::Gauge& gauge(const char* name)
+  {
+      return obs::MetricsRegistry::global().gauge(name);
+  }
 };
+
+double
+seconds_since(Clock::time_point start)
+{
+    return std::chrono::duration<double>(Clock::now() - start).count();
+}
 
 /** The ok frame reporting a session's progress. */
 Message
@@ -51,6 +69,11 @@ ok_reply(std::uint64_t id, std::uint64_t evals, double best)
 
 }  // namespace
 
+struct SessionManager::Latency {
+  obs::Histogram suggest;
+  obs::Histogram observe;
+};
+
 struct SessionManager::Session {
   Session(std::string session_name, Study s)
       : name(std::move(session_name)), study(std::move(s))
@@ -61,7 +84,7 @@ struct SessionManager::Session {
   // held lock to its caller through a std::unique_lock out-parameter — a
   // dynamic ownership transfer the static analysis cannot express. The
   // session-level discipline stays TSAN's job; everything registry-level
-  // (stripes, spill state) is statically checked. Whoever removes a
+  // (the name maps) is statically checked. Whoever removes a
   // session from the registry holds this mutex, so its holder sees stable
   // membership.
   std::mutex mutex;
@@ -72,25 +95,11 @@ struct SessionManager::Session {
    *  starts at the history's size: nothing is told while it is out. */
   std::vector<Configuration> pending;
 
-  /**
-   * Per-session request latencies, served back over the stats frame.
-   * The live histograms die with the study on spill, so each spill
-   * folds their snapshot into the *_base totals (carried through the
-   * spill metadata); session_stats reports base merged with current,
-   * i.e. lifetime counts across every incarnation.
-   */
-  obs::Histogram suggest_hist;
-  obs::Histogram observe_hist;
-  obs::HistogramSnapshot suggest_base;
-  obs::HistogramSnapshot observe_base;
+  /** Request latencies, served back over the stats frame; a spill hands
+   *  them to the spilled record and a reload takes them back. */
+  std::shared_ptr<Latency> latency = std::make_shared<Latency>();
 
   Clock::time_point last_touch = Clock::now();
-};
-
-struct SessionManager::Stripe {
-  mutable Mutex mutex;
-  std::unordered_map<std::string, std::shared_ptr<Session>> sessions
-      BACO_GUARDED_BY(mutex);
 };
 
 bool
@@ -109,32 +118,26 @@ valid_session_name(const std::string& name)
 
 SessionManager::SessionManager(SessionManagerOptions opt) : opt_(opt)
 {
-    if (opt_.stripes < 1)
-        opt_.stripes = 1;
-    stripes_ = std::make_unique<Stripe[]>(
-        static_cast<std::size_t>(opt_.stripes));
     // Best-effort creation of the (single-level) checkpoint directory;
     // a still-unwritable path surfaces as an error on the first observe.
     if (!opt_.checkpoint_dir.empty())
         ::mkdir(opt_.checkpoint_dir.c_str(), 0777);
 }
 
-SessionManager::~SessionManager() = default;
-
-SessionManager::Stripe&
-SessionManager::stripe_for(const std::string& name) const
+SessionManager::~SessionManager()
 {
-    std::size_t h = std::hash<std::string>{}(name);
-    return stripes_[h % static_cast<std::size_t>(opt_.stripes)];
+    // The gauges are process-wide totals: take this manager's share out.
+    MutexLock lock(mutex_);
+    ServeMetrics::get().live.add(-static_cast<double>(sessions_.size()));
+    ServeMetrics::get().spilled.add(-static_cast<double>(spilled_.size()));
 }
 
 std::shared_ptr<SessionManager::Session>
 SessionManager::find(const std::string& name) const
 {
-    Stripe& s = stripe_for(name);
-    MutexLock lock(s.mutex);
-    auto it = s.sessions.find(name);
-    return it == s.sessions.end() ? nullptr : it->second;
+    MutexLock lock(mutex_);
+    auto it = sessions_.find(name);
+    return it == sessions_.end() ? nullptr : it->second;
 }
 
 std::shared_ptr<SessionManager::Session>
@@ -172,7 +175,7 @@ SessionManager::tell_in_flight(const std::shared_ptr<Session>& session,
         // The checkpoint on disk still holds the work in flight, so the
         // retried open or the next request tells it again.
         if (reloaded)
-            park(session);
+            park(session, Clock::now());
         else
             unpublish(session);
         throw;
@@ -182,17 +185,18 @@ SessionManager::tell_in_flight(const std::shared_ptr<Session>& session,
 std::shared_ptr<SessionManager::Session>
 SessionManager::find_or_reload(const std::string& name)
 {
+    ServeMetrics& m = ServeMetrics::get();
     for (;;) {
-        if (std::shared_ptr<Session> session = find(name))
-            return session;
-
         SpilledSession meta;
         {
-            MutexLock lock(spill_mutex_);
-            auto it = spilled_.find(name);
-            if (it == spilled_.end())
+            MutexLock lock(mutex_);
+            auto it = sessions_.find(name);
+            if (it != sessions_.end())
+                return it->second;
+            auto sit = spilled_.find(name);
+            if (sit == spilled_.end())
                 return nullptr;
-            meta = it->second;
+            meta = sit->second;
         }
 
         // Rebuild outside all locks (registry + restore can be slow),
@@ -200,18 +204,16 @@ SessionManager::find_or_reload(const std::string& name)
         // session continues bit-for-bit. A missing checkpoint file means
         // the session was spilled before it ever observed anything: the
         // fresh study IS the correct state.
-        obs::ScopedTimer reload_timer(ServeMetrics::get().reload,
-                                      "serve.reload", "serve");
+        obs::Span span("serve.reload", "serve");
+        const Clock::time_point started = Clock::now();
         std::shared_ptr<Session> session = build_session(
             name, meta.benchmark, meta.method, meta.spec, /*resume=*/true);
         std::unique_lock<std::mutex> session_lock(session->mutex);
-        Stripe& stripe = stripe_for(name);
         {
-            MutexLock lock(stripe.mutex);
-            auto it = stripe.sessions.find(name);
-            if (it != stripe.sessions.end())
+            MutexLock lock(mutex_);
+            auto it = sessions_.find(name);
+            if (it != sessions_.end())
                 return it->second;  // a concurrent reload won the race
-            MutexLock spill_lock(spill_mutex_);
             auto sit = spilled_.find(name);
             if (sit == spilled_.end())
                 return nullptr;  // closed while we were rebuilding
@@ -219,13 +221,15 @@ SessionManager::find_or_reload(const std::string& name)
                 continue;  // reloaded AND re-spilled since we read the
                            // checkpoint: ours is stale — rebuild from
                            // the newer one
+            session->latency = std::move(sit->second.latency);
             spilled_.erase(sit);
-            ++reload_count_;
-            session->suggest_base = meta.suggest_hist;
-            session->observe_base = meta.observe_hist;
-            stripe.sessions.emplace(name, session);
+            sessions_.emplace(name, session);
+            m.spilled.add(-1.0);
+            m.live.add(1.0);
         }
         tell_in_flight(session, /*reloaded=*/true);
+        m.reload.record(seconds_since(started));
+        m.reload_total.add();
         obs::log_info("serve", "session_reloaded",
                       obs::LogFields().str("session", name).num(
                           "evals", session->study.tuner().history().size()));
@@ -259,20 +263,21 @@ SessionManager::acquire(const std::string& name,
 void
 SessionManager::unpublish(const std::shared_ptr<Session>& session)
 {
-    Stripe& stripe = stripe_for(session->name);
-    MutexLock lock(stripe.mutex);
-    auto it = stripe.sessions.find(session->name);
-    if (it != stripe.sessions.end() && it->second == session)
-        stripe.sessions.erase(it);
+    MutexLock lock(mutex_);
+    auto it = sessions_.find(session->name);
+    if (it != sessions_.end() && it->second == session) {
+        sessions_.erase(it);
+        ServeMetrics::get().live.add(-1.0);
+    }
 }
 
 bool
-SessionManager::park(const std::shared_ptr<Session>& session)
+SessionManager::park(const std::shared_ptr<Session>& session,
+                     Clock::time_point started)
 {
-    Stripe& stripe = stripe_for(session->name);
-    MutexLock lock(stripe.mutex);
-    auto it = stripe.sessions.find(session->name);
-    if (it == stripe.sessions.end() || it->second != session)
+    MutexLock lock(mutex_);
+    auto it = sessions_.find(session->name);
+    if (it == sessions_.end() || it->second != session)
         return false;  // closed meanwhile
     Study& study = session->study;
     const TuningHistory& history = study.tuner().history();
@@ -283,19 +288,15 @@ SessionManager::park(const std::shared_ptr<Session>& session)
     meta.evals = history.size();
     meta.best = history.best_value;
     meta.spilled_at = Clock::now();
-    // Fold this incarnation's request latencies into the lifetime
-    // totals before the histograms die with the session object.
-    meta.suggest_hist = session->suggest_base;
-    meta.suggest_hist.merge(session->suggest_hist.snapshot());
-    meta.observe_hist = session->observe_base;
-    meta.observe_hist.merge(session->observe_hist.snapshot());
-    {
-        MutexLock spill_lock(spill_mutex_);
-        meta.generation = ++spill_generation_;
-        spilled_.emplace(session->name, std::move(meta));
-        ++spill_count_;
-    }
-    stripe.sessions.erase(it);
+    meta.latency = session->latency;
+    meta.generation = ++spill_generation_;
+    spilled_.emplace(session->name, std::move(meta));
+    sessions_.erase(it);
+    ServeMetrics& m = ServeMetrics::get();
+    m.live.add(-1.0);
+    m.spilled.add(1.0);
+    m.spill.record(seconds_since(started));
+    m.spill_total.add();
     obs::log_info("serve", "session_spilled",
                   obs::LogFields().str("session", session->name).num(
                       "evals", history.size()));
@@ -315,15 +316,15 @@ SessionManager::spill_one(const std::string& name)
     if (!guard.owns_lock() || !session->pending.empty() ||
         find(name) != session)
         return false;
-    obs::ScopedTimer spill_timer(ServeMetrics::get().spill, "serve.spill",
-                                 "serve");
+    obs::Span span("serve.spill", "serve");
+    const Clock::time_point started = Clock::now();
     // The session mutex already excludes concurrent mutation, so the
-    // checkpoint I/O runs without the stripe lock — the stripe's other
-    // sessions keep serving during the disk write. (Holding a session
-    // mutex while taking a stripe mutex is the established order:
-    // acquire() does the same; stripe holders only ever try_lock
-    // sessions, so the inverse never blocks.)
-    return session->study.save() && park(session);
+    // checkpoint I/O runs without the map lock — other sessions keep
+    // serving during the disk write. (Holding a session mutex while
+    // taking the map mutex is the established order: acquire() does the
+    // same; map holders only ever try_lock sessions, so the inverse
+    // never blocks.)
+    return session->study.save() && park(session, started);
 }
 
 void
@@ -340,10 +341,9 @@ SessionManager::enforce_live_cap()
     // that became busy since the snapshot are skipped — the next open
     // or reload enforces again.
     std::vector<std::pair<Clock::time_point, std::string>> candidates;
-    for (int s = 0; s < opt_.stripes; ++s) {
-        Stripe& stripe = stripes_[s];
-        MutexLock lock(stripe.mutex);
-        for (auto& [name, session] : stripe.sessions) {
+    {
+        MutexLock lock(mutex_);
+        for (auto& [name, session] : sessions_) {
             std::unique_lock<std::mutex> guard(session->mutex,
                                                std::try_to_lock);
             if (guard.owns_lock() && session->pending.empty())
@@ -400,23 +400,20 @@ SessionManager::open_session(const Message& req)
 
     // Locked before it is published, so no other request reaches the
     // session before its in-flight evaluations are told. (Session before
-    // stripe is the established lock order; see spill_one.)
+    // map is the established lock order; see spill_one.)
     std::unique_lock<std::mutex> session_lock(session->mutex);
-    Stripe& stripe = stripe_for(req.session);
     {
-        MutexLock lock(stripe.mutex);
-        if (stripe.sessions.count(req.session))
+        MutexLock lock(mutex_);
+        if (sessions_.count(req.session))
             return make_error(req.id,
                               "session already open: " + req.session);
-        {
-            // A spilled session is still open — only disk-resident.
-            MutexLock spill_lock(spill_mutex_);
-            if (spilled_.count(req.session))
-                return make_error(req.id, "session already open "
-                                          "(spilled to disk): " +
-                                              req.session);
-        }
-        stripe.sessions.emplace(req.session, session);
+        // A spilled session is still open — only disk-resident.
+        if (spilled_.count(req.session))
+            return make_error(req.id, "session already open "
+                                      "(spilled to disk): " +
+                                          req.session);
+        sessions_.emplace(req.session, session);
+        ServeMetrics::get().live.add(1.0);
     }
     // A fresh session owns its name's checkpoint from here on. A file an
     // earlier session of that name left must not become its resume point
@@ -448,7 +445,7 @@ SessionManager::suggest(const Message& req)
         return make_error(req.id, "no such session: " + req.session);
     session->last_touch = Clock::now();
 
-    obs::ScopedTimer session_timer(session->suggest_hist);
+    obs::ScopedTimer session_timer(session->latency->suggest);
     obs::ScopedTimer serve_timer(ServeMetrics::get().suggest,
                                  "serve.suggest", "serve");
     if (session->pending.empty())
@@ -472,7 +469,7 @@ SessionManager::observe(const Message& req)
         return make_error(req.id, "no such session: " + req.session);
     session->last_touch = Clock::now();
 
-    obs::ScopedTimer session_timer(session->observe_hist);
+    obs::ScopedTimer session_timer(session->latency->observe);
     obs::ScopedTimer serve_timer(ServeMetrics::get().observe,
                                  "serve.observe", "serve");
     if (session->pending.empty())
@@ -546,19 +543,14 @@ SessionManager::checkpoint(const Message& req)
 Message
 SessionManager::close_session(const Message& req)
 {
-    Stripe& stripe = stripe_for(req.session);
     for (;;) {
         std::shared_ptr<Session> session;
         {
-            // Spills and reloads move a name between the two maps with
-            // the stripe mutex held, so holding it here gives an atomic
-            // view of both.
-            MutexLock lock(stripe.mutex);
-            auto it = stripe.sessions.find(req.session);
-            if (it != stripe.sessions.end()) {
+            MutexLock lock(mutex_);
+            auto it = sessions_.find(req.session);
+            if (it != sessions_.end()) {
                 session = it->second;
             } else {
-                MutexLock spill_lock(spill_mutex_);
                 auto sit = spilled_.find(req.session);
                 if (sit == spilled_.end())
                     return make_error(req.id,
@@ -568,10 +560,11 @@ SessionManager::close_session(const Message& req)
                 Message reply =
                     ok_reply(req.id, sit->second.evals, sit->second.best);
                 spilled_.erase(sit);
+                ServeMetrics::get().spilled.add(-1.0);
                 return reply;
             }
         }
-        // Locked before it is unpublished (session → stripe, as spill_one
+        // Locked before it is unpublished (session → map, as spill_one
         // does): a request or run holding the session finishes first, and
         // the name stays taken until the final save is written, so no
         // re-opened session can share the checkpoint file with this one.
@@ -618,16 +611,10 @@ SessionManager::session_stats(const Message& req)
         static_cast<double>(session->study.spec().budget)));
     reply.stats.push_back(stat_gauge(
         "session.pending", static_cast<double>(session->pending.size())));
-    // Lifetime latencies: spill folds the live histograms into the
-    // *_base totals, so base + current spans every incarnation.
-    obs::HistogramSnapshot suggest_all = session->suggest_base;
-    suggest_all.merge(session->suggest_hist.snapshot());
-    obs::HistogramSnapshot observe_all = session->observe_base;
-    observe_all.merge(session->observe_hist.snapshot());
-    reply.stats.push_back(
-        stat_histogram("session.suggest_seconds", suggest_all));
-    reply.stats.push_back(
-        stat_histogram("session.observe_seconds", observe_all));
+    reply.stats.push_back(stat_histogram("session.suggest_seconds",
+                                         session->latency->suggest.snapshot()));
+    reply.stats.push_back(stat_histogram("session.observe_seconds",
+                                         session->latency->observe.snapshot()));
     return reply;
 }
 
@@ -670,7 +657,7 @@ SessionManager::with_study(const std::string& name,
         // last checkpoint lists that work as pending: drop the live study
         // there, so the next request reloads the session and tells it.
         if (!opt_.checkpoint_dir.empty())
-            park(session);
+            park(session, Clock::now());
         throw;
     }
     session->last_touch = Clock::now();
@@ -680,34 +667,15 @@ SessionManager::with_study(const std::string& name,
 std::size_t
 SessionManager::size() const
 {
-    std::size_t n = 0;
-    for (int s = 0; s < opt_.stripes; ++s) {
-        Stripe& stripe = stripes_[s];
-        MutexLock lock(stripe.mutex);
-        n += stripe.sessions.size();
-    }
-    return n;
+    MutexLock lock(mutex_);
+    return sessions_.size();
 }
 
 std::size_t
 SessionManager::spilled_sessions() const
 {
-    MutexLock lock(spill_mutex_);
+    MutexLock lock(mutex_);
     return spilled_.size();
-}
-
-std::uint64_t
-SessionManager::spill_count() const
-{
-    MutexLock lock(spill_mutex_);
-    return spill_count_;
-}
-
-std::uint64_t
-SessionManager::reload_count() const
-{
-    MutexLock lock(spill_mutex_);
-    return reload_count_;
 }
 
 std::size_t
@@ -716,47 +684,42 @@ SessionManager::evict_idle()
     if (opt_.idle_timeout_seconds <= 0.0)
         return 0;
     auto now = Clock::now();
-    std::size_t evicted = 0;
-    {
-        // Spilled sessions are idle by construction (no live tuner);
-        // once past the timeout they are closed outright — checkpoint
-        // stays on disk, clients re-open with resume=true.
-        MutexLock lock(spill_mutex_);
-        for (auto it = spilled_.begin(); it != spilled_.end();) {
-            if (std::chrono::duration<double>(now - it->second.spilled_at)
+    std::size_t spilled = 0;
+    std::size_t live = 0;
+    MutexLock lock(mutex_);
+    // Spilled sessions are idle by construction (no live tuner); once
+    // past the timeout they are closed outright — checkpoint stays on
+    // disk, clients re-open with resume=true.
+    for (auto it = spilled_.begin(); it != spilled_.end();) {
+        if (std::chrono::duration<double>(now - it->second.spilled_at)
+                .count() > opt_.idle_timeout_seconds) {
+            it = spilled_.erase(it);
+            ++spilled;
+        } else {
+            ++it;
+        }
+    }
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+        // last_touch is written under the session mutex; a session whose
+        // mutex is held is mid-request — by definition not idle — so
+        // skipping on try_lock failure is both the race fix and the right
+        // policy. A session with a suggested-but-unobserved batch is
+        // mid-exchange (the client is off evaluating), not idle, no
+        // matter how stale last_touch is.
+        std::shared_ptr<Session> session = it->second;
+        std::unique_lock<std::mutex> guard(session->mutex, std::try_to_lock);
+        if (guard.owns_lock() && session->pending.empty() &&
+            std::chrono::duration<double>(now - session->last_touch)
                     .count() > opt_.idle_timeout_seconds) {
-                it = spilled_.erase(it);
-                ++evicted;
-            } else {
-                ++it;
-            }
+            it = sessions_.erase(it);
+            ++live;
+        } else {
+            ++it;
         }
     }
-    for (int s = 0; s < opt_.stripes; ++s) {
-        Stripe& stripe = stripes_[s];
-        MutexLock lock(stripe.mutex);
-        for (auto it = stripe.sessions.begin();
-             it != stripe.sessions.end();) {
-            // last_touch is written under the session mutex; a session
-            // whose mutex is held is mid-request — by definition not
-            // idle — so skipping on try_lock failure is both the race
-            // fix and the right policy. A session with a suggested-but-
-            // unobserved batch is mid-exchange (the client is off
-            // evaluating), not idle, no matter how stale last_touch is.
-            std::shared_ptr<Session> session = it->second;
-            std::unique_lock<std::mutex> guard(session->mutex,
-                                               std::try_to_lock);
-            if (guard.owns_lock() && session->pending.empty() &&
-                std::chrono::duration<double>(now - session->last_touch)
-                        .count() > opt_.idle_timeout_seconds) {
-                it = stripe.sessions.erase(it);
-                ++evicted;
-            } else {
-                ++it;
-            }
-        }
-    }
-    return evicted;
+    ServeMetrics::get().spilled.add(-static_cast<double>(spilled));
+    ServeMetrics::get().live.add(-static_cast<double>(live));
+    return spilled + live;
 }
 
 void
@@ -764,21 +727,18 @@ SessionManager::checkpoint_all()
 {
     if (opt_.checkpoint_dir.empty())
         return;
-    for (int s = 0; s < opt_.stripes; ++s) {
-        std::vector<std::shared_ptr<Session>> sessions;
-        {
-            Stripe& stripe = stripes_[s];
-            MutexLock lock(stripe.mutex);
-            for (auto& [name, session] : stripe.sessions)
-                sessions.push_back(session);
-        }
-        for (auto& session : sessions) {
-            // Only a session still published may write its file: a closed
-            // one's name may belong to a re-opened session by now.
-            std::lock_guard<std::mutex> lock(session->mutex);
-            if (session->pending.empty() && find(session->name) == session)
-                session->study.save();
-        }
+    std::vector<std::shared_ptr<Session>> sessions;
+    {
+        MutexLock lock(mutex_);
+        for (auto& [name, session] : sessions_)
+            sessions.push_back(session);
+    }
+    for (auto& session : sessions) {
+        // Only a session still published may write its file: a closed
+        // one's name may belong to a re-opened session by now.
+        std::lock_guard<std::mutex> lock(session->mutex);
+        if (session->pending.empty() && find(session->name) == session)
+            session->study.save();
     }
 }
 

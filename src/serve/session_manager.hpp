@@ -14,11 +14,12 @@
  * onto the study's ask()/tell() while enforcing the exchange's contract
  * (every suggested batch is observed, in order, before the next one).
  *
- * Concurrency: sessions live in a lock-striped registry — requests for
- * different sessions proceed in parallel, requests for one session
- * serialize on its own mutex. suggest() is idempotent: re-asking with a
- * batch outstanding returns the same batch, so a client that lost a
- * response can simply retry.
+ * Concurrency: one mutex guards the name maps (live and spilled) and is
+ * held only for lookups and moves between them; each session has its own
+ * mutex, so requests for different sessions proceed in parallel and
+ * requests for one session serialize. suggest() is idempotent: re-asking
+ * with a batch outstanding returns the same batch, so a client that lost
+ * a response can simply retry.
  *
  * An observe frame is checked against the outstanding batch (sizes,
  * configs in order, finite feasible values, a finite non-negative
@@ -64,7 +65,17 @@
  * memory. A spilled session is still "open" to the protocol: the next
  * request that names it transparently rebuilds the study with resume=true
  * (the open path, in-flight work included), possibly spilling another
- * session to make room, and closing it reads no checkpoint.
+ * session to make room, and closing it reads no checkpoint. A session's
+ * suggest/observe latency histograms move with it into the spilled
+ * record and back, so its stats frame counts every request of its life.
+ *
+ * Metrics (obs::MetricsRegistry::global()): the sessions.live and
+ * sessions.spilled gauges (process-wide totals), the sessions.spill_total
+ * and sessions.reload_total counters and the serve.spill_seconds and
+ * serve.reload_seconds histograms. A spill or reload is counted once,
+ * when it completes: every move of a live study to disk-only state is a
+ * spill (a failed checkpoint write is not), and a reload completes once
+ * its in-flight work is told.
  *
  * Closing a session waits for the request or run holding it, saves it,
  * and only then unpublishes its name, so a re-open of the name is
@@ -83,7 +94,6 @@
 
 #include "api/method_registry.hpp"
 #include "core/thread_annotations.hpp"
-#include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 
 namespace baco {
@@ -99,8 +109,6 @@ struct SessionManagerOptions {
   std::string checkpoint_dir;
   /** evict_idle() closes sessions untouched for longer; <= 0 never. */
   double idle_timeout_seconds = 0.0;
-  /** Lock stripes (bounded mutex contention across sessions). */
-  int stripes = 8;
   /** Optional shared evaluation cache (not owned). */
   EvalCache* cache = nullptr;
   /**
@@ -124,7 +132,7 @@ struct SessionInfo {
   double best = 0.0;
 };
 
-/** The lock-striped session registry behind the serve loop. */
+/** The session registry behind the serve loop. */
 class SessionManager {
  public:
   explicit SessionManager(SessionManagerOptions opt = SessionManagerOptions{});
@@ -164,10 +172,6 @@ class SessionManager {
   /** Sessions currently spilled to disk-only state. */
   std::size_t spilled_sessions() const;
 
-  /** Total spill / reload events (monotonic, for logs and tests). */
-  std::uint64_t spill_count() const;
-  std::uint64_t reload_count() const;
-
   /**
    * Evict sessions idle longer than idle_timeout_seconds. Sessions that
    * are mid-request or have a suggested-but-unobserved batch are never
@@ -185,7 +189,7 @@ class SessionManager {
 
  private:
   struct Session;
-  struct Stripe;
+  struct Latency;
 
   /** Everything needed to rebuild a spilled session's study. */
   struct SpilledSession {
@@ -203,18 +207,12 @@ class SessionManager {
      */
     std::uint64_t generation = 0;
     std::chrono::steady_clock::time_point spilled_at;
-    /**
-     * Lifetime request-latency totals, folded in at every spill (the
-     * live per-session histograms reset with the study). A reload
-     * re-attaches these as the session's base, so stats on a reloaded
-     * session reports counts across all its incarnations.
-     */
-    obs::HistogramSnapshot suggest_hist;
-    obs::HistogramSnapshot observe_hist;
+    /** The session's latency histograms, handed back on reload. */
+    std::shared_ptr<Latency> latency;
   };
 
-  Stripe& stripe_for(const std::string& name) const;
-  std::shared_ptr<Session> find(const std::string& name) const;
+  std::shared_ptr<Session> find(const std::string& name) const
+      BACO_EXCLUDES(mutex_);
   /** find(), reloading a spilled session from its checkpoint on miss. */
   std::shared_ptr<Session> find_or_reload(const std::string& name);
   /**
@@ -240,14 +238,17 @@ class SessionManager {
    */
   void tell_in_flight(const std::shared_ptr<Session>& session,
                       bool reloaded);
-  /** Drop a session from its stripe (when still the registered one). */
-  void unpublish(const std::shared_ptr<Session>& session);
+  /** Drop a session from the live map (when still the registered one). */
+  void unpublish(const std::shared_ptr<Session>& session)
+      BACO_EXCLUDES(mutex_);
   /**
    * Move a locked live session to the spilled map without writing (its
-   * checkpoint must already hold its resume point). False when it was
-   * no longer registered.
+   * checkpoint must already hold its resume point), counting a spill
+   * that began at `started`. False when it was no longer registered.
    */
-  bool park(const std::shared_ptr<Session>& session);
+  bool park(const std::shared_ptr<Session>& session,
+            std::chrono::steady_clock::time_point started)
+      BACO_EXCLUDES(mutex_);
   /** Spill least-recently-touched idle sessions down to the cap. */
   void enforce_live_cap();
   /** Save an idle session through its study, then park it. */
@@ -261,17 +262,17 @@ class SessionManager {
   Message session_stats(const Message& req);
 
   SessionManagerOptions opt_;
-  std::unique_ptr<Stripe[]> stripes_;
 
-  // Lock order: a Session's mutex may be held while taking a Stripe's
-  // mutex and then spill_mutex_ (park); stripe holders only ever
-  // try_lock sessions, so the inverse never blocks.
-  mutable Mutex spill_mutex_;
+  // Lock order: a Session's mutex may be held while taking mutex_;
+  // mutex_ holders only ever try_lock sessions, so the inverse never
+  // blocks. A name moves between the two maps with mutex_ held, so one
+  // lock gives an atomic view of both.
+  mutable Mutex mutex_;
+  std::unordered_map<std::string, std::shared_ptr<Session>> sessions_
+      BACO_GUARDED_BY(mutex_);
   std::unordered_map<std::string, SpilledSession> spilled_
-      BACO_GUARDED_BY(spill_mutex_);
-  std::uint64_t spill_count_ BACO_GUARDED_BY(spill_mutex_) = 0;
-  std::uint64_t reload_count_ BACO_GUARDED_BY(spill_mutex_) = 0;
-  std::uint64_t spill_generation_ BACO_GUARDED_BY(spill_mutex_) = 0;
+      BACO_GUARDED_BY(mutex_);
+  std::uint64_t spill_generation_ BACO_GUARDED_BY(mutex_) = 0;
 };
 
 /** True when name is a valid session name ([A-Za-z0-9_.-]+, <= 128). */

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <future>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -192,38 +193,56 @@ TEST(MetricsRegistry_, SnapshotAndDelta)
     EXPECT_NE(json.find("\"lat.count\": 2"), std::string::npos);
 }
 
-TEST(HistogramMerge, FoldsLifetimeTotalsAcrossResets)
+TEST(MetricsSource, ReportsLiveEntriesSortedUntilRemoved)
 {
-    // merge() is the inverse of delta_since: fold the pre-reset snapshot
-    // back in and the lifetime totals reappear — the mechanism session
-    // spill/reload uses to keep per-session stats monotonic.
-    Histogram first;
-    first.record(0.001);
-    first.record(0.010);
-    HistogramSnapshot base = first.snapshot();
+    MetricsRegistry registry;
+    registry.counter("b.events").add(2);
+    double level = 1.0;
+    std::uint64_t id =
+        registry.add_source([&level](std::vector<MetricValue>& out) {
+            out.push_back(MetricValue::gauge("a.level", level));
+            out.push_back(MetricValue::counter("c.seen", 3.0));
+        });
+    level = 5.0;  // read when the snapshot is taken
+    MetricsSnapshot s = registry.snapshot();
+    ASSERT_EQ(s.metrics.size(), 3u);
+    EXPECT_EQ(s.metrics[0].name, "a.level");
+    EXPECT_EQ(s.metrics[0].kind, MetricValue::Kind::kGauge);
+    EXPECT_EQ(s.metrics[0].value, 5.0);
+    EXPECT_EQ(s.metrics[1].name, "b.events");
+    EXPECT_EQ(s.metrics[2].name, "c.seen");
+    EXPECT_EQ(s.metrics[2].kind, MetricValue::Kind::kCounter);
 
-    Histogram second;  // the reloaded session's fresh histogram
-    second.record(0.100);
+    registry.remove_source(id);
+    s = registry.snapshot();
+    ASSERT_EQ(s.metrics.size(), 1u);
+    EXPECT_EQ(s.metrics[0].name, "b.events");
+}
 
-    HistogramSnapshot lifetime = base;
-    lifetime.merge(second.snapshot());
-    EXPECT_EQ(lifetime.count, 3u);
-    EXPECT_NEAR(lifetime.sum, 0.111, 1e-9);
-    EXPECT_NEAR(lifetime.min, 0.001, 1e-12);
-    EXPECT_NEAR(lifetime.max, 0.100, 1e-12);
-    std::uint64_t bucket_total = 0;
-    for (std::uint64_t b : lifetime.buckets)
-        bucket_total += b;
-    EXPECT_EQ(bucket_total, 3u);
-
-    // Merging an empty snapshot is a no-op in both directions.
-    HistogramSnapshot empty;
-    lifetime.merge(empty);
-    EXPECT_EQ(lifetime.count, 3u);
-    HistogramSnapshot from_empty;
-    from_empty.merge(lifetime);
-    EXPECT_EQ(from_empty.count, 3u);
-    EXPECT_NEAR(from_empty.min, 0.001, 1e-12);
+TEST(MetricsSource, RemoveWaitsForASnapshotCallingTheSource)
+{
+    MetricsRegistry registry;
+    std::promise<void> entered;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::uint64_t id =
+        registry.add_source([&](std::vector<MetricValue>&) {
+            entered.set_value();
+            released.wait();
+        });
+    std::thread reader([&registry] { registry.snapshot(); });
+    entered.get_future().wait();
+    std::atomic<bool> removed{false};
+    std::thread remover([&] {
+        registry.remove_source(id);
+        removed.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(removed.load());
+    release.set_value();
+    remover.join();
+    reader.join();
+    EXPECT_TRUE(removed.load());
 }
 
 TEST(ScopedTimerTest, RecordsElapsedSecondsIntoHistogram)

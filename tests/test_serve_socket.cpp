@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,6 +37,7 @@
 #include "serve/coordinator.hpp"
 #include "serve/server.hpp"
 #include "serve/session_manager.hpp"
+#include "serve/stats_util.hpp"
 #include "serve/transport.hpp"
 #include "serve/worker.hpp"
 
@@ -70,10 +74,11 @@ concurrent_clients_match_sequential(const std::string& listen_spec)
         /*seed2=*/32);
     EXPECT_TRUE(parity.ok) << parity.detail;
     EXPECT_EQ(parity.evals_per_client, static_cast<std::size_t>(budget));
-    EXPECT_EQ(parity.stats.accepted, 2u);
-    EXPECT_EQ(parity.stats.errors, 0u);
+    EXPECT_EQ(parity.metrics.value("acceptor.accepted_total"), 2.0);
+    EXPECT_EQ(parity.metrics.value("serve.errors_total"), 0.0);
     // Per client: open + close plus one suggest/observe pair per round.
-    EXPECT_GE(parity.stats.requests, 2u * (2 + budget / batch));
+    EXPECT_GE(parity.metrics.value("serve.requests_total"),
+              2.0 * (2 + budget / batch));
 }
 
 TEST(ServeSocket, ConcurrentUnixClientsMatchSequentialStdioRuns)
@@ -169,6 +174,8 @@ TEST(ServeSocket, MaxClientsRejectsTheExcessConnection)
     ctx.sessions = &sessions;
     AcceptorOptions opt;
     opt.max_clients = 1;
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::global().snapshot();
     Acceptor acceptor(std::move(listener), ctx, opt);
     std::thread server([&acceptor] { acceptor.run(); });
 
@@ -201,7 +208,9 @@ TEST(ServeSocket, MaxClientsRejectsTheExcessConnection)
 
     acceptor.stop();
     server.join();
-    EXPECT_EQ(acceptor.stats().rejected, 1u);
+    EXPECT_EQ(obs::MetricsRegistry::global().snapshot().delta_since(before)
+                  .value("acceptor.rejected_total"),
+              1.0);
 }
 
 TEST(ServeSocket, SessionsSpillAndReloadAcrossConcurrentClients)
@@ -223,6 +232,8 @@ TEST(ServeSocket, SessionsSpillAndReloadAcrossConcurrentClients)
     sopt.checkpoint_dir = ckpt_dir;
     sopt.max_live_sessions = 1;  // two sessions must ping-pong spill
     SessionManager sessions(sopt);
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::global().snapshot();
     ServerContext ctx;
     ctx.sessions = &sessions;
     Acceptor acceptor(std::move(listener), ctx);
@@ -295,8 +306,10 @@ TEST(ServeSocket, SessionsSpillAndReloadAcrossConcurrentClients)
     EXPECT_EQ(got2, ref2);
     // The cap is 1 and two sessions interleaved: reloads must have
     // happened, and the registry never ended above the cap.
-    EXPECT_GT(sessions.spill_count(), 0u);
-    EXPECT_GT(sessions.reload_count(), 0u);
+    const obs::MetricsSnapshot moved =
+        obs::MetricsRegistry::global().snapshot().delta_since(before);
+    EXPECT_GT(moved.value("sessions.spill_total"), 0.0);
+    EXPECT_GT(moved.value("sessions.reload_total"), 0.0);
     EXPECT_LE(sessions.size(), 1u);
 
     acceptor.stop();
@@ -323,7 +336,7 @@ TEST(ServeSocket, WorkerAttachedOverSocketServesRunRequests)
         ASSERT_TRUE(t);
         run_worker_loop(*t);
     });
-    while (acceptor.stats().workers_attached == 0)
+    while (coordinator.num_workers() == 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     ASSERT_EQ(coordinator.num_workers(), 1u);
 
@@ -565,6 +578,193 @@ TEST(ServeSocket, DeadWorkerDetectedViaMissedHeartbeats)
     healthy.join();
 }
 
+TEST(ServeSocket, StatsFrameIsOneBoundedRegistrySnapshot)
+{
+    std::string path = unique_unix_path("snapshot");
+    Listener listener;
+    ASSERT_TRUE(listener.open(*parse_socket_address("unix:" + path)));
+    SessionManagerOptions sopt;
+    sopt.checkpoint_dir = testing::TempDir() + "baco_snapshot_" +
+                          std::to_string(::getpid());
+    sopt.max_live_sessions = 1;
+    SessionManager sessions(sopt);
+    Coordinator coordinator;
+    ServerContext ctx;
+    ctx.sessions = &sessions;
+    ctx.coordinator = &coordinator;
+    Acceptor acceptor(std::move(listener), ctx);
+    std::thread server([&acceptor] { acceptor.run(); });
+
+    // The fleet: worker 0 answers evaluate frames from this test, which
+    // can hold them; worker 1 is killed at once and stays listed dead.
+    auto [held_end, held_side] = loopback_pair();
+    ASSERT_EQ(coordinator.add_worker_registered(std::move(held_side), 1), 0);
+    auto [dead_end, dead_side] = loopback_pair();
+    ASSERT_EQ(coordinator.add_worker_registered(std::move(dead_side), 1), 1);
+    dead_end->close();
+    while (coordinator.num_workers() != 1)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    std::mutex mu;
+    std::condition_variable cv;
+    bool hold = false;
+    int held = 0;
+    std::thread worker([&, t = held_end.get()] {
+        const Benchmark& bench = suite::find_benchmark(kBench);
+        std::string line;
+        Message m;
+        while (t->recv(line, -1) == RecvStatus::kOk && decode(line, m) &&
+               m.type == MsgType::kEvaluate) {
+            {
+                std::unique_lock<std::mutex> lock(mu);
+                ++held;
+                cv.notify_all();
+                cv.wait(lock, [&] { return !hold; });
+            }
+            EvalResult e = evaluate_on(bench, m.config, m.seed, m.index);
+            Message r;
+            r.type = MsgType::kResult;
+            r.id = m.id;
+            r.run = m.run;
+            r.index = m.index;
+            r.value = e.value;
+            r.feasible = e.feasible;
+            t->send(encode(r));
+        }
+    });
+
+    auto runner_t = connect_socket("unix:" + path);
+    auto stats_t = connect_socket("unix:" + path);
+    ASSERT_TRUE(runner_t && stats_t);
+    SessionClient runner(*runner_t);
+    SessionClient poller(*stats_t);
+    ASSERT_TRUE(runner.handshake());
+    ASSERT_TRUE(poller.handshake());
+    // Opening the second session spills the first (one live slot).
+    ASSERT_EQ(runner.open("parked", kBench, "Uniform", 8, 1).type,
+              MsgType::kOpened);
+    ASSERT_EQ(runner.open("live", kBench, "Uniform", 8, 2).type,
+              MsgType::kOpened);
+    ASSERT_EQ(sessions.spilled_sessions(), 1u);
+    auto async_run = [&runner] {
+        Message run;
+        run.type = MsgType::kRun;
+        run.session = "live";
+        run.n = 2;
+        run.budget = 2;
+        run.async = true;
+        return runner.rpc(std::move(run));
+    };
+    // A first run registers every metric a run touches, so the runs
+    // below add no new names of their own.
+    ASSERT_EQ(async_run().type, MsgType::kDone);
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::global().snapshot();
+
+    // An async run stuck with one evaluation on worker 0 and one queued.
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        hold = true;
+    }
+    Message done;
+    std::thread run_thread([&] { done = async_run(); });
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return held == 3; });
+    }
+    auto same_but_clock = [](const std::vector<StatEntry>& a,
+                             const std::vector<StatEntry>& b) {
+        if (a.size() != b.size())
+            return false;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            bool clock = a[i].name.find("last_seen_s") != std::string::npos;
+            if (a[i].name != b[i].name ||
+                (!clock && (a[i].value != b[i].value ||
+                            a[i].count != b[i].count)))
+                return false;
+        }
+        return true;
+    };
+    std::vector<StatEntry> settled;
+    for (int i = 0; i < 400; ++i) {
+        std::vector<StatEntry> now;
+        append_stats(obs::MetricsRegistry::global().snapshot(), now);
+        if (same_but_clock(now, settled))
+            break;
+        settled = std::move(now);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+
+    Message reply = poller.stats();
+    ASSERT_EQ(reply.type, MsgType::kStatsReport) << reply.text;
+    std::vector<StatEntry> snapshot;
+    append_stats(obs::MetricsRegistry::global().snapshot(), snapshot);
+    ASSERT_EQ(reply.stats.size(), snapshot.size());
+    for (std::size_t i = 0; i < snapshot.size(); ++i) {
+        const StatEntry& got = reply.stats[i];
+        const StatEntry& want = snapshot[i];
+        SCOPED_TRACE(want.name);
+        EXPECT_EQ(got.name, want.name);
+        EXPECT_EQ(got.kind, want.kind);
+        if (want.name.find("last_seen_s") != std::string::npos) {
+            // Seconds since the worker's last frame: read twice.
+            EXPECT_NEAR(got.value, want.value, 1.0);
+            continue;
+        }
+        EXPECT_EQ(got.value, want.value);
+        EXPECT_EQ(got.count, want.count);
+        EXPECT_EQ(got.sum, want.sum);
+        EXPECT_EQ(got.p50, want.p50);
+        EXPECT_EQ(got.p99, want.p99);
+    }
+    // The frame names the live run, both workers and both sessions.
+    auto value_of = [&reply](const std::string& name) {
+        for (const StatEntry& e : reply.stats)
+            if (e.name == name)
+                return e.value;
+        ADD_FAILURE() << "no stat " << name;
+        return -1.0;
+    };
+    std::string run_prefix;
+    for (const StatEntry& e : reply.stats)
+        if (e.name.rfind("coord.run.", 0) == 0 &&
+            e.name.find(".inflight") != std::string::npos)
+            run_prefix = e.name.substr(0, e.name.size() - 8);
+    ASSERT_FALSE(run_prefix.empty());
+    EXPECT_EQ(value_of(run_prefix + "inflight"), 1.0);
+    EXPECT_EQ(value_of(run_prefix + "queued"), 1.0);
+    EXPECT_EQ(value_of("coord.worker.0.state"), 2.0);
+    EXPECT_EQ(value_of("coord.worker.1.state"), 0.0);
+    EXPECT_EQ(value_of("coord.worker.alive"), 1.0);
+    EXPECT_GE(value_of("sessions.live"), 1.0);
+    EXPECT_GE(value_of("sessions.spilled"), 1.0);
+
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        hold = false;
+    }
+    cv.notify_all();
+    run_thread.join();
+    EXPECT_EQ(done.type, MsgType::kDone) << done.text;
+    EXPECT_EQ(done.evals, 4u);
+    EXPECT_EQ(runner.close("live").type, MsgType::kOk);
+    EXPECT_EQ(runner.close("parked").type, MsgType::kOk);
+
+    // The ended run left the registry with its entries; nothing grew.
+    const obs::MetricsSnapshot after =
+        obs::MetricsRegistry::global().snapshot();
+    for (const obs::MetricValue& m : after.metrics)
+        EXPECT_EQ(m.name.rfind(run_prefix, 0), std::string::npos) << m.name;
+    EXPECT_EQ(after.metrics.size(), before.metrics.size());
+
+    acceptor.stop();
+    server.join();
+    held_end->close();
+    worker.join();
+    coordinator.shutdown();
+    std::filesystem::remove_all(sopt.checkpoint_dir);
+}
+
 TEST(ServeSocket, MetricsIntervalFileAndSigusr1Dump)
 {
     if (::access("./baco_serve", X_OK) != 0)
@@ -649,7 +849,7 @@ TEST(ServeSocket, DistributedTraceMergesServerAndWorkerTracks)
         Message stats = client.stats();
         double fleet_alive = 0.0;
         for (const StatEntry& e : stats.stats) {
-            if (e.name == "coord.fleet.alive")
+            if (e.name == "coord.worker.alive")
                 fleet_alive = e.value;
         }
         if (fleet_alive >= 2.0)

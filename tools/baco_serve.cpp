@@ -37,18 +37,17 @@
 // methods (the names open_session and Study accept) and exits.
 //
 // Observability: --metrics-interval N appends one JSONL line with the
-// full metrics registry (counters, gauges, histogram percentiles) every
-// N seconds to --metrics-file (default stderr); SIGUSR1 triggers an
-// immediate dump at any time. Clients can also pull the same registry
-// over the wire with a stats frame (SessionClient::stats()).
-// --health-interval N appends one JSONL fleet-health line (per-worker
-// state/inflight/completed/EWMA latency from the coordinator's
-// WorkerHealth registry) every N seconds to --health-file. --trace FILE
-// records spans for the whole serving lifetime and exports one merged
-// Chrome timeline on shutdown — server spans on the "server" track plus
-// every span buffer the workers shipped back over the wire, each on its
-// own worker-N track. Status lines are structured events (JSONL on
-// stderr by default); --log-file redirects, --log-level filters.
+// full metrics registry (counters, gauges, histogram percentiles, and
+// the coordinator's per-run and per-worker entries) every N seconds to
+// --metrics-file (default stderr); SIGUSR1 triggers an immediate dump at
+// any time. Clients pull the same registry snapshot over the wire with a
+// stats frame (SessionClient::stats()), and the shutdown log reads it
+// too. --trace FILE records spans for the whole serving lifetime and
+// exports one merged Chrome timeline on shutdown — server spans on the
+// "server" track plus every span buffer the workers shipped back over
+// the wire, each on its own worker-N track. Status lines are structured
+// events (JSONL on stderr by default); --log-file redirects, --log-level
+// filters.
 //
 // Usage:
 //   baco_serve [--listen unix:PATH|tcp:HOST:PORT]
@@ -58,7 +57,6 @@
 //              [--workers N] [--worker-cmd CMD]
 //              [--idle-timeout SECONDS] [--async]
 //              [--metrics-interval SECONDS] [--metrics-file PATH]
-//              [--health-interval SECONDS] [--health-file PATH]
 //              [--trace FILE] [--log-file PATH] [--log-level LEVEL]
 //   baco_serve --selftest [benchmark]
 //   baco_serve --list
@@ -201,100 +199,6 @@ class MetricsPublisher {
 };
 
 /**
- * Background fleet-health publisher: every `interval` seconds appends
- * one JSONL line with the coordinator's WorkerHealth registry (safe
- * mid-run: health() has its own mutex) to `path` ("" or "-" = stderr).
- */
-class HealthPublisher {
- public:
-    void
-    start(baco::serve::Coordinator* coordinator, double interval_seconds,
-          std::string path)
-    {
-        if (!coordinator || interval_seconds <= 0)
-            return;
-        coordinator_ = coordinator;
-        interval_ = interval_seconds;
-        path_ = std::move(path);
-        start_time_ = std::chrono::steady_clock::now();
-        thread_ = std::thread([this] { loop(); });
-    }
-
-    void
-    stop()
-    {
-        if (!thread_.joinable())
-            return;
-        stop_.store(true);
-        thread_.join();
-    }
-
-    void
-    dump()
-    {
-        using std::chrono::duration;
-        using std::chrono::steady_clock;
-        double uptime =
-            duration<double>(steady_clock::now() - start_time_).count();
-        char head[96];
-        std::snprintf(head, sizeof head,
-                      "{\"ts\":%lld,\"uptime_s\":%.3f,\"workers\":[",
-                      static_cast<long long>(std::time(nullptr)), uptime);
-        std::string line = head;
-        bool first = true;
-        for (const baco::serve::WorkerHealthSnapshot& h :
-             coordinator_->health()) {
-            char entry[256];
-            std::snprintf(
-                entry, sizeof entry,
-                "%s{\"worker\":%d,\"state\":\"%s\",\"inflight\":%d,"
-                "\"completed\":%llu,\"heartbeats\":%llu,"
-                "\"ewma_latency_s\":%.6g,\"last_seen_s\":%.3f,"
-                "\"heartbeat_ms\":%d}",
-                first ? "" : ",", h.worker, h.state.c_str(), h.inflight,
-                static_cast<unsigned long long>(h.completed),
-                static_cast<unsigned long long>(h.heartbeats),
-                h.ewma_latency_s, h.last_seen_s, h.heartbeat_ms);
-            line += entry;
-            first = false;
-        }
-        line += "]}";
-        if (path_.empty() || path_ == "-") {
-            std::fprintf(stderr, "%s\n", line.c_str());
-            return;
-        }
-        if (FILE* f = std::fopen(path_.c_str(), "a")) {
-            std::fprintf(f, "%s\n", line.c_str());
-            std::fclose(f);
-        }
-    }
-
- private:
-    void
-    loop()
-    {
-        using std::chrono::duration;
-        using std::chrono::steady_clock;
-        auto last = steady_clock::now();
-        while (!stop_.load()) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
-            if (duration<double>(steady_clock::now() - last).count() >=
-                interval_) {
-                last = steady_clock::now();
-                dump();
-            }
-        }
-    }
-
-    std::atomic<bool> stop_{false};
-    std::thread thread_;
-    baco::serve::Coordinator* coordinator_ = nullptr;
-    double interval_ = 0.0;
-    std::string path_;
-    std::chrono::steady_clock::time_point start_time_;
-};
-
-/**
  * Socket leg: two clients tuning different sessions CONCURRENTLY over a
  * Unix socket against one acceptor must produce bit-for-bit the same
  * histories as two sequential single-connection (stdio-shaped) runs
@@ -408,8 +312,6 @@ main(int argc, char** argv)
     double idle_timeout = 0.0;
     double metrics_interval = 0.0;
     std::string metrics_file;
-    double health_interval = 0.0;
-    std::string health_file;
     std::string trace_file;
     std::string log_file;
     std::string log_level = "info";
@@ -444,10 +346,6 @@ main(int argc, char** argv)
             metrics_interval = std::atof(argv[++i]);
         } else if (arg == "--metrics-file" && i + 1 < argc) {
             metrics_file = argv[++i];
-        } else if (arg == "--health-interval" && i + 1 < argc) {
-            health_interval = std::atof(argv[++i]);
-        } else if (arg == "--health-file" && i + 1 < argc) {
-            health_file = argv[++i];
         } else if (arg == "--trace" && i + 1 < argc) {
             trace_file = argv[++i];
         } else if (arg == "--log-file" && i + 1 < argc) {
@@ -471,7 +369,6 @@ main(int argc, char** argv)
                          "[--workers N] [--worker-cmd CMD] "
                          "[--idle-timeout S] [--async] "
                          "[--metrics-interval S] [--metrics-file PATH] "
-                         "[--health-interval S] [--health-file PATH] "
                          "[--trace FILE] [--log-file PATH] "
                          "[--log-level LEVEL] | "
                          "--selftest [benchmark] | --list\n",
@@ -563,10 +460,7 @@ main(int argc, char** argv)
     MetricsPublisher metrics;
     metrics.start(metrics_interval, metrics_file);
     std::signal(SIGUSR1, dump_on_signal);
-    HealthPublisher health;
-    health.start(&coordinator, health_interval, health_file);
 
-    serve::ServeStats stats;
     if (!listen_spec.empty()) {
         // ---- Multi-client socket server. ----
         std::string error;
@@ -594,32 +488,29 @@ main(int argc, char** argv)
                                static_cast<std::int64_t>(max_sessions)));
         acceptor.run();
         g_acceptor = nullptr;
-        serve::AcceptorStats astats = acceptor.stats();
-        stats.requests = astats.requests;
-        stats.errors = astats.errors;
-        obs::log_info(
-            "serve", "acceptor_stopped",
-            obs::LogFields()
-                .num("connections", astats.accepted)
-                .num("peak_clients", astats.peak_clients)
-                .num("workers_attached", astats.workers_attached)
-                .num("rejected", astats.rejected)
-                .num("requests", astats.requests)
-                .num("errors", astats.errors)
-                .num("sessions_spilled", sessions.spill_count())
-                .num("sessions_reloaded", sessions.reload_count()));
     } else {
         // ---- Single connection on the standard streams. ----
         serve::PipeTransport stdio(0, 1, /*owns_fds=*/false);
-        stats = serve_connection(stdio, ctx);
+        serve_connection(stdio, ctx);
     }
 
     metrics.stop();
     if (metrics_interval > 0 || !metrics_file.empty())
         metrics.dump("shutdown");
-    health.stop();
-    if (health_interval > 0)
-        health.dump();
+    const obs::MetricsSnapshot served = obs::MetricsRegistry::global().snapshot();
+    if (!listen_spec.empty()) {
+        obs::log_info(
+            "serve", "acceptor_stopped",
+            obs::LogFields()
+                .num("connections", served.value("acceptor.accepted_total"))
+                .num("peak_clients", served.value("acceptor.peak_clients"))
+                .num("workers_attached",
+                     served.value("acceptor.workers_attached_total"))
+                .num("rejected", served.value("acceptor.rejected_total"))
+                .num("sessions_spilled", served.value("sessions.spill_total"))
+                .num("sessions_reloaded",
+                     served.value("sessions.reload_total")));
+    }
     sessions.checkpoint_all();
     // Shutdown before the trace export: the coordinator's goodbye drain
     // collects the workers' final span buffers, so the exported timeline
@@ -642,7 +533,7 @@ main(int argc, char** argv)
 
     obs::log_info("serve", "exit",
                   obs::LogFields()
-                      .num("requests", stats.requests)
-                      .num("errors", stats.errors));
+                      .num("requests", served.value("serve.requests_total"))
+                      .num("errors", served.value("serve.errors_total")));
     return 0;
 }
