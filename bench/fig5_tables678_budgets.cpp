@@ -5,10 +5,21 @@
 // One full-budget run per (benchmark, method, repetition) provides all
 // three tiers by slicing the best-so-far trajectory.
 //
-// Usage: fig5_tables678_budgets [--reps N] [--seed S]
+// --json PATH also writes every repetition's numbers, one cell per
+// (framework, benchmark, method, seed): performance relative to expert at
+// the tiny, small and full budgets, and the evaluations needed to reach
+// expert (-1 if never). scripts/quality_gate.py pairs two such files seed
+// by seed. --threads N runs each cell's repetitions on N lanes; the
+// output does not depend on N.
+//
+// Usage: fig5_tables678_budgets [--reps N] [--seed S] [--threads N]
+//                               [--json PATH]
 
+#include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <map>
+#include <sstream>
 
 #include "harness_util.hpp"
 #include "suite/registry.hpp"
@@ -18,12 +29,63 @@
 using namespace baco;
 using namespace baco::suite;
 using baco::bench::HarnessArgs;
+using baco::bench::JsonWriter;
 using baco::bench::safe_geomean;
+
+namespace {
+
+/** --threads N: the lanes run_repetitions fans each cell's repetitions
+ *  out to (1, the default, runs them inline; 0 uses every core). */
+int
+parse_threads(int argc, char** argv)
+{
+    int threads = 1;
+    for (int i = 1; i + 1 < argc; ++i)
+        if (std::strcmp(argv[i], "--threads") == 0)
+            threads = std::atoi(argv[++i]);
+    return threads;
+}
+
+/** A double with every digit, so equal cells compare equal as text. */
+std::string
+exact(double v)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << v;
+    return os.str();
+}
+
+/** One JSON cell per repetition of (benchmark, method). */
+void
+add_cells(const Benchmark& b, const std::string& method, const RepStats& s,
+          std::uint64_t seed0, std::vector<std::string>* cells)
+{
+    for (std::size_t r = 0; r < s.trajectories.size(); ++r) {
+        const std::vector<double>& t = s.trajectories[r];
+        JsonWriter cell;
+        cell.field("framework", b.framework)
+            .field("benchmark", b.name)
+            .field("method", method)
+            .field("seed", seed0 + r)
+            .raw_field("tiny", exact(rel_to_reference(t, b.reference_cost,
+                                                      b.tiny_budget())))
+            .raw_field("small", exact(rel_to_reference(t, b.reference_cost,
+                                                       b.small_budget())))
+            .raw_field("full", exact(rel_to_reference(t, b.reference_cost,
+                                                      b.full_budget)))
+            .field("evals_to_expert", evals_to_reach(t, b.reference_cost));
+        cells->push_back(cell.str());
+    }
+}
+
+}  // namespace
 
 int
 main(int argc, char** argv)
 {
     HarnessArgs args = HarnessArgs::parse(argc, argv, /*default_reps=*/5);
+    int threads = parse_threads(argc, argv);
     const std::vector<std::string>& methods = headline_methods();
 
     std::cout << "Running all benchmarks x " << methods.size()
@@ -32,10 +94,13 @@ main(int argc, char** argv)
 
     // benchmark name -> method -> stats.
     std::map<std::string, std::map<std::string, RepStats>> results;
+    std::vector<std::string> cells;
     for (const Benchmark& b : all_benchmarks()) {
         for (const std::string& m : methods) {
-            results[b.name][m] = run_repetitions(b, m, b.full_budget,
-                                                 args.reps, args.seed);
+            RepStats& s = results[b.name][m];
+            s = run_repetitions(b, m, b.full_budget, args.reps, args.seed,
+                                threads);
+            add_cells(b, m, s, args.seed, &cells);
         }
         std::cout << "  done: " << b.name << "\n" << std::flush;
     }
@@ -140,5 +205,16 @@ main(int argc, char** argv)
     }
     t5.print(std::cout);
 
+    if (!args.json_path.empty()) {
+        JsonWriter json;
+        json.field("bench", std::string("fig5_tables678_budgets"))
+            .field("reps", args.reps)
+            .field("seed", args.seed)
+            .raw_field("cells", JsonWriter::array(cells));
+        if (!baco::bench::write_json(args.json_path, json)) {
+            std::cerr << "cannot write " << args.json_path << "\n";
+            return 1;
+        }
+    }
     return 0;
 }

@@ -23,7 +23,11 @@
 #             merged Chrome timeline); then scripts/bench_diff.py gates
 #             every BENCH_*.json artifact against the committed
 #             bench/baselines/ (regression past a row's tolerance fails;
-#             refresh deliberately with bench_diff.py --update-baselines);
+#             refresh deliberately with bench_diff.py --update-baselines),
+#             after the self-test of scripts/quality_gate.py (the exact
+#             Wilcoxon p-values, ties, zero differences, Holm's order,
+#             the underpowered verdict and the exit codes of the
+#             seed-paired quality gate);
 #             finally compiles, without running, the end-to-end benchmark
 #             (perfbench/ and the baco_worker it spawns) in its own
 #             build directory, so a library change that breaks it fails
@@ -112,16 +116,20 @@ stage_bench() {
         --worker-bin "./$BUILD_DIR/baco_worker"
     grep -q '"serve_ok": true' "$BUILD_DIR/BENCH_serve_load.json"
     grep -q '"trace_ok": true' "$BUILD_DIR/BENCH_serve_load.json"
-    # Ratchet: gated rows must not regress >tolerance vs the committed
-    # baselines (dimensionless ratios only, so the gate is portable).
+    # The quality gate's statistics first, so a failing ratchet below
+    # cannot hide them. Ratchet: gated rows must not regress >tolerance vs
+    # the committed baselines (dimensionless ratios only, so the gate is
+    # portable).
     if command -v python3 >/dev/null 2>&1; then
+        python3 scripts/quality_gate.py --self-test
         python3 scripts/bench_diff.py \
             "$BUILD_DIR/BENCH_async_utilization.json" \
             "$BUILD_DIR/BENCH_suggest_latency.json" \
             "$BUILD_DIR/BENCH_serve_load.json" \
             "$BUILD_DIR/BENCH_micro_gp.json"
     else
-        echo "check.sh: python3 unavailable; skipping bench_diff gate"
+        echo "check.sh: python3 unavailable; skipping bench_diff gate" \
+             "and the quality_gate self-test"
     fi
     # Compile only: perfbench/run.py runs it, and nothing else builds it.
     cmake -B "$BUILD_DIR-perfbench" -S perfbench \

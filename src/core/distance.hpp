@@ -3,12 +3,18 @@
 
 /**
  * @file
- * Distance semimetrics used inside the GP kernel (paper Sec. 4.1, Fig. 3).
+ * Permutation distances used inside the GP kernel (paper Sec. 4.1, Fig. 3).
  *
- * Permutation semimetrics (Kendall, Spearman, Hamming) are not strict
- * metrics but form valid GP kernels (Lomeli et al. 2019). All distances
- * returned by the library are normalized to [0, 1] so a single set of
- * lengthscale priors applies to every parameter.
+ * Each count below (Kendall, Spearman, Hamming) is a *squared* Euclidean
+ * distance in some embedding of permutations: rank vectors for Spearman,
+ * pairwise order signs for Kendall, permutation matrices for Hamming. The
+ * paper puts the normalized count itself, a semimetric that violates the
+ * triangle inequality, inside its Matérn kernel, and a Matérn kernel over
+ * a squared distance is not positive semi-definite. Its square root is a
+ * Euclidean distance, so a Matérn kernel over it is positive definite by
+ * construction (PermutationForm). All distances returned by the library
+ * are normalized to [0, 1] so a single set of lengthscale priors applies
+ * to every parameter.
  */
 
 #include "core/types.hpp"
@@ -21,6 +27,18 @@ enum class PermutationMetric {
   kSpearman,   ///< sum of squared rank displacements (BaCO default)
   kHamming,    ///< number of elements not in their original position
   kNaive,      ///< treat the whole permutation as one categorical value
+};
+
+/**
+ * What the GP kernel sees of a normalized permutation_distance() d.
+ * kEuclidean (the default) gives sqrt(d), a Euclidean distance, so every
+ * kernel matrix factorizes. kSemimetric gives d itself, as the paper
+ * defines it; its kernel matrices can be indefinite and need jitter.
+ * kNaive's 0/1 distance is the same in both forms.
+ */
+enum class PermutationForm {
+  kEuclidean,   ///< sqrt of the normalized count: positive-definite kernel
+  kSemimetric,  ///< the normalized count itself (paper Sec. 4.1)
 };
 
 /** Kendall distance: number of discordant pairs between pi and pi2. */

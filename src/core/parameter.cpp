@@ -462,9 +462,10 @@ is_valid_permutation(const Permutation& p)
 }  // namespace
 
 PermutationParameter::PermutationParameter(std::string name, int m,
-                                           PermutationMetric metric)
+                                           PermutationMetric metric,
+                                           PermutationForm form)
     : Parameter(std::move(name), ParamKind::kPermutation),
-      m_(m), metric_(metric), factorial_(factorial(m))
+      m_(m), metric_(metric), form_(form), factorial_(factorial(m))
 {
     assert(m >= 1 && m <= 8 && "permutation enumeration limited to m <= 8");
 }
@@ -525,7 +526,9 @@ PermutationParameter::neighbors(const ParamValue& v, RngEngine& rng) const
 double
 PermutationParameter::distance(const ParamValue& a, const ParamValue& b) const
 {
-    return permutation_distance(as_permutation(a), as_permutation(b), metric_);
+    double d =
+        permutation_distance(as_permutation(a), as_permutation(b), metric_);
+    return form_ == PermutationForm::kEuclidean ? std::sqrt(d) : d;
 }
 
 double

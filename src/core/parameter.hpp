@@ -231,8 +231,11 @@ class CategoricalParameter : public Parameter {
 };
 
 /**
- * Permutation parameter over m elements with a configurable semimetric
- * (Spearman by default — the paper's best performer, Sec. 5.3).
+ * Permutation parameter over m elements with a configurable metric
+ * (Spearman by default — the paper's best performer, Sec. 5.3) and form:
+ * distance() returns the Euclidean form, the square root of the
+ * normalized count, unless the paper's semimetric form is asked for
+ * (core/distance.hpp).
  *
  * Values enumerate in lexicographic order of the permutation vector; m is
  * limited to 8 for full enumeration (8! = 40320), which covers all loop
@@ -241,11 +244,13 @@ class CategoricalParameter : public Parameter {
 class PermutationParameter : public Parameter {
  public:
   PermutationParameter(std::string name, int m,
-                       PermutationMetric metric = PermutationMetric::kSpearman);
+                       PermutationMetric metric = PermutationMetric::kSpearman,
+                       PermutationForm form = PermutationForm::kEuclidean);
 
   int length() const { return m_; }
   PermutationMetric metric() const { return metric_; }
-  /** Change the semimetric (used by the Fig. 9 ablation). */
+  PermutationForm form() const { return form_; }
+  /** Change the metric; the form stays. */
   void set_metric(PermutationMetric m) { metric_ = m; }
 
   std::size_t num_values() const override;
@@ -262,6 +267,7 @@ class PermutationParameter : public Parameter {
  private:
   int m_;
   PermutationMetric metric_;
+  PermutationForm form_;
   std::size_t factorial_;
 };
 

@@ -51,9 +51,10 @@ SearchSpace::add_categorical(const std::string& name,
 
 std::size_t
 SearchSpace::add_permutation(const std::string& name, int m,
-                             PermutationMetric metric)
+                             PermutationMetric metric, PermutationForm form)
 {
-    return add_param(std::make_unique<PermutationParameter>(name, m, metric));
+    return add_param(
+        std::make_unique<PermutationParameter>(name, m, metric, form));
 }
 
 void

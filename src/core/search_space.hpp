@@ -38,7 +38,8 @@ class SearchSpace {
                               std::vector<std::string> categories);
   std::size_t add_permutation(
       const std::string& name, int m,
-      PermutationMetric metric = PermutationMetric::kSpearman);
+      PermutationMetric metric = PermutationMetric::kSpearman,
+      PermutationForm form = PermutationForm::kEuclidean);
 
   /** Add a known constraint parsed from an expression string. */
   void add_constraint(const std::string& expr);

@@ -71,10 +71,13 @@ GpModel::GpModel(const SearchSpace& space, GpOptions opt)
         std::vector<ParamValue> vals(m);
         for (std::size_t a = 0; a < m; ++a)
             vals[a] = p.value_at(a);
+        // Every distance() is symmetric (as set_training_data assumes), so
+        // one triangle is computed and mirrored.
         kd.distances.resize(m * m);
         for (std::size_t a = 0; a < m; ++a)
-            for (std::size_t b = 0; b < m; ++b)
-                kd.distances[a * m + b] = p.distance(vals[a], vals[b]);
+            for (std::size_t b = a; b < m; ++b)
+                kd.distances[a * m + b] = kd.distances[b * m + a] =
+                    p.distance(vals[a], vals[b]);
     }
 }
 
@@ -244,11 +247,12 @@ GpModel::refresh_posterior()
             kd.table[i] = v * v;
         }
     }
-    // Permutation semimetrics are not strict metrics, so the kernel matrix
-    // can be indefinite; after jitter rescues the factorization the solve
-    // may still be badly conditioned (huge alpha => wild extrapolation).
-    // Escalate an explicit diagonal boost until the posterior weights are
-    // sane on the standardized outputs.
+    // With the paper's permutation semimetrics (PermutationForm::
+    // kSemimetric) the kernel matrix can be indefinite, and near-duplicate
+    // points make any kernel matrix nearly singular; after jitter rescues
+    // the factorization the solve may still be badly conditioned (huge
+    // alpha => wild extrapolation). Escalate an explicit diagonal boost
+    // until the posterior weights are sane on the standardized outputs.
     Matrix kmat = kernel_matrix(tensor_, hp_);
     double boost = 0.0;
     double jitter = 0.0;
@@ -257,7 +261,8 @@ GpModel::refresh_posterior()
         for (std::size_t i = 0; i < kj.rows(); ++i)
             kj(i, i) += boost;
         chol_ = cholesky_with_jitter(kj, 1e-10, 16, &jitter);
-        alpha_ = chol_->solve(ys_std_);
+        forward_ = chol_->solve_lower(ys_std_);
+        alpha_ = chol_->solve_upper(forward_);
         double amax = 0.0;
         bool finite = true;
         for (double a : alpha_) {
@@ -279,10 +284,11 @@ GpModel::refresh_posterior()
 void
 GpModel::note_factor_rows(std::size_t from)
 {
-    const Matrix& l = chol_->lower();
     inv_factor_diag_.resize(from);
-    for (std::size_t j = from; j < l.rows(); ++j)
-        inv_factor_diag_.push_back(1.0 / dot_n(l.row(j), l.row(j), j + 1));
+    for (std::size_t j = from; j < chol_->size(); ++j) {
+        const double* lj = chol_->row(j);
+        inv_factor_diag_.push_back(1.0 / dot_n(lj, lj, j + 1));
+    }
 }
 
 void
@@ -342,7 +348,10 @@ GpModel::extend(const Configuration& x, double y)
             xs_.push_back(x);
             push_kernel_inputs(x);
             ys_std_.push_back(standardizer_.transform(y));
-            alpha_ = chol_->solve(ys_std_);
+            forward_.push_back(ys_std_.back());
+            chol_->solve_lower_rows(forward_, forward_.size() - 1,
+                                    forward_.size());
+            alpha_ = chol_->solve_upper(forward_);
             bool finite = true;
             for (double a : alpha_)
                 finite &= std::isfinite(a);
@@ -376,7 +385,8 @@ GpModel::truncate(std::size_t k)
     ys_std_.resize(k);
     chol_->shrink(k);
     inv_factor_diag_.resize(k);
-    alpha_ = chol_->solve(ys_std_);
+    forward_.resize(k);
+    alpha_ = chol_->solve_upper(forward_);
 }
 
 double

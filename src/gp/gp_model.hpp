@@ -262,6 +262,8 @@ class GpModel {
   GpHyperparams hp_;
   std::optional<GpHyperparams> warm_start_;
   std::optional<CholeskyFactor> chol_;
+  /** L^{-1} ys_std_, kept so extend() forward-solves only its new row. */
+  std::vector<double> forward_;
   std::vector<double> alpha_;
   /** 1 / (L L^T)_jj per row of the factor: what the one-point variance
    *  bound in predict_unless() divides by. */

@@ -1,5 +1,6 @@
 #include "linalg/cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -27,13 +28,13 @@ void
 CholeskyFactor::solve_lower_rows(std::vector<double>& b, std::size_t begin,
                                  std::size_t end) const
 {
-    assert(b.size() == l_.rows() && begin <= end && end <= b.size());
+    assert(b.size() == n_ && begin <= end && end <= b.size());
     // Row-oriented forward substitution: row i of L is contiguous, so the
     // inner reduction is a streaming dot product. Entry i is read once,
     // after entries 0..i-1 already hold the solution.
     double* z = b.data();
     for (std::size_t i = begin; i < end; ++i) {
-        const double* li = l_.row(i);
+        const double* li = row(i);
         z[i] = (z[i] - dot_n(li, z, i)) / li[i];
     }
 }
@@ -41,20 +42,39 @@ CholeskyFactor::solve_lower_rows(std::vector<double>& b, std::size_t begin,
 std::vector<double>
 CholeskyFactor::solve_upper(const std::vector<double>& b) const
 {
-    std::size_t n = l_.rows();
+    std::size_t n = n_;
     assert(b.size() == n);
     // Backward substitution against L^T, restructured into saxpy form:
     // column i of L^T is row i of L, so once z[i] is known we subtract
     // z[i] * L(i, 0..i-1) from the running right-hand side. Every access
-    // streams a contiguous row instead of striding down a column.
+    // streams a contiguous row instead of striding down a column. Pivots
+    // go in groups of four, as in inverse(): the group's own entries are
+    // finished one pivot at a time, then each entry below the group takes
+    // the four subtractions in one pass, still in descending pivot order,
+    // so every entry sees the same operations with a quarter of the
+    // passes over z.
     std::vector<double> z = b;
-    for (std::size_t ii = n; ii > 0; --ii) {
-        std::size_t i = ii - 1;
-        const double* li = l_.row(i);
-        double zi = z[i] / li[i];
-        z[i] = zi;
-        for (std::size_t j = 0; j < i; ++j)
-            z[j] -= li[j] * zi;
+    for (std::size_t hi = n; hi > 0;) {
+        std::size_t lo = hi >= 4 ? hi - 4 : 0;
+        for (std::size_t i = hi; i-- > lo;) {
+            const double* li = row(i);
+            double zi = z[i] / li[i];
+            z[i] = zi;
+            for (std::size_t j = lo; j < i; ++j)
+                z[j] -= li[j] * zi;
+        }
+        // lo > 0 only for a full group of four.
+        if (lo > 0) {
+            const double* l3 = row(lo + 3);
+            const double* l2 = row(lo + 2);
+            const double* l1 = row(lo + 1);
+            const double* l0 = row(lo);
+            double z3 = z[lo + 3], z2 = z[lo + 2], z1 = z[lo + 1], z0 = z[lo];
+            for (std::size_t j = 0; j < lo; ++j)
+                z[j] = (((z[j] - l3[j] * z3) - l2[j] * z2) - l1[j] * z1) -
+                       l0[j] * z0;
+        }
+        hi = lo;
     }
     return z;
 }
@@ -68,7 +88,7 @@ CholeskyFactor::solve(const std::vector<double>& b) const
 Matrix
 CholeskyFactor::solve_matrix(const Matrix& b) const
 {
-    std::size_t n = l_.rows();
+    std::size_t n = n_;
     assert(b.rows() == n);
     Matrix x(n, b.cols());
     std::vector<double> col(n);
@@ -86,9 +106,18 @@ double
 CholeskyFactor::log_det() const
 {
     double acc = 0.0;
-    for (std::size_t i = 0; i < l_.rows(); ++i)
-        acc += std::log(l_(i, i));
+    for (std::size_t i = 0; i < n_; ++i)
+        acc += std::log(pivot(i));
     return 2.0 * acc;
+}
+
+Matrix
+CholeskyFactor::lower() const
+{
+    Matrix l(n_, n_, 0.0);
+    for (std::size_t i = 0; i < n_; ++i)
+        std::copy(row(i), row(i) + i + 1, l.row(i));
+    return l;
 }
 
 Matrix
@@ -98,7 +127,7 @@ CholeskyFactor::inverse() const
     // Here every column runs through the same operations in the same order,
     // but all columns advance together, so the inner loops sweep rows of
     // the result (contiguous, vectorizable) instead of one column's entries.
-    std::size_t n = l_.rows();
+    std::size_t n = n_;
     Matrix x(n, n, 0.0);
 
     // Forward: row i of Z = L^{-1} is z_ij = (e_j[i] - dot_n(L_i, z_.j, i))
@@ -111,7 +140,7 @@ CholeskyFactor::inverse() const
     double* lane[4] = {lanes.data(), lanes.data() + n, lanes.data() + 2 * n,
                        lanes.data() + 3 * n};
     for (std::size_t i = 0; i < n; ++i) {
-        const double* li = l_.row(i);
+        const double* li = row(i);
         std::fill(lanes.begin(), lanes.end(), 0.0);
         std::size_t unrolled = i - i % 4;
         for (std::size_t k = 0; k < i; ++k) {
@@ -137,7 +166,7 @@ CholeskyFactor::inverse() const
     for (std::size_t hi = n; hi > 0;) {
         std::size_t lo = hi >= 4 ? hi - 4 : 0;
         for (std::size_t p = hi; p-- > lo;) {
-            const double* lp = l_.row(p);
+            const double* lp = row(p);
             double* xp = x.row(p);
             for (std::size_t j = 0; j < n; ++j)
                 xp[j] = xp[j] / lp[p];
@@ -156,10 +185,10 @@ CholeskyFactor::inverse() const
             const double* x0 = x.row(lo);
             for (std::size_t k = 0; k < lo; ++k) {
                 double* xk = x.row(k);
-                double a3 = l_(lo + 3, k);
-                double a2 = l_(lo + 2, k);
-                double a1 = l_(lo + 1, k);
-                double a0 = l_(lo, k);
+                double a3 = row(lo + 3)[k];
+                double a2 = row(lo + 2)[k];
+                double a1 = row(lo + 1)[k];
+                double a0 = row(lo)[k];
                 for (std::size_t j = 0; j < n; ++j)
                     xk[j] = (((xk[j] - a3 * x3[j]) - a2 * x2[j]) - a1 * x1[j]) -
                             a0 * x0[j];
@@ -173,7 +202,7 @@ CholeskyFactor::inverse() const
 bool
 CholeskyFactor::append(const std::vector<double>& cross, double diag)
 {
-    std::size_t n = l_.rows();
+    std::size_t n = n_;
     assert(cross.size() == n);
     // New bottom row: l21 solves L l21 = cross; the new pivot is the Schur
     // complement of the appended diagonal entry.
@@ -181,21 +210,19 @@ CholeskyFactor::append(const std::vector<double>& cross, double diag)
     double schur = diag - dot_n(l21.data(), l21.data(), n);
     double scale = diag;
     for (std::size_t i = 0; i < n; ++i)
-        scale = std::max(scale, l_(i, i) * l_(i, i));
+        scale = std::max(scale, pivot(i) * pivot(i));
     if (!std::isfinite(schur) || schur <= kMinPivotRatio * std::max(scale, 1.0))
         return false;
-    l_.resize_preserving(n + 1, n + 1);
-    double* last = l_.row(n);
-    for (std::size_t j = 0; j < n; ++j)
-        last[j] = l21[j];
-    last[n] = std::sqrt(schur);
+    packed_.insert(packed_.end(), l21.begin(), l21.end());
+    packed_.push_back(std::sqrt(schur));
+    ++n_;
     return true;
 }
 
 bool
 CholeskyFactor::append_block(const Matrix& cross, const Matrix& corner)
 {
-    std::size_t n = l_.rows();
+    std::size_t n = n_;
     std::size_t m = cross.rows();
     assert(cross.cols() == n);
     assert(corner.rows() == m && corner.cols() == m);
@@ -223,7 +250,7 @@ CholeskyFactor::append_block(const Matrix& cross, const Matrix& corner)
         }
     double scale = 1.0;
     for (std::size_t i = 0; i < n; ++i)
-        scale = std::max(scale, l_(i, i) * l_(i, i));
+        scale = std::max(scale, pivot(i) * pivot(i));
     for (std::size_t r = 0; r < m; ++r)
         scale = std::max(scale, std::abs(corner(r, r)));
     for (std::size_t r = 0; r < m; ++r)
@@ -232,24 +259,20 @@ CholeskyFactor::append_block(const Matrix& cross, const Matrix& corner)
     std::optional<CholeskyFactor> ls = cholesky(s);
     if (!ls)
         return false;
-    l_.resize_preserving(n + m, n + m);
     for (std::size_t r = 0; r < m; ++r) {
-        double* dst = l_.row(n + r);
-        const double* src = l21.row(r);
-        for (std::size_t j = 0; j < n; ++j)
-            dst[j] = src[j];
-        for (std::size_t c = 0; c <= r; ++c)
-            dst[n + c] = ls->lower()(r, c);
+        packed_.insert(packed_.end(), l21.row(r), l21.row(r) + n);
+        packed_.insert(packed_.end(), ls->row(r), ls->row(r) + r + 1);
     }
+    n_ += m;
     return true;
 }
 
 void
 CholeskyFactor::shrink(std::size_t k)
 {
-    assert(k <= l_.rows());
-    if (k < l_.rows())
-        l_.resize_preserving(k, k);
+    assert(k <= n_);
+    packed_.resize(k * (k + 1) / 2);
+    n_ = k;
 }
 
 std::optional<CholeskyFactor>
@@ -257,23 +280,24 @@ cholesky(const Matrix& a)
 {
     assert(a.rows() == a.cols());
     std::size_t n = a.rows();
-    Matrix l(n, n, 0.0);
+    std::vector<double> packed(n * (n + 1) / 2, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-        const double* li = l.row(i);
+        double* li = packed.data() + i * (i + 1) / 2;
         for (std::size_t j = 0; j <= i; ++j) {
             // Rows i and j of L are both contiguous prefixes — the inner
             // reduction streams two rows, never a column.
-            double acc = a(i, j) - dot_n(li, l.row(j), j);
+            const double* lj = packed.data() + j * (j + 1) / 2;
+            double acc = a(i, j) - dot_n(li, lj, j);
             if (i == j) {
                 if (acc <= 0.0 || !std::isfinite(acc))
                     return std::nullopt;
-                l(i, i) = std::sqrt(acc);
+                li[i] = std::sqrt(acc);
             } else {
-                l(i, j) = acc / l(j, j);
+                li[j] = acc / lj[j];
             }
         }
     }
-    return CholeskyFactor(std::move(l));
+    return CholeskyFactor(n, std::move(packed));
 }
 
 CholeskyFactor

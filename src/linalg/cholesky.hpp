@@ -13,6 +13,7 @@
  * constant-liar fantasy loop cheap (ROADMAP item 1).
  */
 
+#include <cassert>
 #include <cstddef>
 #include <optional>
 #include <vector>
@@ -29,12 +30,17 @@ namespace baco {
  */
 class CholeskyFactor {
  public:
-  explicit CholeskyFactor(Matrix l) : l_(std::move(l)) {}
+  /** Dense copy of L (zeros above the diagonal), for inspection. */
+  Matrix lower() const;
 
-  const Matrix& lower() const { return l_; }
+  /** Row i of L: entries L(i, 0..i), contiguous. */
+  const double* row(std::size_t i) const {
+    assert(i < n_);
+    return packed_.data() + i * (i + 1) / 2;
+  }
 
   /** Current dimension n of the factored matrix. */
-  std::size_t size() const { return l_.rows(); }
+  std::size_t size() const { return n_; }
 
   /** Solve L z = b (forward substitution). */
   std::vector<double> solve_lower(const std::vector<double>& b) const;
@@ -70,7 +76,8 @@ class CholeskyFactor {
   /**
    * Append one row/column to the factored matrix: updates this factor from
    * L(A) to L(A') where A' = [[A, b], [b^T, d]], with cross = b (length n)
-   * and diag = d. Costs one forward solve, O(n^2).
+   * and diag = d. Costs one forward solve, O(n^2); the new row goes after
+   * the existing ones, which are not repacked.
    *
    * Returns false — leaving the factor untouched — when the Schur
    * complement d - ||L^{-1} b||^2 is not safely positive, i.e. the bordered
@@ -96,7 +103,17 @@ class CholeskyFactor {
   void shrink(std::size_t k);
 
  private:
-  Matrix l_;
+  friend std::optional<CholeskyFactor> cholesky(const Matrix& a);
+
+  CholeskyFactor(std::size_t n, std::vector<double> packed)
+      : n_(n), packed_(std::move(packed)) {}
+
+  double pivot(std::size_t i) const { return row(i)[i]; }
+
+  // The rows of L stored back to back (row i at offset i(i+1)/2), so an
+  // append only adds its own row at the end: no O(n^2) repack.
+  std::size_t n_ = 0;
+  std::vector<double> packed_;
 };
 
 /**

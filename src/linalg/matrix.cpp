@@ -4,31 +4,6 @@
 
 namespace baco {
 
-void
-Matrix::resize_preserving(std::size_t new_rows, std::size_t new_cols)
-{
-    if (new_rows == rows_ && new_cols == cols_)
-        return;
-    if (new_cols == cols_) {
-        // Row count change with unchanged stride: no repack needed.
-        data_.resize(new_rows * cols_, 0.0);
-        rows_ = new_rows;
-        return;
-    }
-    std::vector<double> fresh(new_rows * new_cols, 0.0);
-    std::size_t copy_rows = std::min(rows_, new_rows);
-    std::size_t copy_cols = std::min(cols_, new_cols);
-    for (std::size_t i = 0; i < copy_rows; ++i) {
-        const double* src = data_.data() + i * cols_;
-        double* dst = fresh.data() + i * new_cols;
-        for (std::size_t j = 0; j < copy_cols; ++j)
-            dst[j] = src[j];
-    }
-    data_ = std::move(fresh);
-    rows_ = new_rows;
-    cols_ = new_cols;
-}
-
 Matrix
 Matrix::identity(std::size_t n)
 {

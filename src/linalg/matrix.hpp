@@ -53,14 +53,6 @@ class Matrix {
   std::vector<double>& data() { return data_; }
   const std::vector<double>& data() const { return data_; }
 
-  /**
-   * Grow (or shrink) in place to new_rows x new_cols, preserving the
-   * overlapping top-left block; new entries are zero. Row strides change,
-   * so this is an O(rows*cols) repack — used by the incremental Cholesky
-   * append, where an O(n^2) copy matches the cost of the update itself.
-   */
-  void resize_preserving(std::size_t new_rows, std::size_t new_cols);
-
   /** The n x n identity. */
   static Matrix identity(std::size_t n);
 

@@ -57,7 +57,8 @@ build_space(const std::string& name, const SpaceVariant& v)
         s->add_ordinal("tile_j", {4, 8, 16, 32, 64, 128, 256}, lg);
         s->add_ordinal("tile_k", {4, 8, 16, 32, 64, 128, 256}, lg);
         s->add_ordinal("vec", {1, 2, 4, 8}, lg);
-        s->add_permutation("loop_perm", 3, v.permutation_metric);
+        s->add_permutation("loop_perm", 3, v.permutation_metric,
+                           v.permutation_form);
         s->add_constraint("vec <= tile_j");
         return s;
     }

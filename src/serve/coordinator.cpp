@@ -42,7 +42,6 @@ struct CoordMetrics {
   obs::Gauge& runs_active = gauge("coord.runs.active");
   obs::Histogram& run_seconds = hist("coord.run.seconds");
   // Fleet-health surface.
-  obs::Counter& worker_dead = counter("coord.worker.dead");
   obs::Counter& heartbeats = counter("coord.worker.heartbeats_total");
   obs::Gauge& workers_alive = gauge("coord.worker.alive");
 
@@ -641,7 +640,6 @@ Coordinator::kill_worker(std::size_t w, const char* reason)
     if (!wk.alive)
         return;
     CoordMetrics::get().workers_lost.add();
-    CoordMetrics::get().worker_dead.add();
     wk.transport->close();
     // Re-queue every task whose only live dispatch was on this worker.
     for (std::uint64_t id : wk.outstanding) {

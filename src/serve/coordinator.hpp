@@ -301,7 +301,7 @@ class Coordinator {
   /**
    * Transport-level death: close, clear in-flight accounting, re-queue
    * every task whose only live dispatch was on this worker, bump the
-   * coord.worker.dead counter, log the event, wake run waiters.
+   * coord.workers_lost_total counter, log the event, wake run waiters.
    */
   void kill_worker(std::size_t w, const char* reason) BACO_REQUIRES(mu_);
 

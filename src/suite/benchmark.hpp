@@ -22,11 +22,12 @@ namespace baco {
 
 /**
  * Space construction variants used by the ablation studies (Fig. 8/9):
- * input log-transforms on/off and the permutation semimetric choice.
+ * input log-transforms on/off and the permutation metric and form.
  */
 struct SpaceVariant {
   bool log_transforms = true;
   PermutationMetric permutation_metric = PermutationMetric::kSpearman;
+  PermutationForm permutation_form = PermutationForm::kEuclidean;
 };
 
 /**

@@ -66,9 +66,7 @@ RepStats::mean_rel_to_reference(double ref, int evals) const
     for (const auto& t : trajectories) {
         if (t.empty())
             continue;
-        std::size_t at = std::min<std::size_t>(
-            t.size() - 1, static_cast<std::size_t>(std::max(0, evals - 1)));
-        acc += std::isfinite(t[at]) ? ref / t[at] : 0.0;
+        acc += rel_to_reference(t, ref, evals);
         ++n;
     }
     return n > 0 ? acc / n : 0.0;
@@ -137,6 +135,16 @@ run_repetitions(const Benchmark& b, const std::string& method, int budget,
         stats.mean_eval_seconds /= static_cast<double>(histories.size());
     }
     return stats;
+}
+
+double
+rel_to_reference(const std::vector<double>& t, double ref, int evals)
+{
+    if (t.empty())
+        return 0.0;
+    std::size_t at = std::min<std::size_t>(
+        t.size() - 1, static_cast<std::size_t>(std::max(0, evals - 1)));
+    return std::isfinite(t[at]) ? ref / t[at] : 0.0;
 }
 
 int

@@ -75,6 +75,13 @@ RepStats run_repetitions(const Benchmark& b, const std::string& method,
                          const SpaceVariant& variant = SpaceVariant{});
 
 /**
+ * Performance of one best-so-far trajectory relative to a reference cost
+ * after `evals` evaluations: ref / best, 0 while none is feasible.
+ */
+double rel_to_reference(const std::vector<double>& trajectory, double ref,
+                        int evals);
+
+/**
  * First evaluation count at which trajectory reaches target (<=), or -1.
  */
 int evals_to_reach(const std::vector<double>& trajectory, double target);

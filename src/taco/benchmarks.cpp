@@ -55,7 +55,8 @@ build_space(TacoKernel k, const SpaceVariant& v)
                            lg);
     int m = kernel_perm_size(k);
     std::size_t perm_idx =
-        space->add_permutation("loop_perm", m, v.permutation_metric);
+        space->add_permutation("loop_perm", m, v.permutation_metric,
+                               v.permutation_form);
 
     if (k != TacoKernel::kSpMV) {
         space->add_constraint("unroll_factor <= chunk_size2");

@@ -1,14 +1,45 @@
-// Permutation semimetrics (paper Fig. 3) against brute-force ground truth.
+// Permutation semimetrics (paper Fig. 3) against brute-force ground truth,
+// and the triangle inequality of their two forms.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "core/distance.hpp"
+#include "core/parameter.hpp"
 
 namespace baco {
 namespace {
+
+std::vector<Permutation>
+all_permutations_of_4()
+{
+    std::vector<Permutation> all;
+    Permutation p{0, 1, 2, 3};
+    do {
+        all.push_back(p);
+    } while (std::next_permutation(p.begin(), p.end()));
+    return all;
+}
+
+/** Triples (a, b, c) of 4-permutations with d(a, c) > d(a, b) + d(b, c). */
+int
+triangle_violations(PermutationMetric metric, PermutationForm form)
+{
+    PermutationParameter param("p", 4, metric, form);
+    std::vector<Permutation> all = all_permutations_of_4();
+    int violations = 0;
+    for (const Permutation& a : all)
+        for (const Permutation& b : all)
+            for (const Permutation& c : all) {
+                double ac = param.distance(a, c);
+                double via_b = param.distance(a, b) + param.distance(b, c);
+                violations += ac > via_b + 1e-12 ? 1 : 0;
+            }
+    return violations;
+}
 
 TEST(PermutationDistance, PaperFig3Example)
 {
@@ -60,11 +91,7 @@ TEST(PermutationDistance, ReversalAchievesMaxima)
 TEST(PermutationDistance, NormalizationBounds)
 {
     // All pairs of 4-permutations stay in [0, 1] for all metrics.
-    std::vector<Permutation> all;
-    Permutation p{0, 1, 2, 3};
-    do {
-        all.push_back(p);
-    } while (std::next_permutation(p.begin(), p.end()));
+    std::vector<Permutation> all = all_permutations_of_4();
     ASSERT_EQ(all.size(), 24u);
     for (const auto& a : all) {
         for (const auto& b : all) {
@@ -99,15 +126,47 @@ TEST(PermutationDistance, PaperSec41LoopExample)
     EXPECT_GT(spear, hamming);
 }
 
+TEST(PermutationDistance, EuclideanFormsAreMetrics)
+{
+    for (auto m : {PermutationMetric::kSpearman, PermutationMetric::kKendall,
+                   PermutationMetric::kHamming}) {
+        EXPECT_EQ(triangle_violations(m, PermutationForm::kEuclidean), 0)
+            << static_cast<int>(m);
+    }
+}
+
+TEST(PermutationDistance, PaperSpearmanViolatesTriangleInequality)
+{
+    // [0,1,2,3] -> [1,0,2,3] -> [2,0,1,3] moves element 0 two ranks in
+    // two steps of 2/20 each, but the composed move costs 6/20 > 4/20.
+    EXPECT_GT(triangle_violations(PermutationMetric::kSpearman,
+                                  PermutationForm::kSemimetric),
+              0);
+    PermutationParameter paper("p", 4, PermutationMetric::kSpearman,
+                               PermutationForm::kSemimetric);
+    Permutation a{0, 1, 2, 3}, b{1, 0, 2, 3}, c{2, 0, 1, 3};
+    EXPECT_GT(paper.distance(a, c), paper.distance(a, b) + paper.distance(b, c));
+}
+
+TEST(PermutationDistance, EuclideanFormIsSqrtOfSemimetric)
+{
+    std::vector<Permutation> all = all_permutations_of_4();
+    for (auto m : {PermutationMetric::kSpearman, PermutationMetric::kKendall,
+                   PermutationMetric::kHamming, PermutationMetric::kNaive}) {
+        PermutationParameter euclid("p", 4, m);  // the default form
+        ASSERT_EQ(euclid.form(), PermutationForm::kEuclidean);
+        for (const Permutation& b : all) {
+            double d = permutation_distance(all.front(), b, m);
+            EXPECT_DOUBLE_EQ(euclid.distance(all.front(), b), std::sqrt(d));
+        }
+    }
+}
+
 TEST(PermutationDistance, KendallBruteForceAgreement)
 {
     // Kendall == number of pairwise order inversions, checked by brute
     // force over all pairs of 4-permutations.
-    std::vector<Permutation> all;
-    Permutation p{0, 1, 2, 3};
-    do {
-        all.push_back(p);
-    } while (std::next_permutation(p.begin(), p.end()));
+    std::vector<Permutation> all = all_permutations_of_4();
     for (const auto& a : all) {
         for (const auto& b : all) {
             int brute = 0;

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "gp/gp_model.hpp"
+#include "suite/registry.hpp"
 
 namespace baco {
 namespace {
@@ -219,6 +220,41 @@ TEST(GpModel, MixedSpaceWithPermutation)
     Configuration hi{ParamValue{std::int64_t{16}},
                      ParamValue{Permutation{2, 1, 0}}};
     EXPECT_LT(gp.predict(lo).mean, gp.predict(hi).mean);
+}
+
+/** NLL evaluations and failures of one GpModel::fit on 40 feasible
+ *  evaluations of a registry TACO benchmark (SpMM, a 5-loop permutation
+ *  among 8 dimensions) built with the given variant. */
+std::pair<std::size_t, std::size_t>
+taco_fit_nll(const SpaceVariant& variant)
+{
+    const Benchmark& b = suite::find_benchmark("SpMM/scircuit");
+    std::shared_ptr<SearchSpace> s = b.make_space(variant);
+    RngEngine rng(5);
+    std::vector<Configuration> xs;
+    std::vector<double> ys;
+    while (xs.size() < 40) {
+        Configuration c = s->sample_feasible(rng).value();
+        EvalResult r = b.evaluate(c, rng);
+        if (!r.feasible)
+            continue;
+        xs.push_back(std::move(c));
+        ys.push_back(std::log(r.value));
+    }
+    GpModel gp(*s);
+    gp.fit(xs, ys, rng);
+    return {gp.last_fit_nll_evals(), gp.last_fit_nll_failures()};
+}
+
+TEST(GpModel, EuclideanPermutationFitNeverFailsToFactorize)
+{
+    auto [evals, failures] = taco_fit_nll(SpaceVariant{});
+    EXPECT_GT(evals, 0u);
+    EXPECT_EQ(failures, 0u);
+    // The paper's semimetric form wastes evaluations on the same data.
+    SpaceVariant paper;
+    paper.permutation_form = PermutationForm::kSemimetric;
+    EXPECT_GT(taco_fit_nll(paper).second, 0u);
 }
 
 TEST(GpModel, RejectsDegenerateInput)

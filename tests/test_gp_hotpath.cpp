@@ -661,6 +661,40 @@ TEST(GpHotPath, InPlaceLowerSolveMatchesReference)
     }
 }
 
+TEST(GpHotPath, BlockedUpperSolveMatchesReference)
+{
+    // The saxpy back-substitution one pivot at a time, as solve_upper()
+    // computed it before it grouped pivots by four.
+    auto reference = [](const Matrix& l, std::vector<double> z) {
+        for (std::size_t ii = z.size(); ii > 0; --ii) {
+            std::size_t i = ii - 1;
+            double zi = z[i] / l(i, i);
+            z[i] = zi;
+            for (std::size_t j = 0; j < i; ++j)
+                z[j] -= l(i, j) * zi;
+        }
+        return z;
+    };
+    RngEngine rng(19);
+    for (std::size_t n = 1; n <= 40; ++n) {
+        Matrix b(n, n);
+        for (double& v : b.data())
+            v = rng.uniform(-1.0, 1.0);
+        Matrix a = mat_mat(b, b.transposed());
+        for (std::size_t i = 0; i < n; ++i)
+            a(i, i) += 0.5;
+        auto chol = cholesky(a);
+        ASSERT_TRUE(chol.has_value());
+        std::vector<double> rhs(n);
+        for (double& v : rhs)
+            v = rng.uniform(-2.0, 2.0);
+        std::vector<double> want = reference(chol->lower(), rhs);
+        std::vector<double> got = chol->solve_upper(rhs);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(bits(got[i]), bits(want[i])) << "n=" << n << " i=" << i;
+    }
+}
+
 // ---- Ordered distances. --------------------------------------------------
 
 /** Every pair of values: distance() equals the closed form

@@ -1,8 +1,10 @@
 // Positive-semidefiniteness properties of the Matérn-5/2 kernel over
-// mixed spaces: proper metrics (real/integer/ordinal/categorical) always
-// produce factorizable kernel matrices, while permutation *semimetrics*
-// may not — which is exactly why GpModel guards its posterior solve
-// (see gp_model.cpp). These tests pin down both behaviours.
+// mixed spaces: proper metrics (real/integer/ordinal/categorical) and the
+// Euclidean form of every permutation distance always produce
+// factorizable kernel matrices, while the paper's permutation
+// *semimetrics* may not — which is exactly why GpModel guards its
+// posterior solve (see gp_model.cpp). These tests pin down both
+// behaviours.
 
 #include <gtest/gtest.h>
 
@@ -63,18 +65,56 @@ TEST_P(MetricKernelPsd, MetricSpacesFactorizeAtAnyLengthscale)
     });
 }
 
-INSTANTIATE_TEST_SUITE_P(LengthscaleSweep, MetricKernelPsd,
-                         ::testing::Values(std::log(0.05), std::log(0.2),
-                                           std::log(0.5), std::log(1.0),
-                                           std::log(3.0)));
+const auto kLengthscaleSweep =
+    ::testing::Values(std::log(0.05), std::log(0.2), std::log(0.5),
+                      std::log(1.0), std::log(3.0));
+
+INSTANTIATE_TEST_SUITE_P(LengthscaleSweep, MetricKernelPsd, kLengthscaleSweep);
+
+/** The Euclidean form of each permutation metric, over the same sweep. */
+class EuclideanPermutationPsd
+    : public ::testing::TestWithParam<std::tuple<PermutationMetric, double>> {
+};
+
+TEST_P(EuclideanPermutationPsd, FactorizesAloneAndMixed)
+{
+    auto [metric, log_ls] = GetParam();
+    SearchSpace alone;
+    alone.add_permutation("p", 5, metric, PermutationForm::kEuclidean);
+    SearchSpace mixed;
+    mixed.add_ordinal("o", {1, 2, 4, 8, 16}, true);
+    mixed.add_permutation("p", 5, metric, PermutationForm::kEuclidean);
+    mixed.add_categorical("c", {"a", "b", "c"});
+    for (const SearchSpace* s : {&alone, &mixed}) {
+        RngEngine rng(13);
+        std::vector<Configuration> xs;
+        for (int i = 0; i < 60; ++i)
+            xs.push_back(s->sample_unconstrained(rng));
+        DistanceTensor t = tensor_from_space(*s, xs);
+        Matrix k = kernel_matrix(t, hp_for(s->num_params(), log_ls));
+        EXPECT_NO_THROW({
+            CholeskyFactor f = cholesky_with_jitter(k, 1e-12, 6);
+            (void)f;
+        }) << s->num_params() << " dims";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MetricsTimesLengthscales, EuclideanPermutationPsd,
+    ::testing::Combine(::testing::Values(PermutationMetric::kSpearman,
+                                         PermutationMetric::kKendall,
+                                         PermutationMetric::kHamming),
+                       kLengthscaleSweep));
 
 TEST(SemimetricKernel, SpearmanMayNeedLargeJitterButAlwaysFactorizes)
 {
     // The Spearman semimetric violates the triangle inequality, so the
-    // kernel matrix can be indefinite — but the escalating jitter must
+    // kernel matrix can be indefinite (the tiny jitter that suffices for
+    // the Euclidean form does not here) — but the escalating jitter must
     // always rescue the factorization (diagonal dominance bound).
     SearchSpace s;
-    s.add_permutation("p", 5, PermutationMetric::kSpearman);
+    s.add_permutation("p", 5, PermutationMetric::kSpearman,
+                      PermutationForm::kSemimetric);
     RngEngine rng(13);
     std::vector<Configuration> xs;
     for (int i = 0; i < 60; ++i)
@@ -88,6 +128,8 @@ TEST(SemimetricKernel, SpearmanMayNeedLargeJitterButAlwaysFactorizes)
             (void)f;
         });
     }
+    Matrix k = kernel_matrix(t, hp_for(1, std::log(1.0)));
+    EXPECT_THROW(cholesky_with_jitter(k, 1e-12, 6), std::runtime_error);
 }
 
 TEST(SemimetricKernel, GpPosteriorStaysBoundedOnPermutationSpaces)
@@ -95,7 +137,8 @@ TEST(SemimetricKernel, GpPosteriorStaysBoundedOnPermutationSpaces)
     // End-to-end guard: even when the semimetric kernel is ill-conditioned,
     // GpModel's posterior must produce bounded predictions.
     SearchSpace s;
-    s.add_permutation("p", 4, PermutationMetric::kSpearman);
+    s.add_permutation("p", 4, PermutationMetric::kSpearman,
+                      PermutationForm::kSemimetric);
     s.add_ordinal("o", {1, 2, 4, 8}, true);
     RngEngine rng(17);
     std::vector<Configuration> xs;

@@ -273,21 +273,5 @@ TEST(CholeskyWithJitter, ReportsZeroShiftWhenSpd)
     EXPECT_EQ(f.size(), 5u);
 }
 
-TEST(Matrix, ResizePreservingKeepsOverlap)
-{
-    Matrix m(3, 3);
-    for (std::size_t i = 0; i < 3; ++i)
-        for (std::size_t j = 0; j < 3; ++j)
-            m(i, j) = static_cast<double>(10 * i + j);
-    m.resize_preserving(5, 5);
-    ASSERT_EQ(m.rows(), 5u);
-    EXPECT_EQ(m(2, 2), 22.0);
-    EXPECT_EQ(m(4, 4), 0.0);
-    m.resize_preserving(2, 2);
-    ASSERT_EQ(m.cols(), 2u);
-    EXPECT_EQ(m(1, 1), 11.0);
-    EXPECT_EQ(m(1, 0), 10.0);
-}
-
 }  // namespace
 }  // namespace baco

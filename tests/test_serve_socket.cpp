@@ -548,7 +548,7 @@ TEST(ServeSocket, DeadWorkerDetectedViaMissedHeartbeats)
     // The registry counted the death...
     obs::MetricsSnapshot delta =
         obs::MetricsRegistry::global().snapshot().delta_since(before);
-    EXPECT_GE(delta.value("coord.worker.dead"), 1.0);
+    EXPECT_GE(delta.value("coord.workers_lost_total"), 1.0);
     // ...the health registry agrees...
     int dead = 0;
     int alive = 0;

@@ -21,13 +21,25 @@
 // distributed and session histories cover the pool and fleet barrier
 // rounds and the session's open, observe, checkpoint and resume path too.
 //
-// Usage: baco_history_digest   (no options; output on stdout)
+// --work prints, instead of histories, the work each serial study did: the
+// deltas of the tuner's work counters over the study, one line each,
+//
+//   <benchmark> seed=<seed> nll_evals=N nll_failures=N refits=N extends=N candidates=N pruned=N
+//
+// then one "total" line with their sums over the serial legs. Serial runs
+// are deterministic, so the counts are exact functions of code, benchmark
+// and seed: a change that moves them does different work.
+//
+// Usage: baco_history_digest [--work]   (output on stdout)
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include "api/baco.hpp"
 #include "exec/jsonl.hpp"
@@ -48,6 +60,29 @@ print_history(const std::string& benchmark, unsigned seed, const char* label,
                     label, i, o.value, o.feasible ? 1 : 0,
                     jsonl::config_json(o.config).c_str());
     }
+}
+
+/** The --work counters: printed label, registry name. */
+const std::pair<const char*, const char*> kWorkCounters[] = {
+    {"nll_evals", "tuner.model_nll_evals_total"},
+    {"nll_failures", "tuner.model_nll_failures_total"},
+    {"refits", "tuner.model_refits_total"},
+    {"extends", "tuner.model_extends_total"},
+    {"candidates", "tuner.acquisition_candidates_total"},
+    {"pruned", "tuner.acquisition_pruned_total"},
+};
+
+void
+print_work(const std::string& benchmark, unsigned seed,
+           const obs::MetricsSnapshot& delta, double* totals)
+{
+    std::printf("%s seed=%u", benchmark.c_str(), seed);
+    for (std::size_t i = 0; i < std::size(kWorkCounters); ++i) {
+        double v = delta.value(kWorkCounters[i].second);
+        totals[i] += v;
+        std::printf(" %s=%.0f", kWorkCounters[i].first, v);
+    }
+    std::printf("\n");
 }
 
 [[noreturn]] void
@@ -117,8 +152,13 @@ session_history(const Benchmark& b, const std::string& dir, unsigned seed)
 }  // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    const bool work = argc == 2 && std::strcmp(argv[1], "--work") == 0;
+    if (argc > 1 && !work) {
+        std::fprintf(stderr, "usage: baco_history_digest [--work]\n");
+        return 2;
+    }
     struct Leg {
       unsigned seed;
       const char* label;  // appended to the seed field; empty for Serial
@@ -130,7 +170,10 @@ main()
         {1, ",batched(4)", ExecutionPolicy::Batched(4)},
         {1, ",distributed(2,4)", ExecutionPolicy::Distributed(2, 4)},
     };
+    double totals[std::size(kWorkCounters)] = {};
     for (const Leg& leg : kLegs) {
+        if (work && leg.policy.mode != ExecutionPolicy::Mode::kSerial)
+            continue;
         for (const Benchmark& b : suite::all_benchmarks()) {
             Study study = StudyBuilder()
                               .benchmark(b.name)
@@ -138,8 +181,19 @@ main()
                               .seed(leg.seed)
                               .execution(leg.policy)
                               .build();
-            print_history(b.name, leg.seed, leg.label, study.run().history);
+            StudyResult r = study.run();
+            if (work)
+                print_work(b.name, leg.seed, r.metrics, totals);
+            else
+                print_history(b.name, leg.seed, leg.label, r.history);
         }
+    }
+    if (work) {
+        std::printf("total");
+        for (std::size_t i = 0; i < std::size(kWorkCounters); ++i)
+            std::printf(" %s=%.0f", kWorkCounters[i].first, totals[i]);
+        std::printf("\n");
+        return 0;
     }
 
     std::string dir =
