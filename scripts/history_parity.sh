@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# History parity: does the working tree make BaCO suggest exactly what
-# BASE_REF did?
+# History parity: does the working tree make every built-in search method
+# suggest exactly what BASE_REF did?
 #
 # Builds tools/baco_history_digest twice — at BASE_REF, exported with
 # git archive into a temporary directory, and at the working tree — runs
-# both and compares the outputs: every observation of BaCO on every
-# registry benchmark at full budget — serially at 2 seeds, and at seed 1
-# in Batched(4) and Distributed(2, 4) barrier rounds and over a serve
-# session in rounds of 4 that a fresh SessionManager resumes from its
-# checkpoint at half budget — values as hexfloats. A change that claims to leave the search untouched
-# (a performance change) must report "identical"; algorithmic changes
+# both and compares the outputs: every observation of each built-in
+# method (BaCO, BaCO--, the OpenTuner-like and Ytopt-like baselines, the
+# two samplers) on every registry benchmark at full budget — serially at
+# 2 seeds, and at seed 1 in Batched(4) and Distributed(2, 4) barrier
+# rounds and over a serve session in rounds of 4 that a fresh
+# SessionManager resumes from its checkpoint at half budget — values as
+# hexfloats. A change that claims to leave the search untouched (a
+# performance change) must report "identical"; algorithmic changes
 # legitimately differ, so the verdict is information, not a gate.
 #
 # Both builds use the working tree's digest source, so BASE_REF needs only
@@ -18,8 +20,9 @@
 # Usage: scripts/history_parity.sh BASE_REF
 #
 # Prints one verdict line on stdout — "identical (N observations)" or
-# "differs at <benchmark> seed=<s> #<index>" — and the build logs on
-# stderr. Exit status: 0 identical, 1 different, 2 usage or build error.
+# "differs at <method> <benchmark> seed=<s>[,<policy>] #<index>" — and the
+# build logs on stderr. Exit status: 0 identical, 1 different, 2 usage or
+# build error.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -61,14 +64,14 @@ cp tools/baco_history_digest.cpp "$TMP/base/tools/" || exit 2
 build_digest "$TMP/base" "$TMP/base-build" "$TMP/base.txt"
 build_digest "$ROOT" "$TMP/head-build" "$TMP/head.txt"
 
-# First line where the digests part: its first three fields name the
-# benchmark, the seed and the observation index.
+# First line where the digests part: its first four fields name the
+# method, the benchmark, the seed and the observation index.
 awk '
     NR == FNR { base[++nb] = $0; next }
     {
         ++nh
         if (nh > nb || base[nh] != $0) {
-            print "differs at " $1 " " $2 " " $3
+            print "differs at " $1 " " $2 " " $3 " " $4
             found = 1
             exit 1
         }
@@ -78,7 +81,7 @@ awk '
             exit 1
         if (nh < nb) {
             split(base[nh + 1], f, " ")
-            print "differs at " f[1] " " f[2] " " f[3] " (missing here)"
+            print "differs at " f[1] " " f[2] " " f[3] " " f[4] " (missing here)"
             exit 1
         }
         print "identical (" nh " observations)"

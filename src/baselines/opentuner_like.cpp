@@ -1,25 +1,16 @@
 #include "baselines/opentuner_like.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <memory>
-#include <stdexcept>
-#include <unordered_set>
 
 #include "core/chain_of_trees.hpp"
-#include "core/tuner_metrics.hpp"
-#include "exec/drive.hpp"
-#include "obs/trace.hpp"
 #include "exec/jsonl.hpp"
 
 namespace baco {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /** The ensemble's sub-techniques. */
 enum class Technique : int {
@@ -34,77 +25,56 @@ enum class Technique : int {
 /** Sentinel for seed-phase proposals (no bandit credit). */
 constexpr int kSeedPhase = -1;
 
-/** Per-evaluation record ranked by (feasible, value). */
-struct Member {
-  Configuration config;
-  double value = std::numeric_limits<double>::infinity();  // inf = infeasible
-};
+/** An observation's rank in the population: failures rank last. */
+double
+rank_value(const Observation& o)
+{
+    return o.feasible ? o.value : std::numeric_limits<double>::infinity();
+}
 
 }  // namespace
 
-struct OpenTunerLike::State {
-  RngEngine rng;
-  std::unique_ptr<ChainOfTrees> cot;
-  std::vector<Member> population;
-  std::unordered_set<std::size_t> seen;
-  std::vector<int> uses;
+struct OpenTunerLike::State : MethodState {
+  std::vector<int> uses =
+      std::vector<int>(static_cast<std::size_t>(Technique::kCount), 0);
   /** Sliding window of (technique, improved?) outcomes. */
   std::deque<std::pair<int, bool>> window;
-  /** Technique of each suggested-but-unobserved configuration, in order. */
-  std::deque<int> pending;
-
-  State(const SearchSpace& space, std::uint64_t seed)
-      : rng(seed), uses(static_cast<std::size_t>(Technique::kCount), 0)
-  {
-      if (space.has_constraints() && space.is_fully_discrete()) {
-          try {
-              cot = std::make_unique<ChainOfTrees>(ChainOfTrees::build(space));
-          } catch (const std::runtime_error&) {
-              cot.reset();
-          }
-      }
-  }
+  /** (config hash, technique) of each suggested-but-unobserved
+   *  configuration, oldest first. */
+  std::vector<std::pair<std::size_t, int>> outstanding;
 };
 
 OpenTunerLike::OpenTunerLike(const SearchSpace& space, Options opt)
-    : AskTellBase(opt.budget, opt.seed), space_(&space), opt_(opt)
+    : AskTellBase(space, opt.budget, opt.seed), opt_(opt)
 {
 }
 
-OpenTunerLike::~OpenTunerLike() = default;
-
-OpenTunerLike::State&
-OpenTunerLike::state()
+std::unique_ptr<AskTellBase::MethodState>
+OpenTunerLike::new_state() const
 {
-    if (!state_)
-        state_ = std::make_unique<State>(*space_, opt_.seed);
-    return *state_;
+    return std::make_unique<State>();
 }
 
 std::vector<Configuration>
-OpenTunerLike::suggest(int n)
+OpenTunerLike::propose(int n, const std::vector<Configuration>&)
 {
-    auto start = Clock::now();
-    const SearchSpace& space = *space_;
-    State& st = state();
-    n = std::min(n, remaining());
+    const SearchSpace& space = space_;
+    State& st = *state<State>();
+    const ChainOfTrees* tree = cot();
+    // The population is the history, ranked by rank_value().
+    const std::vector<Observation>& population = history_.observations;
     std::vector<Configuration> out;
-    if (n <= 0)
-        return out;
-    TunerMetrics& tm = TunerMetrics::get();
-    obs::ScopedTimer suggest_timer(tm.suggest, "tuner.suggest", "tuner");
-    tm.suggestions.add(static_cast<std::uint64_t>(n));
     out.reserve(static_cast<std::size_t>(n));
 
     auto feasible_known = [&](const Configuration& c) {
-        return st.cot ? st.cot->contains(c) : space.satisfies(c);
+        return tree ? tree->contains(c) : space.satisfies(c);
     };
 
     auto random_config = [&]() -> Configuration {
-        if (st.cot)
-            return st.cot->sample(st.rng, /*uniform_leaves=*/false);
-        auto s = space.sample_feasible(st.rng, 2000);
-        return s ? std::move(*s) : space.sample_unconstrained(st.rng);
+        if (tree)
+            return tree->sample(rng(), /*uniform_leaves=*/false);
+        auto s = space.sample_feasible(rng(), 2000);
+        return s ? std::move(*s) : space.sample_unconstrained(rng());
     };
 
     /**
@@ -116,19 +86,19 @@ OpenTunerLike::suggest(int n)
                       const std::vector<std::size_t>& touched) -> bool {
         if (feasible_known(c))
             return true;
-        if (!st.cot)
+        if (!tree)
             return false;
         for (std::size_t p : touched) {
-            std::size_t t = st.cot->tree_of(p);
+            std::size_t t = tree->tree_of(p);
             if (t != ChainOfTrees::kNoTree)
-                st.cot->resample_tree(t, c, st.rng, /*uniform_leaves=*/false);
+                tree->resample_tree(t, c, rng(), /*uniform_leaves=*/false);
         }
         return feasible_known(c);
     };
 
     // Elite access: indices of the best configurations.
     auto elites = [&]() {
-        std::vector<std::size_t> idx(st.population.size());
+        std::vector<std::size_t> idx(population.size());
         for (std::size_t i = 0; i < idx.size(); ++i)
             idx[i] = i;
         std::size_t k = std::min<std::size_t>(
@@ -136,7 +106,7 @@ OpenTunerLike::suggest(int n)
         std::partial_sort(
             idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
             idx.end(), [&](std::size_t a, std::size_t b) {
-                return st.population[a].value < st.population[b].value;
+                return rank_value(population[a]) < rank_value(population[b]);
             });
         idx.resize(k);
         return idx;
@@ -180,7 +150,7 @@ OpenTunerLike::suggest(int n)
     };
 
     // ---- Proposal generators. ----
-    auto propose = [&](Technique t) -> Configuration {
+    auto generate = [&](Technique t) -> Configuration {
         std::vector<std::size_t> elite = elites();
         const std::size_t n_params = space.num_params();
         switch (t) {
@@ -189,17 +159,17 @@ OpenTunerLike::suggest(int n)
 
           case Technique::kMutateUniform: {
             Configuration c =
-                st.population[elite[st.rng.index(elite.size())]].config;
-            int n_mut = 1 + static_cast<int>(st.rng.bernoulli(0.3));
+                population[elite[rng().index(elite.size())]].config;
+            int n_mut = 1 + static_cast<int>(rng().bernoulli(0.3));
             std::vector<std::size_t> touched;
             for (int m = 0; m < n_mut; ++m) {
-                std::size_t p = st.rng.index(n_params);
+                std::size_t p = rng().index(n_params);
                 touched.push_back(p);
-                if (st.cot && st.cot->tree_of(p) != ChainOfTrees::kNoTree) {
-                    st.cot->resample_tree(st.cot->tree_of(p), c, st.rng,
+                if (tree && tree->tree_of(p) != ChainOfTrees::kNoTree) {
+                    tree->resample_tree(tree->tree_of(p), c, rng(),
                                           false);
                 } else {
-                    c[p] = space.param(p).sample(st.rng);
+                    c[p] = space.param(p).sample(rng());
                 }
             }
             if (!repair(c, touched))
@@ -209,25 +179,25 @@ OpenTunerLike::suggest(int n)
 
           case Technique::kMutateLocal: {
             Configuration c =
-                st.population[elite[st.rng.index(elite.size())]].config;
-            std::size_t p = st.rng.index(n_params);
+                population[elite[rng().index(elite.size())]].config;
+            std::size_t p = rng().index(n_params);
             std::vector<ParamValue> nb =
-                space.param(p).neighbors(c[p], st.rng);
+                space.param(p).neighbors(c[p], rng());
             if (!nb.empty())
-                c[p] = nb[st.rng.index(nb.size())];
+                c[p] = nb[rng().index(nb.size())];
             if (!repair(c, {p}))
                 return random_config();
             return c;
           }
 
           case Technique::kHillClimb: {
-            const Configuration& best = st.population[elite[0]].config;
+            const Configuration& best = population[elite[0]].config;
             Configuration c = best;
-            std::size_t p = st.rng.index(n_params);
+            std::size_t p = rng().index(n_params);
             std::vector<ParamValue> nb =
-                space.param(p).neighbors(c[p], st.rng);
+                space.param(p).neighbors(c[p], rng());
             if (!nb.empty())
-                c[p] = nb[st.rng.index(nb.size())];
+                c[p] = nb[rng().index(nb.size())];
             if (!repair(c, {p}))
                 return random_config();
             return c;
@@ -235,15 +205,15 @@ OpenTunerLike::suggest(int n)
 
           case Technique::kDifferentialEvo: {
             const Configuration& base =
-                st.population[elite[st.rng.index(elite.size())]].config;
+                population[elite[rng().index(elite.size())]].config;
             const Configuration& a =
-                st.population[st.rng.index(st.population.size())].config;
+                population[rng().index(population.size())].config;
             const Configuration& b =
-                st.population[st.rng.index(st.population.size())].config;
+                population[rng().index(population.size())].config;
             Configuration c = base;
             std::vector<std::size_t> touched;
             for (std::size_t p = 0; p < n_params; ++p) {
-                if (!st.rng.bernoulli(0.4))
+                if (!rng().bernoulli(0.4))
                     continue;
                 touched.push_back(p);
                 const Parameter& par = space.param(p);
@@ -260,7 +230,7 @@ OpenTunerLike::suggest(int n)
                         static_cast<std::int64_t>(par.num_values()) - 1);
                     c[p] = par.value_at(static_cast<std::size_t>(idx));
                 } else if (par.kind() == ParamKind::kPermutation) {
-                    c[p] = st.rng.bernoulli(0.5) ? a[p] : b[p];
+                    c[p] = rng().bernoulli(0.5) ? a[p] : b[p];
                 } else {
                     double va = as_real(a[p]), vb = as_real(b[p]);
                     double vc = as_real(base[p]) + 0.6 * (va - vb);
@@ -279,22 +249,27 @@ OpenTunerLike::suggest(int n)
         return random_config();
     };
 
+    // Each proposal is remembered with its technique, which its result
+    // credits whenever it lands.
+    auto take = [&](Configuration c, int technique) {
+        mark_seen(c);
+        st.outstanding.emplace_back(config_hash(c), technique);
+        out.push_back(std::move(c));
+    };
+
     const int seed_target = std::min(opt_.initial_random, opt_.budget);
     for (int k = 0; k < n; ++k) {
         std::size_t virtual_evals = history_.size() + out.size();
         if (virtual_evals < static_cast<std::size_t>(seed_target)) {
-            Configuration c = random_config();
-            st.seen.insert(config_hash(c));
-            st.pending.push_back(kSeedPhase);
-            out.push_back(std::move(c));
+            take(random_config(), kSeedPhase);
             continue;
         }
         Technique t = select_technique();
         Configuration c;
         bool found = false;
         for (int tries = 0; tries < 8; ++tries) {
-            c = propose(t);
-            if (!st.seen.count(config_hash(c))) {
+            c = generate(t);
+            if (!seen(c)) {
                 found = true;
                 break;
             }
@@ -302,89 +277,55 @@ OpenTunerLike::suggest(int n)
         if (!found) {
             for (int tries = 0; tries < 200 && !found; ++tries) {
                 c = random_config();
-                found = !st.seen.count(config_hash(c));
+                found = !seen(c);
             }
         }
-        st.seen.insert(config_hash(c));
-        st.pending.push_back(static_cast<int>(t));
-        out.push_back(std::move(c));
+        take(std::move(c), static_cast<int>(t));
     }
-    history_.tuner_seconds +=
-        std::chrono::duration<double>(Clock::now() - start).count();
     return out;
 }
 
 void
-OpenTunerLike::observe(const std::vector<Configuration>& configs,
-                       const std::vector<EvalResult>& results)
+OpenTunerLike::after_observe(const Configuration& config, bool improved)
 {
-    auto start = Clock::now();
-    TunerMetrics& tm = TunerMetrics::get();
-    obs::ScopedTimer timer(tm.observe, "tuner.observe", "tuner");
-    tm.observations.add(static_cast<std::uint64_t>(
-        std::min(configs.size(), results.size())));
-    State& st = state();
-    for (std::size_t i = 0; i < configs.size() && i < results.size(); ++i) {
-        int technique = kSeedPhase;
-        if (!st.pending.empty()) {
-            technique = st.pending.front();
-            st.pending.pop_front();
-        }
-        st.seen.insert(config_hash(configs[i]));
-
-        double before = history_.best_value;
-        Member m;
-        m.config = configs[i];
-        if (results[i].feasible)
-            m.value = results[i].value;
-        st.population.push_back(std::move(m));
-        history_.add(configs[i], results[i]);
-
-        if (technique != kSeedPhase) {
-            bool improved = history_.best_value < before;
-            st.uses[static_cast<std::size_t>(technique)] += 1;
-            st.window.emplace_back(technique, improved);
-            if (static_cast<int>(st.window.size()) > opt_.bandit_window)
-                st.window.pop_front();
-        }
-    }
-    history_.tuner_seconds +=
-        std::chrono::duration<double>(Clock::now() - start).count();
+    State& st = *state<State>();
+    const std::size_t h = config_hash(config);
+    auto it = std::find_if(st.outstanding.begin(), st.outstanding.end(),
+                           [h](const auto& p) { return p.first == h; });
+    // Not proposed in this run: the in-flight work of a resumed one.
+    if (it == st.outstanding.end())
+        return;
+    const int technique = it->second;
+    st.outstanding.erase(it);
+    if (technique == kSeedPhase)
+        return;
+    st.uses[static_cast<std::size_t>(technique)] += 1;
+    st.window.emplace_back(technique, improved);
+    if (static_cast<int>(st.window.size()) > opt_.bandit_window)
+        st.window.pop_front();
 }
 
 void
-OpenTunerLike::reset_sampler()
+OpenTunerLike::write_segments(std::string& out) const
 {
-    state_.reset();
-}
-
-std::string
-OpenTunerLike::sampler_state() const
-{
-    // RNG stream position, then the AUC bandit credit state: per-technique
-    // use counts and the sliding (technique, improved?) window. Segments
-    // are ';'-separated so the whole string stays a single JSON-safe token
-    // (no quotes); a state without the bandit segments restores with a
-    // cold window (pre-serialization checkpoints).
-    std::string out = rng_state_string(state_ ? &state_->rng : nullptr);
-    if (!state_)
-        return out;
-    const State& st = *state_;
+    // The AUC bandit credit; a state without it restores a cold window.
+    const State* st = state<State>();
+    if (!st)
+        return;
     out += ";uses=";
-    for (std::size_t t = 0; t < st.uses.size(); ++t) {
+    for (std::size_t t = 0; t < st->uses.size(); ++t) {
         if (t > 0)
             out += ',';
-        out += std::to_string(st.uses[t]);
+        out += std::to_string(st->uses[t]);
     }
     out += ";win=";
-    for (std::size_t i = 0; i < st.window.size(); ++i) {
+    for (std::size_t i = 0; i < st->window.size(); ++i) {
         if (i > 0)
             out += '|';
-        out += std::to_string(st.window[i].first);
+        out += std::to_string(st->window[i].first);
         out += ':';
-        out += st.window[i].second ? '1' : '0';
+        out += st->window[i].second ? '1' : '0';
     }
-    return out;
 }
 
 namespace {
@@ -451,51 +392,14 @@ parse_window(const std::string& s, std::deque<std::pair<int, bool>>& window)
 }  // namespace
 
 bool
-OpenTunerLike::restore(const TuningHistory& history,
-                       const std::string& sampler_state)
+OpenTunerLike::read_segment(const std::string& key, const std::string& value)
 {
-    state_.reset();
-    history_ = history;
-    State& st = state();
-    for (const Observation& o : history_.observations) {
-        st.seen.insert(config_hash(o.config));
-        Member m;
-        m.config = o.config;
-        if (o.feasible)
-            m.value = o.value;
-        st.population.push_back(std::move(m));
-    }
-    bool ok = true;
-    std::size_t semi = sampler_state.find(';');
-    ok = restore_rng(st.rng, sampler_state.substr(0, semi));
-    // Bandit credit segments (absent in old checkpoints: cold restart).
-    while (ok && semi != std::string::npos) {
-        std::size_t next = sampler_state.find(';', semi + 1);
-        std::string seg = sampler_state.substr(
-            semi + 1,
-            next == std::string::npos ? std::string::npos : next - semi - 1);
-        if (seg.compare(0, 5, "uses=") == 0)
-            ok = parse_uses(seg.substr(5), st.uses);
-        else if (seg.compare(0, 4, "win=") == 0)
-            ok = parse_window(seg.substr(4), st.window);
-        else
-            ok = false;
-        semi = next;
-    }
-    if (!ok) {
-        state_.reset();
-        history_ = TuningHistory{};
-        return false;
-    }
-    return true;
-}
-
-TuningHistory
-OpenTunerLike::run(const BlackBoxFn& objective)
-{
-    state_.reset();
-    history_ = TuningHistory{};
-    return drive_serial(*this, objective);
+    State& st = *state<State>();
+    if (key == "uses")
+        return parse_uses(value, st.uses);
+    if (key == "win")
+        return parse_window(value, st.window);
+    return false;
 }
 
 }  // namespace baco

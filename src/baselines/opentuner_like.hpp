@@ -19,8 +19,9 @@
  * improves on).
  *
  * The search is exposed through the ask-tell interface: suggest() picks a
- * technique per batch member, observe() settles the bandit credit when the
- * results come back.
+ * technique per batch member, and each observed result credits the
+ * technique that proposed that configuration, in whatever order the
+ * results land.
  */
 
 #include <memory>
@@ -44,29 +45,22 @@ class OpenTunerLike : public AskTellBase {
   };
 
   OpenTunerLike(const SearchSpace& space, Options opt);
-  ~OpenTunerLike() override;
-
-  /** Run the ensemble search loop (serial ask-tell driver). */
-  TuningHistory run(const BlackBoxFn& objective);
-
-  // --- Ask-tell interface. ---
-  std::vector<Configuration> suggest(int n) override;
-  void observe(const std::vector<Configuration>& configs,
-               const std::vector<EvalResult>& results) override;
-  std::string sampler_state() const override;
-  bool restore(const TuningHistory& history,
-               const std::string& sampler_state) override;
-
- protected:
-  void reset_sampler() override;
 
  private:
-  struct State;
-  State& state();
+  struct State;  ///< the bandit credit
 
-  const SearchSpace* space_;
+  std::vector<Configuration> propose(
+      int n, const std::vector<Configuration>& pending) override;
+  std::unique_ptr<MethodState> new_state() const override;
+  /** Credit the technique that proposed config. */
+  void after_observe(const Configuration& config, bool improved) override;
+  /** ";uses=" (per-technique use counts) and ";win=" (the sliding
+   *  credit window), once the run has started. */
+  void write_segments(std::string& out) const override;
+  bool read_segment(const std::string& key,
+                    const std::string& value) override;
+
   Options opt_;
-  std::unique_ptr<State> state_;
 };
 
 }  // namespace baco

@@ -11,20 +11,15 @@
  * - CoT sampling: ATF's biased root-to-leaf random walk over the
  *   Chain-of-Trees, used to study the bias discussed in Sec. 4.2.
  *
- * Both are exposed through the ask-tell interface (RandomSearchTuner), so
- * any drive (exec/drive.hpp) can run them; the run_* free functions keep
- * the original one-call API.
+ * Both are one ask-tell tuner (RandomSearchTuner), run by any drive
+ * (exec/drive.hpp): drive_serial() for the plain serial loop.
  */
-
-#include <memory>
 
 #include "core/evaluator.hpp"
 #include "core/search_space.hpp"
 #include "exec/ask_tell.hpp"
 
 namespace baco {
-
-class ChainOfTrees;
 
 /** Shared options for the sampling baselines. */
 struct RandomSearchOptions {
@@ -38,38 +33,13 @@ class RandomSearchTuner : public AskTellBase {
   /** @param biased_walk true = ATF's biased CoT walk, false = uniform. */
   RandomSearchTuner(const SearchSpace& space, RandomSearchOptions opt,
                     bool biased_walk);
-  ~RandomSearchTuner() override;
-
-  std::vector<Configuration> suggest(int n) override;
-  void observe(const std::vector<Configuration>& configs,
-               const std::vector<EvalResult>& results) override;
-  std::string sampler_state() const override;
-  bool restore(const TuningHistory& history,
-               const std::string& sampler_state) override;
-
- protected:
-  void reset_sampler() override;
 
  private:
-  struct State;
-  State& state();
+  std::vector<Configuration> propose(
+      int n, const std::vector<Configuration>& pending) override;
 
-  const SearchSpace* space_;
-  RandomSearchOptions opt_;
   bool biased_walk_;
-  std::unique_ptr<State> state_;
 };
-
-/** Uniform (bias-free) sampling over the feasible region. */
-TuningHistory run_uniform_sampling(const SearchSpace& space,
-                                   const BlackBoxFn& objective,
-                                   const RandomSearchOptions& opt);
-
-/** Biased CoT root-to-leaf walk sampling. Falls back to rejection sampling
- *  when the space has no (tree-compatible) known constraints. */
-TuningHistory run_cot_sampling(const SearchSpace& space,
-                               const BlackBoxFn& objective,
-                               const RandomSearchOptions& opt);
 
 }  // namespace baco
 

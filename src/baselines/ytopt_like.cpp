@@ -1,37 +1,22 @@
 #include "baselines/ytopt_like.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <limits>
-#include <memory>
-#include <stdexcept>
 #include <unordered_set>
 
 #include "core/acquisition.hpp"
 #include "core/chain_of_trees.hpp"
-#include "core/tuner_metrics.hpp"
-#include "exec/drive.hpp"
-#include "obs/trace.hpp"
 #include "gp/gp_model.hpp"
 #include "rf/random_forest.hpp"
 
 namespace baco {
 
-namespace {
-using Clock = std::chrono::steady_clock;
-}
-
-struct YtoptLike::State {
-  RngEngine rng;
-  std::unique_ptr<ChainOfTrees> cot;
-  std::unordered_set<std::size_t> seen;
+struct YtoptLike::State : MethodState {
   RandomForest forest;
   GpModel gp;
 
-  State(const SearchSpace& space, const Options& opt)
-      : rng(opt.seed),
-        forest([] {
+  explicit State(const SearchSpace& space)
+      : forest([] {
             ForestOptions o;
             o.task = TreeTask::kRegression;
             o.num_trees = 40;
@@ -44,59 +29,41 @@ struct YtoptLike::State {
             return o;
         }())
   {
-      // The RF mode supports known constraints (like Ytopt's ConfigSpace
-      // path); the GP mode does not (matching the real tool) and samples
-      // the dense space.
-      bool use_gp = opt.surrogate == Surrogate::kGaussianProcess;
-      if (!use_gp && space.has_constraints() && space.is_fully_discrete()) {
-          try {
-              cot = std::make_unique<ChainOfTrees>(ChainOfTrees::build(space));
-          } catch (const std::runtime_error&) {
-              cot.reset();
-          }
-      }
   }
 };
 
 YtoptLike::YtoptLike(const SearchSpace& space, Options opt)
-    : AskTellBase(opt.budget, opt.seed), space_(&space), opt_(opt)
+    : AskTellBase(space, opt.budget, opt.seed), opt_(opt)
 {
 }
 
-YtoptLike::~YtoptLike() = default;
-
-YtoptLike::State&
-YtoptLike::state()
+std::unique_ptr<AskTellBase::MethodState>
+YtoptLike::new_state() const
 {
-    if (!state_)
-        state_ = std::make_unique<State>(*space_, opt_);
-    return *state_;
+    return std::make_unique<State>(space_);
 }
 
 std::vector<Configuration>
-YtoptLike::suggest(int n)
+YtoptLike::propose(int n, const std::vector<Configuration>&)
 {
-    auto start = Clock::now();
-    const SearchSpace& space = *space_;
-    State& st = state();
-    n = std::min(n, remaining());
+    const SearchSpace& space = space_;
+    State& st = *state<State>();
     std::vector<Configuration> out;
-    if (n <= 0)
-        return out;
-    TunerMetrics& tm = TunerMetrics::get();
-    obs::ScopedTimer suggest_timer(tm.suggest, "tuner.suggest", "tuner");
-    tm.suggestions.add(static_cast<std::uint64_t>(n));
     out.reserve(static_cast<std::size_t>(n));
 
     bool use_gp = opt_.surrogate == Surrogate::kGaussianProcess;
+    // The RF mode supports known constraints (like Ytopt's ConfigSpace
+    // path); the GP mode does not (matching the real tool) and samples
+    // the dense space.
+    const ChainOfTrees* tree = use_gp ? nullptr : cot();
 
     auto sample_candidate = [&]() -> Configuration {
         if (use_gp)
-            return space.sample_unconstrained(st.rng);
-        if (st.cot)
-            return st.cot->sample(st.rng, /*uniform_leaves=*/true);
-        auto s = space.sample_feasible(st.rng, 2000);
-        return s ? std::move(*s) : space.sample_unconstrained(st.rng);
+            return space.sample_unconstrained(rng());
+        if (tree)
+            return tree->sample(rng(), /*uniform_leaves=*/true);
+        auto s = space.sample_feasible(rng(), 2000);
+        return s ? std::move(*s) : space.sample_unconstrained(rng());
     };
 
     // ---- DoE phase: plain sampling, deduplicated best-effort. ----
@@ -105,10 +72,9 @@ YtoptLike::suggest(int n)
            history_.size() + out.size() <
                static_cast<std::size_t>(doe_target)) {
         Configuration c = sample_candidate();
-        for (int tries = 0;
-             tries < 100 && st.seen.count(config_hash(c)); ++tries)
+        for (int tries = 0; tries < 100 && seen(c); ++tries)
             c = sample_candidate();
-        st.seen.insert(config_hash(c));
+        mark_seen(c);
         out.push_back(std::move(c));
     }
 
@@ -132,19 +98,19 @@ YtoptLike::suggest(int n)
         }
         if (xs.size() < 2) {
             Configuration c = sample_candidate();
-            st.seen.insert(config_hash(c));
+            mark_seen(c);
             out.push_back(std::move(c));
             continue;
         }
 
         if (use_gp) {
-            st.gp.fit(xs, ys, st.rng);
+            st.gp.fit(xs, ys, rng());
         } else {
             std::vector<std::vector<double>> enc;
             enc.reserve(xs.size());
             for (const Configuration& c : xs)
                 enc.push_back(space.encode(c));
-            st.forest.fit(enc, ys, st.rng);
+            st.forest.fit(enc, ys, rng());
         }
 
         double best = *std::min_element(ys.begin(), ys.end());
@@ -155,7 +121,7 @@ YtoptLike::suggest(int n)
         std::vector<std::pair<double, Configuration>> scored;
         for (int i = 0; i < opt_.pool_size; ++i) {
             Configuration c = sample_candidate();
-            if (st.seen.count(config_hash(c)))
+            if (seen(c))
                 continue;
             double mean, var;
             if (use_gp) {
@@ -183,74 +149,39 @@ YtoptLike::suggest(int n)
             if (batch_dedup.count(h))
                 continue;
             batch_dedup.insert(h);
-            st.seen.insert(h);
+            mark_seen(c);
             out.push_back(std::move(c));
             --want;
         }
         while (want > 0 && static_cast<int>(out.size()) < n) {
             Configuration c = sample_candidate();
-            st.seen.insert(config_hash(c));
+            mark_seen(c);
             out.push_back(std::move(c));
             --want;
         }
     }
-    history_.tuner_seconds +=
-        std::chrono::duration<double>(Clock::now() - start).count();
     return out;
 }
 
 void
-YtoptLike::observe(const std::vector<Configuration>& configs,
-                   const std::vector<EvalResult>& results)
+YtoptLike::write_segments(std::string& out) const
 {
-    auto start = Clock::now();
-    TunerMetrics& tm = TunerMetrics::get();
-    obs::ScopedTimer timer(tm.observe, "tuner.observe", "tuner");
-    State& st = state();
-    for (std::size_t i = 0; i < configs.size() && i < results.size(); ++i) {
-        st.seen.insert(config_hash(configs[i]));
-        history_.add(configs[i], results[i]);
-        tm.observations.add();
-    }
-    history_.tuner_seconds +=
-        std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-void
-YtoptLike::reset_sampler()
-{
-    state_.reset();
-}
-
-std::string
-YtoptLike::sampler_state() const
-{
-    return rng_state_string(state_ ? &state_->rng : nullptr);
+    const State* st = state<State>();
+    if (!st || !st->gp.warm_start())
+        return;
+    out += ";hp=";
+    append_hexfloats(out, st->gp.warm_start()->to_vector());
 }
 
 bool
-YtoptLike::restore(const TuningHistory& history,
-                   const std::string& sampler_state)
+YtoptLike::read_segment(const std::string& key, const std::string& value)
 {
-    state_.reset();
-    history_ = history;
-    State& st = state();
-    for (const Observation& o : history_.observations)
-        st.seen.insert(config_hash(o.config));
-    if (!restore_rng(st.rng, sampler_state)) {
-        state_.reset();
-        history_ = TuningHistory{};
+    std::vector<double> hp;
+    if (key != "hp" || !parse_hexfloats(value, hp) ||
+        hp.size() != space_.num_params() + 2)
         return false;
-    }
+    state<State>()->gp.set_warm_start(GpHyperparams::from_vector(hp));
     return true;
-}
-
-TuningHistory
-YtoptLike::run(const BlackBoxFn& objective)
-{
-    state_.reset();
-    history_ = TuningHistory{};
-    return drive_serial(*this, objective);
 }
 
 }  // namespace baco

@@ -21,7 +21,9 @@
  * the paper's setup).
  *
  * Exposed through the ask-tell interface; suggest(n > 1) returns the top-n
- * distinct pool candidates by acquisition value.
+ * distinct pool candidates by acquisition value. Each GP fit starts one
+ * descent from the previous fit's hyperparameters, so the sampler state
+ * carries them and a resumed run fits exactly as the uninterrupted one.
  */
 
 #include <memory>
@@ -49,28 +51,20 @@ class YtoptLike : public AskTellBase {
   };
 
   YtoptLike(const SearchSpace& space, Options opt);
-  ~YtoptLike() override;
-
-  TuningHistory run(const BlackBoxFn& objective);
-
-  // --- Ask-tell interface. ---
-  std::vector<Configuration> suggest(int n) override;
-  void observe(const std::vector<Configuration>& configs,
-               const std::vector<EvalResult>& results) override;
-  std::string sampler_state() const override;
-  bool restore(const TuningHistory& history,
-               const std::string& sampler_state) override;
-
- protected:
-  void reset_sampler() override;
 
  private:
-  struct State;
-  State& state();
+  struct State;  ///< the surrogates
 
-  const SearchSpace* space_;
+  std::vector<Configuration> propose(
+      int n, const std::vector<Configuration>& pending) override;
+  std::unique_ptr<MethodState> new_state() const override;
+  /** ";hp=": the last GP fit's hyperparameters, the next fit's warm
+   *  start (GP mode, once fitted). */
+  void write_segments(std::string& out) const override;
+  bool read_segment(const std::string& key,
+                    const std::string& value) override;
+
   Options opt_;
-  std::unique_ptr<State> state_;
 };
 
 }  // namespace baco

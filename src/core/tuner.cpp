@@ -1,42 +1,20 @@
 #include "core/tuner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <memory>
-#include <stdexcept>
-#include <unordered_set>
 
 #include "core/acquisition.hpp"
 #include "core/chain_of_trees.hpp"
 #include "core/feasibility_model.hpp"
 #include "core/tuner_metrics.hpp"
-#include "exec/drive.hpp"
 #include "obs/trace.hpp"
 #include "rf/random_forest.hpp"
 
 namespace baco {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-seconds_since(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-}  // namespace
-
-/** Everything the loop carries between suggest()/observe() calls. */
-struct Tuner::State {
-  RngEngine rng;
-  std::unique_ptr<ChainOfTrees> cot;
-  std::unordered_set<std::size_t> seen;
+/** The models the loop carries between suggest()/observe() calls. */
+struct Tuner::State : MethodState {
   GpModel gp;
   RandomForest rf_surrogate;
   FeasibilityModel feasibility;
@@ -58,8 +36,7 @@ struct Tuner::State {
   std::size_t feas_fitted_on = static_cast<std::size_t>(-1);
 
   State(const SearchSpace& space, const TunerOptions& opt)
-      : rng(opt.seed),
-        gp(space, opt.gp),
+      : gp(space, opt.gp),
         rf_surrogate([] {
             ForestOptions o;
             o.task = TreeTask::kRegression;
@@ -68,64 +45,53 @@ struct Tuner::State {
         }()),
         feasibility(space)
   {
-      // Known constraints: Chain-of-Trees when possible.
-      if (opt.use_cot && space.has_constraints() &&
-          space.is_fully_discrete()) {
-          try {
-              cot = std::make_unique<ChainOfTrees>(ChainOfTrees::build(space));
-          } catch (const std::runtime_error&) {
-              cot.reset();  // fall back to rejection sampling
-          }
-      }
   }
 };
 
 Tuner::Tuner(const SearchSpace& space, TunerOptions opt)
-    : AskTellBase(opt.budget, opt.seed), space_(&space), opt_(opt)
+    : AskTellBase(space, opt.budget, opt.seed), opt_(opt)
 {
 }
 
-Tuner::~Tuner() = default;
-
-Tuner::State&
-Tuner::state()
+std::unique_ptr<AskTellBase::MethodState>
+Tuner::new_state() const
 {
-    if (!state_)
-        state_ = std::make_unique<State>(*space_, opt_);
-    return *state_;
+    return std::make_unique<State>(space_, opt_);
 }
 
 Configuration
-Tuner::random_unique(State& st)
+Tuner::random_unique()
 {
-    const SearchSpace& space = *space_;
+    // Known constraints: Chain-of-Trees when possible.
+    const ChainOfTrees* tree = opt_.use_cot ? cot() : nullptr;
     for (int t = 0; t < 500; ++t) {
         Configuration c;
-        if (st.cot) {
-            c = st.cot->sample(st.rng, opt_.cot_uniform_leaves);
+        if (tree) {
+            c = tree->sample(rng(), opt_.cot_uniform_leaves);
         } else {
-            auto s = space.sample_feasible(st.rng, 500);
+            auto s = space_.sample_feasible(rng(), 500);
             if (!s)
                 continue;
             c = std::move(*s);
         }
-        if (!st.seen.count(config_hash(c)))
+        if (!seen(c))
             return c;
     }
     // The space may be (nearly) exhausted: allow a duplicate.
-    if (st.cot)
-        return st.cot->sample(st.rng, opt_.cot_uniform_leaves);
-    auto s = space.sample_feasible(st.rng, 5000);
+    if (tree)
+        return tree->sample(rng(), opt_.cot_uniform_leaves);
+    auto s = space_.sample_feasible(rng(), 5000);
     if (s)
         return *s;
-    return space.sample_unconstrained(st.rng);
+    return space_.sample_unconstrained(rng());
 }
 
 Configuration
-Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
-               double fantasy_value)
+Tuner::propose_with_model(State& st,
+                          const std::vector<Configuration>& fantasy_configs,
+                          double fantasy_value)
 {
-    const SearchSpace& space = *space_;
+    const SearchSpace& space = space_;
 
     // Gather feasible training data, plus the batch's fantasy points.
     std::vector<Configuration> xs;
@@ -140,7 +106,7 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
             log_ok = false;
     }
     if (xs.size() < 2)
-        return random_unique(st);
+        return random_unique();
     for (const Configuration& c : fantasy_configs) {
         xs.push_back(c);
         ys.push_back(fantasy_value);
@@ -161,7 +127,7 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
         if (use_gp && opt_.incremental_fit) {
             sync_gp(st, xs, ys, n_real, log_ok);
         } else if (use_gp) {
-            st.gp.fit(xs, ys, st.rng);
+            st.gp.fit(xs, ys, rng());
             TunerMetrics::get().model_nll_evals.add(st.gp.last_fit_nll_evals());
             TunerMetrics::get().model_nll_failures.add(
                 st.gp.last_fit_nll_failures());
@@ -170,7 +136,7 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
             rf_x.reserve(xs.size());
             for (const Configuration& c : xs)
                 rf_x.push_back(space.encode(c));
-            st.rf_surrogate.fit(rf_x, ys, st.rng);
+            st.rf_surrogate.fit(rf_x, ys, rng());
         }
     }
 
@@ -183,7 +149,7 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
          st.feas_fitted_on != history_.observations.size())) {
         obs::ScopedTimer timer(TunerMetrics::get().feasibility_fit,
                                "tuner.feasibility_fit", "tuner");
-        st.feasibility.fit(history_.observations, st.rng);
+        st.feasibility.fit(history_.observations, rng());
         st.feas_fitted_on = history_.observations.size();
     }
 
@@ -191,7 +157,7 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
     // with P(eps_f = 0) > 0 (Sec. 4.2).
     double eps_f = 0.0;
     if (st.feasibility.active() && opt_.use_feasibility_limit)
-        eps_f = st.rng.bernoulli(1.0 / 3.0) ? 0.0 : st.rng.uniform(0.0, 0.6);
+        eps_f = rng().bernoulli(1.0 / 3.0) ? 0.0 : rng().uniform(0.0, 0.6);
 
     double best = *std::min_element(ys.begin(), ys.end());
 
@@ -212,7 +178,7 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
     std::uint64_t pruned = 0;
     ScoreFn score = [&](const Configuration& c, double floor_to_beat) {
         ++scored;
-        if (st.seen.count(config_hash(c)))
+        if (seen(c))
             return -2.0;  // worse than any admissible candidate
         double mean, var;
         if (use_gp) {
@@ -250,13 +216,14 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
     {
         obs::ScopedTimer timer(TunerMetrics::get().acquisition,
                                "tuner.acquisition", "tuner");
-        cand = local_search_maximize(space, st.cot.get(), score, st.rng, ls);
+        cand = local_search_maximize(space, opt_.use_cot ? cot() : nullptr,
+                                     score, rng(), ls);
     }
     TunerMetrics::get().acquisition_candidates.add(scored);
     TunerMetrics::get().acquisition_pruned.add(pruned);
 
-    if (!cand || st.seen.count(config_hash(*cand)))
-        return random_unique(st);
+    if (!cand || seen(*cand))
+        return random_unique();
     return std::move(*cand);
 }
 
@@ -275,7 +242,7 @@ Tuner::sync_gp(State& st, const std::vector<Configuration>& xs,
                                       xs.begin() + static_cast<long>(n_real));
         std::vector<double> ry(ys.begin(),
                                ys.begin() + static_cast<long>(n_real));
-        st.gp.fit(rx, ry, st.rng);
+        st.gp.fit(rx, ry, rng());
         st.model_real = n_real;
         st.model_fantasy_hashes.clear();
         st.tells_since_refit = 0;
@@ -355,20 +322,10 @@ Tuner::sync_gp(State& st, const std::vector<Configuration>& xs,
 }
 
 std::vector<Configuration>
-Tuner::suggest(int n)
+Tuner::propose(int n, const std::vector<Configuration>& pending)
 {
-    return suggest_with_pending(n, {});
-}
-
-std::vector<Configuration>
-Tuner::suggest_with_pending(int n, const std::vector<Configuration>& pending)
-{
-    auto t0 = Clock::now();
-    State& st = state();
-    n = std::min(n, remaining() - static_cast<int>(pending.size()));
+    State& st = *state<State>();
     std::vector<Configuration> out;
-    if (n <= 0)
-        return out;
     out.reserve(static_cast<std::size_t>(n));
 
     const int doe_target = std::min(opt_.doe_samples, opt_.budget);
@@ -384,24 +341,17 @@ Tuner::suggest_with_pending(int n, const std::vector<Configuration>& pending)
     }
 
     std::vector<Configuration> fantasies = pending;
-    // Re-marking pending as seen is a no-op mid-run (suggesting them
-    // inserted the hashes already) but repairs the dedup set after a
-    // checkpoint resume, where pending never reached the history.
-    for (const Configuration& c : pending)
-        st.seen.insert(config_hash(c));
-
     TunerMetrics& tm = TunerMetrics::get();
-    obs::ScopedTimer suggest_timer(tm.suggest, "tuner.suggest", "tuner");
     for (int k = 0; k < n; ++k) {
         std::size_t virtual_evals = history_.size() + fantasies.size();
         Configuration c;
         if (virtual_evals < static_cast<std::size_t>(doe_target)) {
             obs::ScopedTimer timer(tm.doe, "tuner.doe", "tuner");
-            c = random_unique(st);
+            c = random_unique();
         } else {
-            c = propose(st, fantasies, lie);
+            c = propose_with_model(st, fantasies, lie);
         }
-        st.seen.insert(config_hash(c));
+        mark_seen(c);
         out.push_back(c);
         fantasies.push_back(std::move(c));
     }
@@ -412,104 +362,63 @@ Tuner::suggest_with_pending(int n, const std::vector<Configuration>& pending)
         st.gp.truncate(st.model_real);
         st.model_fantasy_hashes.clear();
     }
-    tm.suggestions.add(static_cast<std::uint64_t>(out.size()));
-    history_.tuner_seconds += seconds_since(t0);
     return out;
 }
 
 void
-Tuner::observe(const std::vector<Configuration>& configs,
-               const std::vector<EvalResult>& results)
+Tuner::write_segments(std::string& out) const
 {
-    auto t0 = Clock::now();
-    TunerMetrics& tm = TunerMetrics::get();
-    obs::ScopedTimer observe_timer(tm.observe, "tuner.observe", "tuner");
-    State& st = state();
-    for (std::size_t i = 0; i < configs.size() && i < results.size(); ++i) {
-        st.seen.insert(config_hash(configs[i]));
-        history_.add(configs[i], results[i]);
-        tm.observations.add();
-    }
-    history_.tuner_seconds += seconds_since(t0);
-}
-
-void
-Tuner::reset_sampler()
-{
-    state_.reset();
-}
-
-std::string
-Tuner::sampler_state() const
-{
-    // RNG stream position, then (incremental GP mode only) the surrogate
-    // bookkeeping: base size of the last full refit, appends since, the
-    // drift reference and the frozen hyperparameters. That is enough for
-    // restore() to rebuild the model bit-for-bit — without it a resumed
+    // Base size of the last full refit, appends since, the log flag, the
+    // drift reference and the frozen hyperparameters: enough for
+    // restore_gp() to rebuild the model bit-for-bit. Without it a resumed
     // run would be forced into an extra full refit, shifting the refit
     // cadence (and the RNG draws refits consume) off the uninterrupted
-    // run's. Doubles travel as hexfloats so the round trip is exact.
-    std::string out = rng_state_string(state_ ? &state_->rng : nullptr);
-    if (!state_ || !opt_.incremental_fit ||
+    // run's.
+    const State* st = state<State>();
+    if (!st || !opt_.incremental_fit ||
         opt_.surrogate != TunerOptions::Surrogate::kGaussianProcess ||
-        !state_->model_valid) {
-        return out;
+        !st->model_valid) {
+        return;
     }
-    const State& st = *state_;
-    char buf[64];
-    auto hex = [&buf](double v) {
-        std::snprintf(buf, sizeof buf, "%a", v);
-        return std::string(buf);
-    };
     out += ";gp=";
-    out += std::to_string(st.model_real) + ',';
-    out += std::to_string(st.tells_since_refit) + ',';
-    out += st.model_log ? "1," : "0,";
-    out += hex(st.nll_after_refit);
-    for (double v : st.gp.hyperparams().to_vector()) {
-        out += ',';
-        out += hex(v);
-    }
-    return out;
+    out += std::to_string(st->model_real) + ',';
+    out += std::to_string(st->tells_since_refit) + ',';
+    out += st->model_log ? "1," : "0,";
+    std::vector<double> nums = st->gp.hyperparams().to_vector();
+    nums.insert(nums.begin(), st->nll_after_refit);
+    append_hexfloats(out, nums);
+}
+
+bool
+Tuner::read_segment(const std::string& key, const std::string& value)
+{
+    if (key != "gp")
+        return false;
+    // The segment only applies when this tuner runs the incremental GP
+    // path; otherwise it is valid but unused.
+    if (!opt_.incremental_fit ||
+        opt_.surrogate != TunerOptions::Surrogate::kGaussianProcess)
+        return true;
+    return restore_gp(*state<State>(), value);
 }
 
 bool
 Tuner::restore_gp(State& st, const std::string& seg)
 {
-    std::vector<std::string> parts;
-    std::size_t at = 0;
-    while (at <= seg.size()) {
-        std::size_t comma = seg.find(',', at);
-        parts.push_back(seg.substr(
-            at, comma == std::string::npos ? std::string::npos : comma - at));
-        if (comma == std::string::npos)
-            break;
-        at = comma + 1;
-    }
-    std::size_t d = space_->num_params();
-    if (parts.size() != 4 + d + 2)
+    // model_real, tells since the refit, log flag (0/1), drift reference,
+    // then the hyperparameters; the counts are range-checked before they
+    // are converted.
+    std::vector<double> v;
+    if (!parse_hexfloats(seg, v) || v.size() != 4 + space_.num_params() + 2)
         return false;
-
-    char* end = nullptr;
-    std::size_t model_real = std::strtoull(parts[0].c_str(), &end, 10);
-    if (end == parts[0].c_str() || *end != '\0')
+    auto is_count = [](double x) { return x >= 0.0 && x == std::floor(x); };
+    if (!is_count(v[0]) || !is_count(v[1]) ||
+        v[0] > static_cast<double>(history_.size()) || v[0] - v[1] < 2.0 ||
+        (v[2] != 0.0 && v[2] != 1.0))
         return false;
-    long tells = std::strtol(parts[1].c_str(), &end, 10);
-    if (end == parts[1].c_str() || *end != '\0')
-        return false;
-    if (parts[2] != "0" && parts[2] != "1")
-        return false;
-    bool model_log = parts[2] == "1";
-    std::vector<double> nums;
-    for (std::size_t i = 3; i < parts.size(); ++i) {
-        double v = std::strtod(parts[i].c_str(), &end);
-        if (end == parts[i].c_str() || *end != '\0' || !std::isfinite(v))
-            return false;
-        nums.push_back(v);
-    }
-    if (tells < 0 || static_cast<std::size_t>(tells) > model_real ||
-        model_real < 2 || model_real - static_cast<std::size_t>(tells) < 2)
-        return false;
+    const std::size_t model_real = static_cast<std::size_t>(v[0]);
+    const std::size_t tells = static_cast<std::size_t>(v[1]);
+    const bool model_log = v[2] == 1.0;
 
     // The transformed feasible prefix the checkpointed model was built on.
     std::vector<Configuration> xs;
@@ -527,9 +436,8 @@ Tuner::restore_gp(State& st, const std::string& seg)
     if (xs.size() < model_real)
         return false;
 
-    std::size_t base = model_real - static_cast<std::size_t>(tells);
-    GpHyperparams hp = GpHyperparams::from_vector(
-        {nums.begin() + 1, nums.end()});
+    std::size_t base = model_real - tells;
+    GpHyperparams hp = GpHyperparams::from_vector({v.begin() + 4, v.end()});
     st.gp.fit_with_hyperparams(
         {xs.begin(), xs.begin() + static_cast<long>(base)},
         {ys.begin(), ys.begin() + static_cast<long>(base)}, hp);
@@ -540,49 +448,10 @@ Tuner::restore_gp(State& st, const std::string& seg)
     st.model_real = model_real;
     st.model_fantasy_hashes.clear();
     st.tells_since_refit = static_cast<int>(tells);
-    st.nll_after_refit = nums[0];
+    st.nll_after_refit = v[3];
     st.model_log = model_log;
     st.model_valid = true;
     return true;
-}
-
-bool
-Tuner::restore(const TuningHistory& history, const std::string& sampler_state)
-{
-    state_.reset();
-    history_ = history;
-    State& st = state();
-    for (const Observation& o : history_.observations)
-        st.seen.insert(config_hash(o.config));
-    std::size_t semi = sampler_state.find(';');
-    bool ok = restore_rng(st.rng, sampler_state.substr(0, semi));
-    if (ok && semi != std::string::npos) {
-        std::string seg = sampler_state.substr(semi + 1);
-        if (seg.compare(0, 3, "gp=") == 0) {
-            // The segment only applies when this tuner runs the
-            // incremental GP path; otherwise it is valid but unused.
-            if (opt_.incremental_fit &&
-                opt_.surrogate == TunerOptions::Surrogate::kGaussianProcess)
-                ok = restore_gp(st, seg.substr(3));
-        } else {
-            ok = false;
-        }
-    }
-    if (!ok) {
-        // Don't leave a half-restored tuner behind.
-        state_.reset();
-        history_ = TuningHistory{};
-        return false;
-    }
-    return true;
-}
-
-TuningHistory
-Tuner::run(const BlackBoxFn& objective)
-{
-    state_.reset();
-    history_ = TuningHistory{};
-    return drive_serial(*this, objective);
 }
 
 }  // namespace baco

@@ -10,16 +10,14 @@
  *
  * The tuner exposes the ask-tell interface (exec/ask_tell.hpp): suggest(n)
  * proposes the next batch — using the constant-liar fantasy heuristic to
- * keep batch members diverse — and observe() feeds results back. run() is
- * the serial drive (exec/drive.hpp); the batched and asynchronous drives
- * run the same object concurrently.
+ * keep batch members diverse — and observe() feeds results back. Any drive
+ * (exec/drive.hpp) runs it: drive_serial() is the plain serial loop, and
+ * the batched and asynchronous drives run the same object.
  *
  * Every design choice studied in the paper's ablations (Sec. 5.3) is an
  * explicit switch in TunerOptions, so BaCO-- and the Fig. 9/10 variants are
  * configurations of this one class.
  */
-
-#include <memory>
 
 #include "core/evaluator.hpp"
 #include "core/local_search.hpp"
@@ -112,45 +110,32 @@ class Tuner : public AskTellBase {
    * @param space must outlive the tuner.
    */
   Tuner(const SearchSpace& space, TunerOptions opt = TunerOptions{});
-  ~Tuner() override;
-
-  /**
-   * Run the full tuning loop against a black-box objective (serial
-   * ask-tell driver; resets any previous state first).
-   */
-  TuningHistory run(const BlackBoxFn& objective);
-
-  // --- Ask-tell interface. ---
-  /**
-   * Propose the next batch. n > 1 uses the constant-liar heuristic: each
-   * already-proposed batch member is added to the model's training set
-   * with the incumbent value, so later members explore elsewhere.
-   */
-  std::vector<Configuration> suggest(int n) override;
-  /**
-   * Async ask: in-flight configurations join the constant-liar fantasy
-   * set exactly like the members of a synchronous batch, so a proposal
-   * made while evaluations are outstanding explores away from them.
-   */
-  std::vector<Configuration> suggest_with_pending(
-      int n, const std::vector<Configuration>& pending) override;
-  void observe(const std::vector<Configuration>& configs,
-               const std::vector<EvalResult>& results) override;
-  std::string sampler_state() const override;
-  bool restore(const TuningHistory& history,
-               const std::string& sampler_state) override;
-
- protected:
-  void reset_sampler() override;
 
  private:
-  struct State;  ///< models, CoT, sampler RNG, dedup set (lazily built)
-  State& state();
-  Configuration random_unique(State& st);
+  struct State;  ///< value and feasibility models, refresh bookkeeping
+
+  /**
+   * Propose the next batch with the constant-liar heuristic: the
+   * in-flight configurations and each batch member proposed so far join
+   * the model's training set with the incumbent value, so later members
+   * explore elsewhere.
+   */
+  std::vector<Configuration> propose(
+      int n, const std::vector<Configuration>& pending) override;
+  std::unique_ptr<MethodState> new_state() const override;
+  /**
+   * ";gp=" (incremental GP mode, once fitted): the surrogate bookkeeping
+   * restore_gp() needs to rebuild the model bit-for-bit.
+   */
+  void write_segments(std::string& out) const override;
+  bool read_segment(const std::string& key,
+                    const std::string& value) override;
+
+  Configuration random_unique();
   /** Model-based proposal with constant-liar fantasies mixed in. */
-  Configuration propose(State& st,
-                        const std::vector<Configuration>& fantasy_configs,
-                        double fantasy_value);
+  Configuration propose_with_model(
+      State& st, const std::vector<Configuration>& fantasy_configs,
+      double fantasy_value);
   /**
    * Bring the GP in line with (xs, ys) = [reals..., fantasies...] on the
    * incremental path: extend the factor with new rows where possible, full
@@ -162,18 +147,15 @@ class Tuner : public AskTellBase {
                const std::vector<double>& ys, std::size_t n_real,
                bool log_ok);
   /**
-   * Rebuild the incremental GP from a sampler_state() "gp=" segment:
-   * refit the saved base prefix under the saved hyperparameters, then
-   * replay the appends — reproducing the checkpointed model bit-for-bit
-   * so a resumed run keeps the refit cadence (and hence the RNG stream)
-   * of the uninterrupted one. False on a malformed or inconsistent
-   * segment.
+   * Rebuild the incremental GP from a "gp=" segment: refit the saved base
+   * prefix under the saved hyperparameters, then replay the appends —
+   * reproducing the checkpointed model bit-for-bit so a resumed run keeps
+   * the refit cadence (and hence the RNG stream) of the uninterrupted
+   * one. False on a malformed or inconsistent segment.
    */
   bool restore_gp(State& st, const std::string& seg);
 
-  const SearchSpace* space_;
   TunerOptions opt_;
-  std::unique_ptr<State> state_;
 };
 
 }  // namespace baco

@@ -1,8 +1,45 @@
 #include "exec/ask_tell.hpp"
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
+
+#include "core/chain_of_trees.hpp"
+#include "core/search_space.hpp"
+#include "core/tuner_metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace baco {
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double
+seconds_since(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/** The space's Chain-of-Trees, or nullptr when it has none. */
+std::unique_ptr<ChainOfTrees>
+try_build_cot(const SearchSpace& space)
+{
+    if (!space.has_constraints() || !space.is_fully_discrete())
+        return nullptr;
+    try {
+        return std::make_unique<ChainOfTrees>(ChainOfTrees::build(space));
+    } catch (const std::runtime_error&) {
+        return nullptr;  // no tree form: callers sample by rejection
+    }
+}
+
+}  // namespace
 
 RngEngine
 eval_rng_for(std::uint64_t run_seed, std::uint64_t index)
@@ -16,59 +53,211 @@ eval_rng_for(std::uint64_t run_seed, std::uint64_t index)
     return RngEngine(z);
 }
 
-void
-AskTellTuner::observe_one(const Configuration& c, const EvalResult& r)
-{
-    observe(std::vector<Configuration>{c}, std::vector<EvalResult>{r});
-}
-
-std::vector<Configuration>
-AskTellTuner::suggest_with_pending(int n,
-                                   const std::vector<Configuration>& pending)
-{
-    // Budget accounting only: in-flight evaluations will be observed, so
-    // they already claim part of the remaining budget.
-    int avail = remaining() - static_cast<int>(pending.size());
-    if (avail <= 0)
-        return {};
-    return suggest(std::min(n, avail));
-}
-
 bool
 AskTellTuner::restore(const TuningHistory&, const std::string&)
 {
     return false;
 }
 
+AskTellBase::AskTellBase(const SearchSpace& space, int budget,
+                         std::uint64_t seed)
+    : space_(space), budget_(budget), seed_(seed)
+{
+}
+
+AskTellBase::~AskTellBase() = default;
+
+AskTellBase::Sampler::Sampler(std::uint64_t seed) : rng(seed) {}
+
+void
+AskTellBase::start()
+{
+    if (!sampler_) {
+        sampler_ = std::make_unique<Sampler>(seed_);
+        sampler_->method = new_state();
+    }
+}
+
+std::vector<Configuration>
+AskTellBase::suggest(int n)
+{
+    return suggest_with_pending(n, {});
+}
+
+std::vector<Configuration>
+AskTellBase::suggest_with_pending(int n,
+                                  const std::vector<Configuration>& pending)
+{
+    auto t0 = Clock::now();
+    start();
+    // In-flight evaluations will be observed, so they already claim part
+    // of the remaining budget.
+    n = std::min(n, remaining() - static_cast<int>(pending.size()));
+    if (n <= 0)
+        return {};
+    TunerMetrics& tm = TunerMetrics::get();
+    obs::ScopedTimer timer(tm.suggest, "tuner.suggest", "tuner");
+    // Marking pending is a no-op mid-run (suggesting them marked them)
+    // but repairs the dedup set after a resume, where the in-flight work
+    // never reached the history.
+    for (const Configuration& c : pending)
+        mark_seen(c);
+    std::vector<Configuration> out = propose(n, pending);
+    for (const Configuration& c : out)
+        mark_seen(c);
+    tm.suggestions.add(static_cast<std::uint64_t>(out.size()));
+    history_.tuner_seconds += seconds_since(t0);
+    return out;
+}
+
+void
+AskTellBase::observe(const std::vector<Configuration>& configs,
+                     const std::vector<EvalResult>& results)
+{
+    auto t0 = Clock::now();
+    TunerMetrics& tm = TunerMetrics::get();
+    obs::ScopedTimer timer(tm.observe, "tuner.observe", "tuner");
+    start();
+    for (std::size_t i = 0; i < configs.size() && i < results.size(); ++i) {
+        const double best_before = history_.best_value;
+        mark_seen(configs[i]);
+        history_.add(configs[i], results[i]);
+        tm.observations.add();
+        after_observe(configs[i], history_.best_value < best_before);
+    }
+    history_.tuner_seconds += seconds_since(t0);
+}
+
+void
+AskTellBase::after_observe(const Configuration&, bool)
+{
+}
+
 TuningHistory
 AskTellBase::take_history()
 {
-    TuningHistory h = std::move(history_);
-    history_ = TuningHistory{};
-    reset_sampler();
-    return h;
+    // Release all the run built (a finished study may stay alive long
+    // after its run); the next suggest starts from the seed.
+    sampler_.reset();
+    return std::exchange(history_, TuningHistory{});
 }
 
 std::string
-AskTellBase::rng_state_string(const RngEngine* rng) const
+AskTellBase::sampler_state() const
 {
     std::ostringstream oss;
-    if (rng) {
-        oss << rng->engine();
-    } else {
+    if (sampler_)
+        oss << sampler_->rng.engine();
+    else
         oss << RngEngine(seed_).engine();
-    }
-    return oss.str();
+    std::string out = oss.str();
+    write_segments(out);
+    return out;
+}
+
+void
+AskTellBase::write_segments(std::string&) const
+{
 }
 
 bool
-AskTellBase::restore_rng(RngEngine& rng, const std::string& state)
+AskTellBase::read_segment(const std::string&, const std::string&)
 {
-    if (state.empty())
+    return false;
+}
+
+bool
+AskTellBase::restore(const TuningHistory& history,
+                     const std::string& sampler_state)
+{
+    // Install the checkpointed run on a fresh sampler, keeping the
+    // current run to put back when the state does not parse.
+    TuningHistory old_history = std::exchange(history_, history);
+    std::unique_ptr<Sampler> old_sampler = std::move(sampler_);
+    start();
+    for (const Observation& o : history_.observations)
+        mark_seen(o.config);
+    if (read_sampler_state(sampler_state))
         return true;
-    std::istringstream iss(state);
-    iss >> rng.engine();
-    return !iss.fail();
+    history_ = std::move(old_history);
+    sampler_ = std::move(old_sampler);
+    return false;
+}
+
+bool
+AskTellBase::read_sampler_state(const std::string& state)
+{
+    // "<RNG words>[;key=value]...": an empty RNG part leaves the RNG at
+    // its seeded start; every segment must be one the method reads.
+    std::size_t end = state.find(';');
+    if (end != 0 && !state.empty()) {
+        std::istringstream words(state.substr(0, end));
+        char extra = 0;
+        if (!(words >> sampler_->rng.engine()) || words >> extra)
+            return false;
+    }
+    while (end != std::string::npos) {
+        std::size_t at = end + 1;
+        end = state.find(';', at);
+        std::string seg = state.substr(
+            at, end == std::string::npos ? std::string::npos : end - at);
+        std::size_t eq = seg.find('=');
+        if (eq == 0 || eq == std::string::npos ||
+            !read_segment(seg.substr(0, eq), seg.substr(eq + 1)))
+            return false;
+    }
+    return true;
+}
+
+const ChainOfTrees*
+AskTellBase::cot()
+{
+    if (!sampler_->cot_built) {
+        sampler_->cot_built = true;
+        sampler_->cot = try_build_cot(space_);
+    }
+    return sampler_->cot.get();
+}
+
+bool
+AskTellBase::seen(const Configuration& c) const
+{
+    return sampler_->seen.count(config_hash(c)) > 0;
+}
+
+void
+AskTellBase::mark_seen(const Configuration& c)
+{
+    sampler_->seen.insert(config_hash(c));
+}
+
+void
+AskTellBase::append_hexfloats(std::string& out, const std::vector<double>& v)
+{
+    char buf[64];
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        std::snprintf(buf, sizeof buf, i == 0 ? "%a" : ",%a", v[i]);
+        out += buf;
+    }
+}
+
+bool
+AskTellBase::parse_hexfloats(const std::string& s, std::vector<double>& v)
+{
+    v.clear();
+    const char* p = s.c_str();
+    for (;;) {
+        char* end = nullptr;
+        double x = std::strtod(p, &end);
+        if (end == p || !std::isfinite(x))
+            return false;
+        v.push_back(x);
+        if (*end == '\0')
+            return true;
+        if (*end != ',')
+            return false;
+        p = end + 1;
+    }
 }
 
 }  // namespace baco

@@ -18,15 +18,29 @@
  * (run seed, evaluation index) via eval_rng_for(). Serial and parallel
  * drivers therefore produce bit-identical histories at batch size 1, and
  * reproducible histories at any batch size.
+ *
+ * Every built-in method (BaCO, the OpenTuner-like and Ytopt-like
+ * baselines, the two samplers) derives from AskTellBase, which owns the
+ * budget, the sampler RNG, the dedup set, the Chain-of-Trees, the tuner
+ * metrics, observe() and the checkpointed sampler state. A method
+ * implements its proposal step and, where it keeps one, its own state:
+ * how it is built, credited after each observation and saved as
+ * ";key=value" segments of the sampler state.
  */
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/evaluator.hpp"
 
 namespace baco {
+
+class ChainOfTrees;
+class SearchSpace;
 
 /**
  * The independent measurement-noise stream for evaluation `index` of a run
@@ -40,8 +54,9 @@ RngEngine eval_rng_for(std::uint64_t run_seed, std::uint64_t index);
  * Ask-tell optimization interface.
  *
  * Protocol: call suggest(n), evaluate the returned configurations, then
- * report every result through observe() before the next suggest(). The
- * configurations must be observed in the order suggest() returned them.
+ * report every result through observe(). Barrier rounds observe a batch
+ * in suggestion order before the next suggest(); asynchronous drivers
+ * observe results as they land and ask through suggest_with_pending().
  */
 class AskTellTuner {
  public:
@@ -60,19 +75,15 @@ class AskTellTuner {
    * drivers' ask). Implementations must count pending against the budget
    * so suggested-plus-observed never exceeds it; model-based tuners
    * additionally treat pending as constant-liar fantasies so new
-   * proposals explore away from the in-flight ones. The base
-   * implementation only does the budget accounting and forwards to
-   * suggest(). With pending empty this is exactly suggest(n).
+   * proposals explore away from the in-flight ones. With pending empty
+   * this is exactly suggest(n).
    */
   virtual std::vector<Configuration> suggest_with_pending(
-      int n, const std::vector<Configuration>& pending);
+      int n, const std::vector<Configuration>& pending) = 0;
 
-  /** Report evaluation results, in suggest() order. */
+  /** Report evaluation results: results[i] is configs[i]'s outcome. */
   virtual void observe(const std::vector<Configuration>& configs,
                        const std::vector<EvalResult>& results) = 0;
-
-  /** Single-result convenience wrapper over observe(). */
-  void observe_one(const Configuration& c, const EvalResult& r);
 
   /** Evaluations left before the budget is exhausted. */
   virtual int remaining() const = 0;
@@ -105,43 +116,145 @@ class AskTellTuner {
 };
 
 /**
- * Shared scaffolding for concrete ask-tell tuners: history/budget
- * bookkeeping, run-seed plumbing, and sampler-RNG (de)serialization.
- * Derived classes implement suggest()/observe()/restore() and
- * reset_sampler() (drop lazily-built models/RNG/dedup state).
+ * The scaffold every built-in search method stands on. The base owns
+ * what a method would otherwise repeat:
+ *  - the budget, with pending work counted against it;
+ *  - the sampler RNG, seeded from the run seed;
+ *  - the dedup set of suggested and observed configurations;
+ *  - the space's Chain-of-Trees, built on first use;
+ *  - the tuner.suggest / tuner.observe timers and counters, and the
+ *    history's tuner_seconds;
+ *  - observe(), and the sampler state: sampler_state() writes the RNG
+ *    position followed by the method's ";key=value" segments, and
+ *    restore() installs a checkpointed run completely or changes
+ *    nothing.
+ *
+ * A method implements propose(); where it needs them, it also keeps a
+ * MethodState (its models, its bandit credit), credits results in
+ * after_observe(), and saves that state through write_segments() and
+ * read_segment().
  */
 class AskTellBase : public AskTellTuner {
  public:
-  int remaining() const override
+  ~AskTellBase() override;
+
+  std::vector<Configuration> suggest(int n) final;
+  std::vector<Configuration> suggest_with_pending(
+      int n, const std::vector<Configuration>& pending) final;
+  void observe(const std::vector<Configuration>& configs,
+               const std::vector<EvalResult>& results) final;
+  int remaining() const final
   {
       return budget_ - static_cast<int>(history_.size());
   }
-  std::uint64_t run_seed() const override { return seed_; }
-  const TuningHistory& history() const override { return history_; }
-  TuningHistory& mutable_history() override { return history_; }
-  TuningHistory take_history() override;
+  std::uint64_t run_seed() const final { return seed_; }
+  const TuningHistory& history() const final { return history_; }
+  TuningHistory& mutable_history() final { return history_; }
+  /** Also releases all the run built; a next run starts from the seed. */
+  TuningHistory take_history() final;
+  std::string sampler_state() const final;
+  bool restore(const TuningHistory& history,
+               const std::string& sampler_state) final;
 
  protected:
-  AskTellBase(int budget, std::uint64_t seed)
-      : budget_(budget), seed_(seed)
-  {
-  }
+  /**
+   * What a method carries between calls besides the base's state. The
+   * base builds it with new_state() at the run's first suggest, observe
+   * or restore, and drops it in take_history() and restore() along with
+   * the RNG, the dedup set and the Chain-of-Trees.
+   */
+  struct MethodState {
+    virtual ~MethodState() = default;
+  };
 
-  /** Drop lazily-built sampler state; next suggest() re-seeds. */
-  virtual void reset_sampler() = 0;
-
-  /** Serialize rng's stream position (seed-fresh stream when null). */
-  std::string rng_state_string(const RngEngine* rng) const;
+  /** @param space must outlive the tuner. */
+  AskTellBase(const SearchSpace& space, int budget, std::uint64_t seed);
 
   /**
-   * Restore rng from rng_state_string() output (empty = leave at seed).
-   * Returns false on a parse error.
+   * Propose n >= 1 configurations (n fits the budget, pending counted).
+   * `pending` were suggested earlier and are still being evaluated; the
+   * base has already marked them seen, and marks the returned ones. A
+   * method that avoids duplicates within a batch marks each proposal
+   * with mark_seen() as it goes.
    */
-  static bool restore_rng(RngEngine& rng, const std::string& state);
+  virtual std::vector<Configuration> propose(
+      int n, const std::vector<Configuration>& pending) = 0;
 
-  int budget_;
-  std::uint64_t seed_;
+  /** A fresh MethodState; nullptr for a method that keeps none. */
+  virtual std::unique_ptr<MethodState> new_state() const { return nullptr; }
+
+  /** Called by observe() for each result once it is in the history;
+   *  improved: it lowered the best feasible value. */
+  virtual void after_observe(const Configuration& config, bool improved);
+
+  /** Append the method's state segments, each ";key=value", where value
+   *  holds none of ';', '"' and '\\'. */
+  virtual void write_segments(std::string& out) const;
+
+  /**
+   * Apply one segment of a restored state: the history is installed and
+   * the method's state freshly built. False when the key is unknown or
+   * the value malformed; restore() then changes nothing.
+   */
+  virtual bool read_segment(const std::string& key, const std::string& value);
+
+  /** The sampler RNG, seeded from the run seed. Like everything the run
+   *  builds, it exists from the run's first suggest, observe or restore
+   *  on. */
+  RngEngine& rng() { return sampler_->rng; }
+
+  /** The method's state as S (its new_state() type); nullptr before the
+   *  run's first suggest, observe or restore. */
+  template <class S>
+  S* state()
+  {
+      return sampler_ ? static_cast<S*>(sampler_->method.get()) : nullptr;
+  }
+  template <class S>
+  const S* state() const
+  {
+      return sampler_ ? static_cast<const S*>(sampler_->method.get())
+                      : nullptr;
+  }
+
+  /** The space's Chain-of-Trees, built on the first call; nullptr when
+   *  the space has no known constraints, is not fully discrete, or its
+   *  constraints have no tree form. */
+  const ChainOfTrees* cot();
+
+  /** Whether c was suggested or observed in this run. */
+  bool seen(const Configuration& c) const;
+  void mark_seen(const Configuration& c);
+
+  /** Append v as comma-separated hexfloats (exact round trip). */
+  static void append_hexfloats(std::string& out, const std::vector<double>& v);
+  /** Parse a non-empty comma-separated list of finite numbers. */
+  static bool parse_hexfloats(const std::string& s, std::vector<double>& v);
+
+  const SearchSpace& space_;
   TuningHistory history_;
+
+ private:
+  /** What a run builds at its first suggest, observe or restore, and
+   *  take_history() releases. */
+  struct Sampler {
+    explicit Sampler(std::uint64_t seed);
+
+    RngEngine rng;
+    std::unordered_set<std::size_t> seen;
+    std::unique_ptr<MethodState> method;
+    std::unique_ptr<ChainOfTrees> cot;
+    bool cot_built = false;
+  };
+
+  /** Build the run's sampler if it is not built yet. */
+  void start();
+  /** Parse sampler_state() output into the freshly started run. */
+  bool read_sampler_state(const std::string& state);
+
+  const int budget_;
+  const std::uint64_t seed_;
+  std::unique_ptr<Sampler> sampler_;
 };
 
 /**

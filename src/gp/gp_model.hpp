@@ -170,6 +170,15 @@ class GpModel {
   /** Hyperparameters from the last fit. */
   const GpHyperparams& hyperparams() const { return hp_; }
 
+  /** The hyperparameters fit() starts one descent from: the last fit's
+   *  (none before the first). A checkpoint saves them so that a resumed
+   *  model fits exactly as the uninterrupted one. */
+  const std::optional<GpHyperparams>& warm_start() const
+  {
+      return warm_start_;
+  }
+  void set_warm_start(const GpHyperparams& hp) { warm_start_ = hp; }
+
   /** Number of training points. */
   std::size_t size() const { return xs_.size(); }
 

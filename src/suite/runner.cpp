@@ -39,7 +39,7 @@ run_baco_custom(const Benchmark& b, TunerOptions opt,
 {
     std::shared_ptr<SearchSpace> space = b.make_space(variant);
     Tuner tuner(*space, opt);
-    return tuner.run(b.evaluate);
+    return drive_serial(tuner, b.evaluate);
 }
 
 double

@@ -755,8 +755,8 @@ TEST(Study, AsyncCheckpointPendingResumesUnderEveryPolicy)
         ASSERT_TRUE(resume_from_checkpoint(path, *tuner, &pending));
         ASSERT_EQ(pending.size(), 1u);
         RngEngine prng = eval_rng_for(kSeed, pending[0].index);
-        tuner->observe_one(pending[0].config,
-                           b.evaluate(pending[0].config, prng));
+        tuner->observe({pending[0].config},
+                       {b.evaluate(pending[0].config, prng)});
         via_reference = reference_serial_loop(*tuner, b.evaluate);
     }
 

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "baselines/opentuner_like.hpp"
 #include "baselines/random_search.hpp"
 #include "baselines/ytopt_like.hpp"
+#include "exec/drive.hpp"
 
 namespace baco {
 namespace {
@@ -33,13 +35,22 @@ smooth_eval(const Configuration& c, RngEngine&)
     return EvalResult{v, true};
 }
 
+/** One serial run of a fresh sampler (uniform, or ATF's biased walk). */
+TuningHistory
+sample_serial(const SearchSpace& s, const BlackBoxFn& objective,
+              const RandomSearchOptions& opt, bool biased_walk = false)
+{
+    RandomSearchTuner tuner(s, opt, biased_walk);
+    return drive_serial(tuner, objective);
+}
+
 TEST(UniformSampling, RespectsBudgetAndConstraints)
 {
     SearchSpace s = space_with_constraints();
     RandomSearchOptions opt;
     opt.budget = 40;
     opt.seed = 1;
-    TuningHistory h = run_uniform_sampling(s, smooth_eval, opt);
+    TuningHistory h = sample_serial(s, smooth_eval, opt);
     EXPECT_EQ(h.size(), 40u);
     for (const Observation& o : h.observations)
         EXPECT_TRUE(s.satisfies(o.config));
@@ -56,7 +67,7 @@ TEST(UniformSampling, IsUniformOverFeasibleRegion)
     opt.budget = 6000;
     opt.seed = 2;
     int a1b1 = 0;
-    TuningHistory h = run_uniform_sampling(
+    sample_serial(
         s,
         [&](const Configuration& c, RngEngine&) {
             if (as_int(c[0]) == 1 && as_int(c[1]) == 1)
@@ -79,14 +90,14 @@ TEST(CotSampling, BiasTowardSparseSubtrees)
     opt.budget = 6000;
     opt.seed = 3;
     int a1 = 0;
-    run_cot_sampling(
+    sample_serial(
         s,
         [&](const Configuration& c, RngEngine&) {
             if (as_int(c[0]) == 1)
                 ++a1;
             return EvalResult{1.0, true};
         },
-        opt);
+        opt, /*biased_walk=*/true);
     EXPECT_NEAR(a1 / 6000.0, 0.5, 0.03);
 }
 
@@ -97,7 +108,7 @@ TEST(OpenTunerLike, RespectsConstraintsAndImproves)
     opt.budget = 60;
     opt.seed = 4;
     OpenTunerLike tuner(s, opt);
-    TuningHistory h = tuner.run(smooth_eval);
+    TuningHistory h = drive_serial(tuner, smooth_eval);
     EXPECT_EQ(h.size(), 60u);
     for (const Observation& o : h.observations)
         EXPECT_TRUE(s.satisfies(o.config));
@@ -114,11 +125,12 @@ TEST(OpenTunerLike, BeatsUniformOnAverage)
         OpenTunerLike::Options oopt;
         oopt.budget = 25;
         oopt.seed = seed;
-        ot_sum += OpenTunerLike(s, oopt).run(smooth_eval).best_value;
+        OpenTunerLike tuner(s, oopt);
+        ot_sum += drive_serial(tuner, smooth_eval).best_value;
         RandomSearchOptions ropt;
         ropt.budget = 25;
         ropt.seed = seed;
-        uni_sum += run_uniform_sampling(s, smooth_eval, ropt).best_value;
+        uni_sum += sample_serial(s, smooth_eval, ropt).best_value;
     }
     EXPECT_LE(ot_sum, uni_sum + 1.0);
 }
@@ -135,9 +147,44 @@ TEST(OpenTunerLike, HandlesHiddenConstraintsWithoutModel)
     opt.budget = 40;
     opt.seed = 5;
     OpenTunerLike tuner(s, opt);
-    TuningHistory h = tuner.run(eval);
+    TuningHistory h = drive_serial(tuner, eval);
     ASSERT_TRUE(h.best_config.has_value());
     EXPECT_NE(as_int((*h.best_config)[2]), 0);
+}
+
+TEST(OpenTunerLike, CreditsTheTechniqueThatProposedEachResult)
+{
+    // Results land out of suggestion order in asynchronous drives; each
+    // must credit the technique that proposed its own configuration.
+    SearchSpace s = space_with_constraints();
+    OpenTunerLike::Options opt;
+    opt.budget = 20;
+    opt.initial_random = 2;
+    opt.seed = 3;
+    OpenTunerLike tuner(s, opt);
+    RngEngine rng(0);
+    auto tell = [&](const Configuration& c) {
+        tuner.observe({c}, {smooth_eval(c, rng)});
+    };
+    auto uses = [&] {
+        std::string state = tuner.sampler_state();
+        std::size_t at = state.find(";uses=") + 6;
+        return state.substr(at, state.find(';', at) - at);
+    };
+    for (const Configuration& c : tuner.suggest(2))
+        tell(c);  // the seed phase earns no credit
+    EXPECT_EQ(uses(), "0,0,0,0,0");
+
+    // With no credit yet the bandit picks technique 0 for c0 and c1; once
+    // c1's result is in, the unused technique 1 proposes c2.
+    Configuration c0 = tuner.suggest(1).at(0);
+    Configuration c1 = tuner.suggest(1).at(0);
+    tell(c1);
+    Configuration c2 = tuner.suggest(1).at(0);
+    tell(c2);
+    EXPECT_EQ(uses(), "1,1,0,0,0");
+    tell(c0);
+    EXPECT_EQ(uses(), "2,1,0,0,0");
 }
 
 TEST(YtoptLike, RfModeRespectsKnownConstraints)
@@ -147,7 +194,7 @@ TEST(YtoptLike, RfModeRespectsKnownConstraints)
     opt.budget = 40;
     opt.seed = 6;
     YtoptLike tuner(s, opt);
-    TuningHistory h = tuner.run(smooth_eval);
+    TuningHistory h = drive_serial(tuner, smooth_eval);
     EXPECT_EQ(h.size(), 40u);
     for (const Observation& o : h.observations)
         EXPECT_TRUE(s.satisfies(o.config));
@@ -166,7 +213,7 @@ TEST(YtoptLike, PenalizesInfeasibleInsteadOfModelling)
     opt.budget = 40;
     opt.seed = 7;
     YtoptLike tuner(s, opt);
-    TuningHistory h = tuner.run(eval);
+    TuningHistory h = drive_serial(tuner, eval);
     ASSERT_TRUE(h.best_config.has_value());
     EXPECT_NE(as_int((*h.best_config)[1]), -1);  // sanity
 }
@@ -181,7 +228,7 @@ TEST(YtoptLike, GpModeIgnoresKnownConstraints)
     opt.seed = 8;
     opt.surrogate = YtoptLike::Surrogate::kGaussianProcess;
     YtoptLike tuner(s, opt);
-    TuningHistory h = tuner.run(smooth_eval);
+    TuningHistory h = drive_serial(tuner, smooth_eval);
     EXPECT_EQ(h.size(), 60u);
     bool any_violation = false;
     for (const Observation& o : h.observations)

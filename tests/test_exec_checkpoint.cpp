@@ -5,7 +5,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
+#include "api/method_registry.hpp"
 #include "baselines/opentuner_like.hpp"
 #include "core/tuner.hpp"
 #include "drive_reference.hpp"
@@ -40,13 +43,58 @@ mixed_eval(const Configuration& c, RngEngine& rng)
     return EvalResult{v * rng.lognormal_factor(0.02), true};
 }
 
-/** Drive at most max_evals evaluations of mixed_eval on a pool. */
-void
-drive_some(AskTellTuner& tuner, int max_evals, DriveOptions opt = {})
+/** Fully discrete and constrained, so the methods that can walk its
+ *  Chain-of-Trees do. */
+SearchSpace
+constrained_space()
 {
-    ThreadPoolExecutor exec(mixed_eval, tuner.run_seed(), 0);
+    SearchSpace s;
+    s.add_ordinal("tile", {2, 4, 8, 16, 32, 64, 128, 256}, true);
+    s.add_ordinal("unroll", {1, 2, 4, 8, 16}, true);
+    s.add_permutation("loops", 3);
+    s.add_constraint("unroll <= tile");
+    return s;
+}
+
+EvalResult
+constrained_eval(const Configuration& c, RngEngine& rng)
+{
+    double tile = static_cast<double>(as_int(c[0]));
+    double unroll = static_cast<double>(as_int(c[1]));
+    const auto& perm = std::get<Permutation>(c[2]);
+    if (tile >= 128 && unroll >= 8)
+        return EvalResult::infeasible();  // hidden constraint
+    double v = 1.0 + std::pow(std::log2(tile / 32.0), 2) +
+               0.3 * std::pow(std::log2(unroll / 4.0), 2) +
+               (perm[0] == 0 ? 0.0 : 0.8);
+    return EvalResult{v * rng.lognormal_factor(0.02), true};
+}
+
+/** Drive at most max_evals evaluations of objective on a pool. */
+void
+drive_some(AskTellTuner& tuner, int max_evals, DriveOptions opt = {},
+           const BlackBoxFn& objective = mixed_eval)
+{
+    ThreadPoolExecutor exec(objective, tuner.run_seed(), 0);
     opt.max_evals = max_evals;
     drive(tuner, exec, opt);
+}
+
+/** Copy the checkpoint at from to to, with `extra` appended to its
+ *  sampler state. */
+void
+copy_with_state_suffix(const std::string& from, const std::string& to,
+                       const std::string& extra)
+{
+    std::ifstream in(from);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string body = text.str();
+    const std::string key = "\"rng\":\"";
+    std::size_t at = body.find(key);
+    ASSERT_NE(at, std::string::npos);
+    body.insert(body.find('"', at + key.size()), extra);
+    std::ofstream(to) << body;
 }
 
 TEST(Checkpoint, SaveLoadRoundtripPreservesHistory)
@@ -166,6 +214,58 @@ TEST(Checkpoint, BanditWindowResumesBitForBit)
     EXPECT_TRUE(histories_equal(reference, final_history));
     EXPECT_EQ(reference.best_value, final_history.best_value);
     std::remove(path.c_str());
+}
+
+TEST(Checkpoint, EveryRegisteredMethodResumesBitForBit)
+{
+    // Every built-in method checkpoints and resumes through the one
+    // ask-tell scaffold: interrupted past the DoE phase and resumed into
+    // a fresh tuner, the run finishes exactly as the uninterrupted one.
+    // A state with a segment no method writes restores nothing.
+    SearchSpace s = constrained_space();
+    MethodSpec spec;
+    spec.budget = 30;
+    spec.doe_samples = 6;
+    spec.seed = 17;
+    const MethodRegistry builtins;
+    const std::string path =
+        testing::TempDir() + "baco_test_ckpt_every_method.jsonl";
+    const std::string bogus =
+        testing::TempDir() + "baco_test_ckpt_every_method_bogus.jsonl";
+    for (const std::string& name : builtins.names()) {
+        SCOPED_TRACE(name);
+        std::unique_ptr<AskTellTuner> full = builtins.make(name, s, spec);
+        TuningHistory reference = pool_drive(*full, constrained_eval, 0);
+        ASSERT_EQ(reference.size(), 30u);
+
+        {
+            std::unique_ptr<AskTellTuner> interrupted =
+                builtins.make(name, s, spec);
+            DriveOptions copt;
+            copt.checkpoint_path = path;
+            drive_some(*interrupted, 17, copt, constrained_eval);
+        }
+        copy_with_state_suffix(path, bogus, ";bogus=1");
+
+        std::unique_ptr<AskTellTuner> fresh = builtins.make(name, s, spec);
+        EXPECT_FALSE(resume_from_checkpoint(bogus, *fresh));
+        EXPECT_EQ(fresh->history().size(), 0u);
+        EXPECT_EQ(fresh->remaining(), spec.budget);
+
+        std::unique_ptr<AskTellTuner> resumed = builtins.make(name, s, spec);
+        ASSERT_TRUE(resume_from_checkpoint(path, *resumed));
+        ASSERT_EQ(resumed->history().size(), 17u);
+        const std::string state = resumed->sampler_state();
+        EXPECT_FALSE(resume_from_checkpoint(bogus, *resumed));
+        EXPECT_EQ(resumed->history().size(), 17u);
+        EXPECT_EQ(resumed->sampler_state(), state);
+
+        TuningHistory final_history =
+            pool_drive(*resumed, constrained_eval, 0);
+        EXPECT_TRUE(histories_equal(reference, final_history));
+    }
+    std::remove(path.c_str());
+    std::remove(bogus.c_str());
 }
 
 TEST(Checkpoint, ResumeRejectsSeedMismatch)

@@ -157,26 +157,28 @@ TEST(BatchedDrive, BaselineBatch1MatchesSerialRun)
 
 TEST(BatchedDrive, SerialRunEntryPointsMatchReferenceLoop)
 {
-    // Tuner::run and the baselines' one-call entry points are drive()
-    // on a one-lane pool; each must still be the plain serial loop.
+    // drive_serial() is drive() on a one-lane pool; for BaCO and the
+    // samplers alike it must still be the plain serial loop.
     SearchSpace s = synthetic_space();
     TunerOptions opt;
     opt.budget = 16;
     opt.doe_samples = 6;
     opt.seed = 8;
     Tuner reference(s, opt);
+    Tuner driven(s, opt);
     EXPECT_TRUE(histories_equal(reference_serial_loop(reference,
                                                       synthetic_eval),
-                                Tuner(s, opt).run(synthetic_eval)));
+                                drive_serial(driven, synthetic_eval)));
 
     RandomSearchOptions ropt;
     ropt.budget = 15;
     ropt.seed = 5;
     RandomSearchTuner uniform(s, ropt, /*biased_walk=*/false);
+    RandomSearchTuner uniform_driven(s, ropt, /*biased_walk=*/false);
     EXPECT_TRUE(histories_equal(reference_serial_loop(uniform,
                                                       synthetic_eval),
-                                run_uniform_sampling(s, synthetic_eval,
-                                                     ropt)));
+                                drive_serial(uniform_driven,
+                                             synthetic_eval)));
 }
 
 TEST(SuiteRunner, ParallelRepetitionsMatchSerialStatistics)

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "core/tuner.hpp"
+#include "exec/drive.hpp"
 
 namespace baco {
 namespace {
@@ -42,7 +43,8 @@ mean_best(const std::function<double(const Configuration&)>& prior,
         opt.seed = static_cast<std::uint64_t>(100 + r);
         opt.user_prior = prior;
         SearchSpace s = make_space();
-        acc += Tuner(s, opt).run(objective).best_value;
+        Tuner tuner(s, opt);
+        acc += drive_serial(tuner, objective).best_value;
     }
     return acc / reps;
 }

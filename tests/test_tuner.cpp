@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/tuner.hpp"
+#include "exec/drive.hpp"
 #include "obs/metrics.hpp"
 
 namespace baco {
@@ -34,6 +35,15 @@ synthetic_eval(const Configuration& c, RngEngine&)
     return EvalResult{v, true};
 }
 
+/** One serial run of a fresh tuner. */
+TuningHistory
+run_serial(const SearchSpace& s, const TunerOptions& opt,
+           const BlackBoxFn& objective)
+{
+    Tuner tuner(s, opt);
+    return drive_serial(tuner, objective);
+}
+
 TEST(Tuner, FindsNearOptimumWithinBudget)
 {
     SearchSpace s = synthetic_space();
@@ -42,7 +52,7 @@ TEST(Tuner, FindsNearOptimumWithinBudget)
     opt.doe_samples = 8;
     opt.seed = 1;
     Tuner tuner(s, opt);
-    TuningHistory h = tuner.run(synthetic_eval);
+    TuningHistory h = drive_serial(tuner, synthetic_eval);
     EXPECT_EQ(h.size(), 30u);
     EXPECT_LE(h.best_value, 1.6);  // optimum is 1.0
     ASSERT_TRUE(h.best_config.has_value());
@@ -56,7 +66,7 @@ TEST(Tuner, AllEvaluatedConfigsSatisfyKnownConstraints)
     opt.budget = 25;
     opt.seed = 2;
     Tuner tuner(s, opt);
-    TuningHistory h = tuner.run(synthetic_eval);
+    TuningHistory h = drive_serial(tuner, synthetic_eval);
     for (const Observation& o : h.observations)
         EXPECT_TRUE(s.satisfies(o.config));
 }
@@ -68,7 +78,7 @@ TEST(Tuner, AvoidsDuplicateEvaluations)
     opt.budget = 40;
     opt.seed = 3;
     Tuner tuner(s, opt);
-    TuningHistory h = tuner.run(synthetic_eval);
+    TuningHistory h = drive_serial(tuner, synthetic_eval);
     std::set<std::size_t> hashes;
     for (const Observation& o : h.observations)
         hashes.insert(config_hash(o.config));
@@ -83,8 +93,8 @@ TEST(Tuner, DeterministicGivenSeed)
     TunerOptions opt;
     opt.budget = 20;
     opt.seed = 4;
-    TuningHistory h1 = Tuner(s, opt).run(synthetic_eval);
-    TuningHistory h2 = Tuner(s, opt).run(synthetic_eval);
+    TuningHistory h1 = run_serial(s, opt, synthetic_eval);
+    TuningHistory h2 = run_serial(s, opt, synthetic_eval);
     ASSERT_EQ(h1.size(), h2.size());
     for (std::size_t i = 0; i < h1.size(); ++i) {
         EXPECT_TRUE(configs_equal(h1.observations[i].config,
@@ -105,7 +115,7 @@ TEST(Tuner, HandlesHiddenConstraints)
     opt.budget = 30;
     opt.seed = 5;
     Tuner tuner(s, opt);
-    TuningHistory h = tuner.run(eval);
+    TuningHistory h = drive_serial(tuner, eval);
     ASSERT_TRUE(h.best_config.has_value());
     EXPECT_EQ(as_int((*h.best_config)[1]), 1);
     // The feasibility model should steer sampling: the late phase should
@@ -129,7 +139,7 @@ TEST(Tuner, SurvivesAllInfeasibleStart)
     opt.budget = 15;
     opt.seed = 6;
     Tuner tuner(s, opt);
-    TuningHistory h = tuner.run(eval);
+    TuningHistory h = drive_serial(tuner, eval);
     EXPECT_EQ(h.size(), 15u);
     EXPECT_FALSE(h.best_config.has_value());
     EXPECT_TRUE(std::isinf(h.best_value));
@@ -143,7 +153,7 @@ TEST(Tuner, BudgetSmallerThanDoe)
     opt.doe_samples = 10;
     opt.seed = 7;
     Tuner tuner(s, opt);
-    TuningHistory h = tuner.run(synthetic_eval);
+    TuningHistory h = drive_serial(tuner, synthetic_eval);
     EXPECT_EQ(h.size(), 4u);
 }
 
@@ -155,7 +165,7 @@ TEST(Tuner, RfSurrogateVariantRuns)
     opt.seed = 8;
     opt.surrogate = TunerOptions::Surrogate::kRandomForest;
     Tuner tuner(s, opt);
-    TuningHistory h = tuner.run(synthetic_eval);
+    TuningHistory h = drive_serial(tuner, synthetic_eval);
     EXPECT_EQ(h.size(), 25u);
     EXPECT_TRUE(h.best_config.has_value());
 }
@@ -171,8 +181,8 @@ TEST(Tuner, BacoMinusMinusRunsAndIsWorseOrEqualOnAverage)
         TunerOptions b = TunerOptions::baco_minus_minus();
         b.budget = 25;
         b.seed = seed;
-        full += Tuner(s, a).run(synthetic_eval).best_value;
-        reduced += Tuner(s, b).run(synthetic_eval).best_value;
+        full += run_serial(s, a, synthetic_eval).best_value;
+        reduced += run_serial(s, b, synthetic_eval).best_value;
     }
     EXPECT_LE(full, reduced + 0.5);  // full BaCO should not be clearly worse
 }
@@ -190,8 +200,8 @@ TEST(TunerIncremental, DeterministicGivenSeedInBothModes)
         opt.budget = 20;
         opt.seed = 11;
         opt.incremental_fit = incremental;
-        TuningHistory h1 = Tuner(s, opt).run(synthetic_eval);
-        TuningHistory h2 = Tuner(s, opt).run(synthetic_eval);
+        TuningHistory h1 = run_serial(s, opt, synthetic_eval);
+        TuningHistory h2 = run_serial(s, opt, synthetic_eval);
         ASSERT_EQ(h1.size(), h2.size());
         for (std::size_t i = 0; i < h1.size(); ++i) {
             EXPECT_TRUE(configs_equal(h1.observations[i].config,
@@ -222,8 +232,8 @@ TEST(TunerIncremental, QualityParityWithFullRefits)
         a.incremental_fit = true;
         TunerOptions b = a;
         b.incremental_fit = false;
-        inc_sum += Tuner(s, a).run(synthetic_eval).best_value;
-        full_sum += Tuner(s, b).run(synthetic_eval).best_value;
+        inc_sum += run_serial(s, a, synthetic_eval).best_value;
+        full_sum += run_serial(s, b, synthetic_eval).best_value;
     }
     EXPECT_NEAR(inc_sum / 6.0, full_sum / 6.0, 0.4);
 }
@@ -246,7 +256,7 @@ TEST(TunerIncremental, HiddenConstraintSteeringInBothModes)
         opt.seed = 5;
         opt.incremental_fit = incremental;
         Tuner tuner(s, opt);
-        TuningHistory h = tuner.run(eval);
+        TuningHistory h = drive_serial(tuner, eval);
         ASSERT_TRUE(h.best_config.has_value())
             << "incremental=" << incremental;
         EXPECT_EQ(as_int((*h.best_config)[1]), 1)
@@ -275,8 +285,8 @@ TEST(TunerIncremental, RefitCadenceKnobs)
         opt.incremental_fit = true;
         opt.refit_every = cadence;
         opt.refit_nll_drift = cadence == 1000 ? 1e9 : 1.0;
-        TuningHistory h1 = Tuner(s, opt).run(synthetic_eval);
-        TuningHistory h2 = Tuner(s, opt).run(synthetic_eval);
+        TuningHistory h1 = run_serial(s, opt, synthetic_eval);
+        TuningHistory h2 = run_serial(s, opt, synthetic_eval);
         EXPECT_EQ(h1.size(), 25u);
         EXPECT_LE(h1.best_value, 2.0) << "cadence " << cadence;
         ASSERT_EQ(h1.size(), h2.size());
@@ -302,7 +312,7 @@ TEST(Tuner, ContinuousParameterSupport)
     opt.seed = 9;
     opt.log_objective = false;
     Tuner tuner(s, opt);
-    TuningHistory h = tuner.run(eval);
+    TuningHistory h = drive_serial(tuner, eval);
     EXPECT_LT(h.best_value, 0.15);
 }
 
@@ -316,7 +326,7 @@ TEST(Tuner, PublishesWorkCounts)
     opt.doe_samples = 8;
     opt.seed = 4;
     obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
-    TuningHistory h = Tuner(s, opt).run(synthetic_eval);
+    TuningHistory h = run_serial(s, opt, synthetic_eval);
     obs::MetricsSnapshot delta =
         obs::MetricsRegistry::global().snapshot().delta_since(before);
     ASSERT_EQ(h.size(), 20u);
@@ -344,7 +354,7 @@ TEST(Tuner, TracksTimingBreakdown)
     opt.budget = 15;
     opt.seed = 10;
     Tuner tuner(s, opt);
-    TuningHistory h = tuner.run(synthetic_eval);
+    TuningHistory h = drive_serial(tuner, synthetic_eval);
     EXPECT_GE(h.tuner_seconds, 0.0);
     EXPECT_GE(h.eval_seconds, 0.0);
 }

@@ -1,18 +1,19 @@
-// baco_history_digest: print BaCO's complete tuning histories in a form
-// that compares bit for bit across builds.
+// baco_history_digest: print the complete tuning histories of every
+// built-in search method in a form that compares bit for bit across
+// builds.
 //
-// Runs BaCO at the full (Table 3) budget on every registry benchmark:
-// serially with two fixed seeds, then at seed 1 in barrier rounds of 4 on
-// a thread pool (Batched(4)), across 2 loopback workers
-// (Distributed(2, 4)), and over the serve protocol (session(4)). The
-// session leg drives a SessionManager session, checkpointing into a
-// temporary directory, with suggest and observe frames in rounds of 4,
-// evaluating client-side with serve::evaluate_on. Its manager is
-// destroyed at half budget (a server crash), a new one re-opens the
-// session with resume=true to finish, and the leg prints the final
-// checkpoint's history. Prints one line per observation:
+// Runs each method of the built-in MethodRegistry at the full (Table 3)
+// budget on every registry benchmark: serially with two fixed seeds, then
+// at seed 1 in barrier rounds of 4 on a thread pool (Batched(4)), across
+// 2 loopback workers (Distributed(2, 4)), and over the serve protocol
+// (session(4)). The session leg drives a SessionManager session,
+// checkpointing into a temporary directory, with suggest and observe
+// frames in rounds of 4, evaluating client-side with serve::evaluate_on.
+// Its manager is destroyed at half budget (a server crash), a new one
+// re-opens the session with resume=true to finish, and the leg prints the
+// final checkpoint's history. Prints one line per observation:
 //
-//   <benchmark> seed=<seed>[,<policy>] #<index> <value as hexfloat> <feasible 0|1> <config JSON>
+//   <method> <benchmark> seed=<seed>[,<policy>] #<index> <value as hexfloat> <feasible 0|1> <config JSON>
 //
 // Two builds that print identical output made identical suggestions and
 // saw identical values, so a performance change that claims to leave the
@@ -21,8 +22,9 @@
 // distributed and session histories cover the pool and fleet barrier
 // rounds and the session's open, observe, checkpoint and resume path too.
 //
-// --work prints, instead of histories, the work each serial study did: the
-// deltas of the tuner's work counters over the study, one line each,
+// --work prints, instead of histories, the work each serial BaCO study
+// did: the deltas of the tuner's work counters over the study, one line
+// each,
 //
 //   <benchmark> seed=<seed> nll_evals=N nll_failures=N refits=N extends=N candidates=N pruned=N
 //
@@ -51,14 +53,14 @@ using namespace baco;
 namespace {
 
 void
-print_history(const std::string& benchmark, unsigned seed, const char* label,
-              const TuningHistory& h)
+print_history(const std::string& method, const std::string& benchmark,
+              unsigned seed, const char* label, const TuningHistory& h)
 {
     for (std::size_t i = 0; i < h.observations.size(); ++i) {
         const Observation& o = h.observations[i];
-        std::printf("%s seed=%u%s #%zu %a %d %s\n", benchmark.c_str(), seed,
-                    label, i, o.value, o.feasible ? 1 : 0,
-                    jsonl::config_json(o.config).c_str());
+        std::printf("%s %s seed=%u%s #%zu %a %d %s\n", method.c_str(),
+                    benchmark.c_str(), seed, label, i, o.value,
+                    o.feasible ? 1 : 0, jsonl::config_json(o.config).c_str());
     }
 }
 
@@ -86,23 +88,25 @@ print_work(const std::string& benchmark, unsigned seed,
 }
 
 [[noreturn]] void
-fail(const Benchmark& b, const std::string& what)
+fail(const std::string& method, const Benchmark& b, const std::string& what)
 {
-    std::fprintf(stderr, "baco_history_digest: %s session: %s\n",
-                 b.name.c_str(), what.c_str());
+    std::fprintf(stderr, "baco_history_digest: %s %s session: %s\n",
+                 method.c_str(), b.name.c_str(), what.c_str());
     std::exit(2);
 }
 
-/** The session(4) leg on one benchmark: see the file comment. */
+/** The session(4) leg of one method on one benchmark: see the file
+ *  comment. */
 TuningHistory
-session_history(const Benchmark& b, const std::string& dir, unsigned seed)
+session_history(const std::string& method, const Benchmark& b,
+                const std::string& dir, unsigned seed)
 {
     using namespace baco::serve;
     Message open;
     open.type = MsgType::kOpenSession;
     open.session = "digest";
     open.benchmark = b.name;
-    open.method = "BaCO";
+    open.method = method;
     open.seed = seed;  // budget and doe 0: the benchmark's own
     const std::uint64_t half = static_cast<std::uint64_t>(b.full_budget / 2);
     SessionManagerOptions opt;
@@ -112,7 +116,7 @@ session_history(const Benchmark& b, const std::string& dir, unsigned seed)
         open.resume = resume;
         Message opened = sm.handle(open);
         if (opened.type != MsgType::kOpened)
-            fail(b, opened.text);
+            fail(method, b, opened.text);
         for (std::uint64_t evals = opened.evals; resume || evals < half;) {
             Message ask;
             ask.type = MsgType::kSuggest;
@@ -121,7 +125,7 @@ session_history(const Benchmark& b, const std::string& dir, unsigned seed)
                                      std::min<std::uint64_t>(4, half - evals));
             Message batch = sm.handle(ask);
             if (batch.type != MsgType::kConfigs)
-                fail(b, batch.text);
+                fail(method, b, batch.text);
             if (batch.configs.empty())
                 break;
             Message tell;
@@ -137,7 +141,7 @@ session_history(const Benchmark& b, const std::string& dir, unsigned seed)
             }
             Message ok = sm.handle(tell);
             if (ok.type != MsgType::kOk)
-                fail(b, ok.text);
+                fail(method, b, ok.text);
             evals = ok.evals;
         }
     }
@@ -145,7 +149,7 @@ session_history(const Benchmark& b, const std::string& dir, unsigned seed)
     std::optional<CheckpointData> data = load_checkpoint(path);
     std::filesystem::remove(path);
     if (!data)
-        fail(b, "no final checkpoint at " + path);
+        fail(method, b, "no final checkpoint at " + path);
     return data->history;
 }
 
@@ -170,25 +174,25 @@ main(int argc, char** argv)
         {1, ",batched(4)", ExecutionPolicy::Batched(4)},
         {1, ",distributed(2,4)", ExecutionPolicy::Distributed(2, 4)},
     };
-    double totals[std::size(kWorkCounters)] = {};
-    for (const Leg& leg : kLegs) {
-        if (work && leg.policy.mode != ExecutionPolicy::Mode::kSerial)
-            continue;
-        for (const Benchmark& b : suite::all_benchmarks()) {
-            Study study = StudyBuilder()
-                              .benchmark(b.name)
-                              .method("baco")
-                              .seed(leg.seed)
-                              .execution(leg.policy)
-                              .build();
-            StudyResult r = study.run();
-            if (work)
-                print_work(b.name, leg.seed, r.metrics, totals);
-            else
-                print_history(b.name, leg.seed, leg.label, r.history);
-        }
-    }
+    auto run = [](const std::string& method, const Benchmark& b,
+                  const Leg& leg) {
+        return StudyBuilder()
+            .benchmark(b.name)
+            .method(method)
+            .seed(leg.seed)
+            .execution(leg.policy)
+            .build()
+            .run();
+    };
     if (work) {
+        double totals[std::size(kWorkCounters)] = {};
+        for (const Leg& leg : kLegs) {
+            if (leg.policy.mode != ExecutionPolicy::Mode::kSerial)
+                continue;
+            for (const Benchmark& b : suite::all_benchmarks())
+                print_work(b.name, leg.seed, run("baco", b, leg).metrics,
+                           totals);
+        }
         std::printf("total");
         for (std::size_t i = 0; i < std::size(kWorkCounters); ++i)
             std::printf(" %s=%.0f", kWorkCounters[i].first, totals[i]);
@@ -203,8 +207,16 @@ main(int argc, char** argv)
         std::perror("baco_history_digest: mkdtemp");
         return 2;
     }
-    for (const Benchmark& b : suite::all_benchmarks())
-        print_history(b.name, 1, ",session(4)", session_history(b, dir, 1));
+    for (const std::string& method : MethodRegistry().names()) {
+        for (const Leg& leg : kLegs) {
+            for (const Benchmark& b : suite::all_benchmarks())
+                print_history(method, b.name, leg.seed, leg.label,
+                              run(method, b, leg).history);
+        }
+        for (const Benchmark& b : suite::all_benchmarks())
+            print_history(method, b.name, 1, ",session(4)",
+                          session_history(method, b, dir, 1));
+    }
     std::filesystem::remove_all(dir);
     return 0;
 }
