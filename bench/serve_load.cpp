@@ -50,6 +50,7 @@
 #include <unistd.h>
 
 #include "api/method_registry.hpp"
+#include "exec/temp_dir.hpp"
 #include "harness_util.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -501,10 +502,9 @@ main(int argc, char** argv)
     // Spill phase: a bounded registry that must ping-pong 4 sessions
     // through 1 live slot. Overhead comes from the serve.spill/.reload
     // histograms over this phase's registry delta.
-    std::string ckpt_dir =
-        "/tmp/baco_bench_spill_" + std::to_string(::getpid());
+    ScopedTempDir ckpt_dir("baco_bench_spill_");
     SessionManagerOptions bounded;
-    bounded.checkpoint_dir = ckpt_dir;
+    bounded.checkpoint_dir = ckpt_dir.path();
     bounded.max_live_sessions = 1;
     obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
     PhaseResult spill = run_phase(1, 4, spill_budget, batch,

@@ -3,7 +3,10 @@
 # selectable stages so both invoke identical commands:
 #
 #   tier1     configure + build (warnings-as-errors on src/exec +
-#             src/serve via BACO_WERROR_EXEC) + the full ctest suite
+#             src/serve via BACO_WERROR_EXEC) + the full ctest suite,
+#             with TEST_TMPDIR and TMPDIR pointing at a fresh directory
+#             that must be empty when the suite ends (every test removes
+#             what it writes)
 #   selftest  baco_serve --selftest: distributed-vs-batched Study
 #             parity, the async fleet drive, and the multi-client
 #             socket leg (2 concurrent unix-socket clients must match
@@ -86,7 +89,18 @@ build_main() {
 
 stage_tier1() {
     build_main
-    (cd "$BUILD_DIR" && ctest --output-on-failure -j)
+    local tmp status=0
+    tmp="$(mktemp -d "${TMPDIR:-/tmp}/baco_ctest.XXXXXX")"
+    (cd "$BUILD_DIR" &&
+         TEST_TMPDIR="$tmp/" TMPDIR="$tmp" ctest --output-on-failure -j) ||
+        status=$?
+    if [[ -n "$(ls -A "$tmp")" ]]; then
+        echo "check.sh: the test suite left entries in its temp directory:" >&2
+        ls -lA "$tmp" >&2
+        status=1
+    fi
+    rm -rf "$tmp"
+    return "$status"
 }
 
 stage_selftest() {

@@ -3,7 +3,7 @@
 # suggest exactly what BASE_REF did?
 #
 # Builds tools/baco_history_digest twice — at BASE_REF, exported with
-# git archive into a temporary directory, and at the working tree — runs
+# git archive (scripts/parity_trees.sh), and at the working tree — runs
 # both and compares the outputs: every observation of each built-in
 # method (BaCO, BaCO--, the OpenTuner-like and Ytopt-like baselines, the
 # two samplers) on every registry benchmark at full budget — serially at
@@ -14,10 +14,15 @@
 # performance change) must report "identical"; algorithmic changes
 # legitimately differ, so the verdict is information, not a gate.
 #
-# Both builds use the working tree's digest source, so BASE_REF needs only
-# the public API the tool uses, not the tool itself.
+# Both builds use the working tree's digest source (and its header-only
+# ScopedTempDir when BASE_REF predates it), so BASE_REF needs only the
+# public API the tool uses, not the tool itself.
 #
-# Usage: scripts/history_parity.sh BASE_REF
+# Usage: scripts/history_parity.sh BASE_REF [TREES_DIR]
+#
+# TREES_DIR keeps the export and the builds for a later
+# scripts/quality_parity.sh with the same arguments (see
+# scripts/parity_trees.sh); without it they go to a temporary directory.
 #
 # Prints one verdict line on stdout — "identical (N observations)" or
 # "differs at <method> <benchmark> seed=<s>[,<policy>] #<index>" — and the
@@ -25,29 +30,18 @@
 # build error.
 set -euo pipefail
 
-if [ $# -ne 1 ]; then
-    echo "usage: $0 BASE_REF" >&2
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: $0 BASE_REF [TREES_DIR]" >&2
     exit 2
 fi
-BASE_REF="$1"
 cd "$(dirname "$0")/.."
 ROOT="$(pwd)"
+. scripts/parity_trees.sh
+parity_trees "$@"
 
-TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
-
-CMAKE_EXTRA=()
-if command -v ccache >/dev/null 2>&1; then
-    CMAKE_EXTRA+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
-fi
-
-# build_digest SOURCE_DIR BUILD_DIR OUTPUT; any failure exits 2, so that
-# 1 always means "differs".
-build_digest() {
-    cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release -DBUILD_TESTING=OFF \
-          "${CMAKE_EXTRA[@]}" >&2 || exit 2
-    cmake --build "$2" --target baco_history_digest -j "$(nproc)" >&2 ||
-        exit 2
+# run_digest SOURCE_DIR BUILD_DIR OUTPUT
+run_digest() {
+    parity_build "$1" "$2" baco_history_digest
     "$2/baco_history_digest" > "$3" || exit 2
     if [ ! -s "$3" ]; then
         echo "history_parity: $2/baco_history_digest printed nothing" >&2
@@ -55,14 +49,12 @@ build_digest() {
     fi
 }
 
-mkdir "$TMP/base"
-if ! git archive --format=tar "$BASE_REF" | tar -x -C "$TMP/base"; then
-    echo "history_parity: cannot export $BASE_REF" >&2
-    exit 2
+cp tools/baco_history_digest.cpp "$BASE/tools/" || exit 2
+if [ ! -e "$BASE/src/exec/temp_dir.hpp" ]; then
+    cp src/exec/temp_dir.hpp "$BASE/src/exec/" || exit 2
 fi
-cp tools/baco_history_digest.cpp "$TMP/base/tools/" || exit 2
-build_digest "$TMP/base" "$TMP/base-build" "$TMP/base.txt"
-build_digest "$ROOT" "$TMP/head-build" "$TMP/head.txt"
+run_digest "$BASE" "$TREES/base-build" "$TREES/base.txt"
+run_digest "$ROOT" "$TREES/head-build" "$TREES/head.txt"
 
 # First line where the digests part: its first four fields name the
 # method, the benchmark, the seed and the observation index.
@@ -86,4 +78,4 @@ awk '
         }
         print "identical (" nh " observations)"
     }
-' "$TMP/base.txt" "$TMP/head.txt"
+' "$TREES/base.txt" "$TREES/head.txt"

@@ -6,7 +6,9 @@
 #include <limits>
 
 #include "core/chain_of_trees.hpp"
+#include "core/tuner_metrics.hpp"
 #include "exec/jsonl.hpp"
+#include "obs/trace.hpp"
 
 namespace baco {
 
@@ -56,7 +58,7 @@ OpenTunerLike::new_state() const
 }
 
 std::vector<Configuration>
-OpenTunerLike::propose(int n, const std::vector<Configuration>&)
+OpenTunerLike::propose(int n, const std::vector<Configuration>& pending)
 {
     const SearchSpace& space = space_;
     State& st = *state<State>();
@@ -257,10 +259,21 @@ OpenTunerLike::propose(int n, const std::vector<Configuration>&)
         out.push_back(std::move(c));
     };
 
+    // In-flight work counts toward the seed phase, so an asynchronous
+    // drive proposes exactly seed_target seed configurations.
     const int seed_target = std::min(opt_.initial_random, opt_.budget);
+    TunerMetrics& tm = TunerMetrics::get();
     for (int k = 0; k < n; ++k) {
-        std::size_t virtual_evals = history_.size() + out.size();
+        std::size_t virtual_evals =
+            history_.size() + pending.size() + out.size();
         if (virtual_evals < static_cast<std::size_t>(seed_target)) {
+            obs::ScopedTimer timer(tm.doe, "tuner.doe", "tuner");
+            take(random_config(), kSeedPhase);
+            continue;
+        }
+        // The seed phase is all in flight (or a batch outgrows it): no
+        // technique has a population to draw from yet.
+        if (population.empty()) {
             take(random_config(), kSeedPhase);
             continue;
         }

@@ -6,7 +6,9 @@
 
 #include "core/acquisition.hpp"
 #include "core/chain_of_trees.hpp"
+#include "core/tuner_metrics.hpp"
 #include "gp/gp_model.hpp"
+#include "obs/trace.hpp"
 #include "rf/random_forest.hpp"
 
 namespace baco {
@@ -44,7 +46,7 @@ YtoptLike::new_state() const
 }
 
 std::vector<Configuration>
-YtoptLike::propose(int n, const std::vector<Configuration>&)
+YtoptLike::propose(int n, const std::vector<Configuration>& pending)
 {
     const SearchSpace& space = space_;
     State& st = *state<State>();
@@ -66,11 +68,15 @@ YtoptLike::propose(int n, const std::vector<Configuration>&)
         return s ? std::move(*s) : space.sample_unconstrained(rng());
     };
 
-    // ---- DoE phase: plain sampling, deduplicated best-effort. ----
+    // ---- DoE phase: plain sampling, deduplicated best-effort. In-flight
+    // work counts toward it, so an asynchronous drive proposes exactly
+    // doe_target DoE configurations. ----
     const int doe_target = std::min(opt_.doe_samples, opt_.budget);
+    TunerMetrics& tm = TunerMetrics::get();
     while (static_cast<int>(out.size()) < n &&
-           history_.size() + out.size() <
+           history_.size() + pending.size() + out.size() <
                static_cast<std::size_t>(doe_target)) {
+        obs::ScopedTimer timer(tm.doe, "tuner.doe", "tuner");
         Configuration c = sample_candidate();
         for (int tries = 0; tries < 100 && seen(c); ++tries)
             c = sample_candidate();

@@ -13,6 +13,21 @@
 
 namespace baco {
 
+namespace {
+
+/** Add one GP fit's work to the tuner's model counters. */
+void
+add_fit_work(TunerMetrics& tm, const GpFitWork& w)
+{
+    tm.model_nll_evals.add(w.nll_evals);
+    tm.model_nll_failures.add(w.nll_failures);
+    tm.model_nll_gradients.add(w.nll_gradients);
+    tm.model_refits_warm.add(w.warm ? 1 : 0);
+    tm.model_refit_fallbacks.add(w.fallback ? 1 : 0);
+}
+
+}  // namespace
+
 /** The models the loop carries between suggest()/observe() calls. */
 struct Tuner::State : MethodState {
   GpModel gp;
@@ -128,9 +143,7 @@ Tuner::propose_with_model(State& st,
             sync_gp(st, xs, ys, n_real, log_ok);
         } else if (use_gp) {
             st.gp.fit(xs, ys, rng());
-            TunerMetrics::get().model_nll_evals.add(st.gp.last_fit_nll_evals());
-            TunerMetrics::get().model_nll_failures.add(
-                st.gp.last_fit_nll_failures());
+            add_fit_work(TunerMetrics::get(), st.gp.last_fit_work());
         } else {
             std::vector<std::vector<double>> rf_x;
             rf_x.reserve(xs.size());
@@ -236,13 +249,14 @@ Tuner::sync_gp(State& st, const std::vector<Configuration>& xs,
 
     // Full refit on real observations only: fantasies are appended after,
     // so the hyperparameters and the output standardization never depend
-    // on the constant-liar values.
+    // on the constant-liar values. After the first, a refit re-optimizes
+    // the hyperparameters from the last optimum (GpModel::refit).
     auto full_refit = [&]() {
         std::vector<Configuration> rx(xs.begin(),
                                       xs.begin() + static_cast<long>(n_real));
         std::vector<double> ry(ys.begin(),
                                ys.begin() + static_cast<long>(n_real));
-        st.gp.fit(rx, ry, rng());
+        st.gp.refit(rx, ry, rng());
         st.model_real = n_real;
         st.model_fantasy_hashes.clear();
         st.tells_since_refit = 0;
@@ -250,8 +264,7 @@ Tuner::sync_gp(State& st, const std::vector<Configuration>& xs,
         st.model_log = log_ok;
         st.model_valid = true;
         tm.model_refits.add();
-        tm.model_nll_evals.add(st.gp.last_fit_nll_evals());
-        tm.model_nll_failures.add(st.gp.last_fit_nll_failures());
+        add_fit_work(tm, st.gp.last_fit_work());
     };
 
     bool need_full =

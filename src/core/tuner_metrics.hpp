@@ -47,6 +47,14 @@ struct TunerMetrics {
   obs::Counter& acquisition_pruned = counter("tuner.acquisition_pruned_total");
   obs::Counter& model_nll_failures =
       counter("tuner.model_nll_failures_total");
+  /** Per full refit, like model_nll_evals: the NLL gradients it computed,
+   *  whether it was one warm descent (GpModel::refit), and whether that
+   *  descent ended non-finite and fell back to the multistart fit. */
+  obs::Counter& model_nll_gradients =
+      counter("tuner.model_nll_gradients_total");
+  obs::Counter& model_refits_warm = counter("tuner.model_refits_warm_total");
+  obs::Counter& model_refit_fallbacks =
+      counter("tuner.model_refit_fallbacks_total");
 
   static TunerMetrics& get()
   {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace baco {
@@ -95,34 +96,41 @@ void
 GpModel::fit(const std::vector<Configuration>& xs,
              const std::vector<double>& ys, RngEngine& rng)
 {
-    if (xs.size() != ys.size() || xs.size() < 2)
-        throw std::runtime_error("GpModel::fit needs >= 2 matching points");
-
     set_training_data(xs, ys);
+    work_ = GpFitWork{};
+    fit_multistart(rng);
+}
+
+void
+GpModel::refit(const std::vector<Configuration>& xs,
+               const std::vector<double>& ys, RngEngine& rng)
+{
+    if (!fitted_ || !warm_start_ || !opt_.use_priors || !opt_.advanced_fit) {
+        fit(xs, ys, rng);
+        return;
+    }
+    set_training_data(xs, ys);
+    work_ = GpFitWork{};
+    LbfgsResult r = descend(warm_start_->to_vector(), opt_.lbfgs_iters);
+    if (std::isfinite(r.f)) {
+        work_.warm = true;
+        adopt(r.x);
+        return;
+    }
+    work_.fallback = true;
+    fit_multistart(rng);
+}
+
+void
+GpModel::fit_multistart(RngEngine& rng)
+{
     std::size_t d = space_->num_params();
-
-    // ---- Hyperparameter optimization (multistart MAP). ----
-    std::size_t nll_evals = 0;
-    std::size_t nll_failures = 0;
-    NllPoint last;
-    SplitObjectiveFn objective_fn{
-        [&](const std::vector<double>& theta) {
-            ++nll_evals;
-            double f = nll_value(theta, &last);
-            nll_failures += last.chol ? 0 : 1;
-            return f;
-        },
-        [&](std::vector<double>& grad) { nll_gradient(last, &grad); }};
-
     std::vector<std::vector<double>> starts;
     starts.push_back(default_hyperparams().to_vector());
     if (warm_start_)
         starts.push_back(warm_start_->to_vector());
 
-    LbfgsOptions lopt;
-    std::vector<double> best_theta;
-    double best_f = std::numeric_limits<double>::infinity();
-
+    int max_iters = opt_.naive_lbfgs_iters;
     if (opt_.advanced_fit) {
         // Random hyperparameter draws, screened by objective value.
         std::vector<std::pair<double, std::vector<double>>> screened;
@@ -132,10 +140,10 @@ GpModel::fit(const std::vector<Configuration>& xs,
                 theta[k] = rng.uniform(std::log(0.05), std::log(2.0));
             theta[d] = rng.uniform(std::log(0.1), std::log(5.0));
             theta[d + 1] = rng.uniform(std::log(1e-6), std::log(1e-2));
-            ++nll_evals;
+            ++work_.nll_evals;
             NllPoint pt;
             double f = nll_value(theta, &pt);
-            nll_failures += pt.chol ? 0 : 1;
+            work_.nll_failures += pt.chol ? 0 : 1;
             if (std::isfinite(f))
                 screened.emplace_back(f, std::move(theta));
         }
@@ -145,13 +153,13 @@ GpModel::fit(const std::vector<Configuration>& xs,
                         k < static_cast<int>(screened.size()); ++k) {
             starts.push_back(screened[static_cast<std::size_t>(k)].second);
         }
-        lopt.max_iters = opt_.lbfgs_iters;
-    } else {
-        lopt.max_iters = opt_.naive_lbfgs_iters;
+        max_iters = opt_.lbfgs_iters;
     }
 
+    std::vector<double> best_theta;
+    double best_f = std::numeric_limits<double>::infinity();
     for (const auto& start : starts) {
-        LbfgsResult r = lbfgs_minimize(objective_fn, start, lopt);
+        LbfgsResult r = descend(start, max_iters);
         if (std::isfinite(r.f) && r.f < best_f) {
             best_f = r.f;
             best_theta = r.x;
@@ -159,14 +167,36 @@ GpModel::fit(const std::vector<Configuration>& xs,
     }
     if (best_theta.empty())
         best_theta = default_hyperparams().to_vector();
+    adopt(best_theta);
+}
 
+LbfgsResult
+GpModel::descend(const std::vector<double>& start, int max_iters)
+{
+    NllPoint last;
+    SplitObjectiveFn objective_fn{
+        [&](const std::vector<double>& theta) {
+            ++work_.nll_evals;
+            double f = nll_value(theta, &last);
+            work_.nll_failures += last.chol ? 0 : 1;
+            return f;
+        },
+        [&](std::vector<double>& grad) {
+            ++work_.nll_gradients;
+            nll_gradient(last, &grad);
+        }};
+    LbfgsOptions lopt;
+    lopt.max_iters = max_iters;
+    return lbfgs_minimize(objective_fn, start, lopt);
+}
+
+void
+GpModel::adopt(const std::vector<double>& theta)
+{
     // Clamp to the same box the objective used so the posterior matrix is
     // exactly the one the optimizer scored (and numerically factorizable).
-    hp_ = clamped(GpHyperparams::from_vector(best_theta));
+    hp_ = clamped(GpHyperparams::from_vector(theta));
     warm_start_ = hp_;
-    last_fit_nll_evals_ = nll_evals;
-    last_fit_nll_failures_ = nll_failures;
-
     refresh_posterior();
 }
 
@@ -175,10 +205,6 @@ GpModel::fit_with_hyperparams(const std::vector<Configuration>& xs,
                               const std::vector<double>& ys,
                               const GpHyperparams& hp)
 {
-    if (xs.size() != ys.size() || xs.size() < 2)
-        throw std::runtime_error(
-            "GpModel::fit_with_hyperparams needs >= 2 matching points");
-
     set_training_data(xs, ys);
     hp_ = hp;
     warm_start_ = hp_;
@@ -189,6 +215,8 @@ void
 GpModel::set_training_data(const std::vector<Configuration>& xs,
                            const std::vector<double>& ys)
 {
+    if (xs.size() != ys.size() || xs.size() < 2)
+        throw std::runtime_error("GpModel: fitting needs >= 2 matching points");
     xs_ = xs;
     standardizer_.fit(ys);
     ys_std_.resize(ys.size());

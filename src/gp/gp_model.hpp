@@ -6,11 +6,13 @@
  * Gaussian-process surrogate over a mixed-type compiler search space
  * (paper Sec. 3.2).
  *
- * The model is fit by MAP estimation: multistart L-BFGS on the negative log
- * marginal likelihood with gamma priors on the lengthscales (and weakly
- * informative priors on output scale and noise). Predictions return the
- * *latent* (noise-free) mean/variance used by the modified EI acquisition
- * (paper Sec. 3.3).
+ * The model is fit by MAP estimation: L-BFGS on the negative log marginal
+ * likelihood with gamma priors on the lengthscales (and weakly informative
+ * priors on output scale and noise). A first fit starts L-BFGS from
+ * several points (multistart); a refit of a model that already has an
+ * optimum re-optimizes in one descent from it (see refit()). Predictions
+ * return the *latent* (noise-free) mean/variance used by the modified EI
+ * acquisition (paper Sec. 3.3).
  *
  * Objective values are standardized internally; any log-transform of the
  * objective is applied by the caller (the tuner), so the ablation switches
@@ -53,8 +55,10 @@ struct GpOptions {
   /** Multistart MAP fitting. Off in BaCO-- (single short descent). */
   bool advanced_fit = true;
 
-  int multistart_samples = 10;  ///< random hyperparameter draws
-  int multistart_keep = 2;      ///< best starts refined with L-BFGS
+  /** Random hyperparameter draws screened by fit(): on a first fit, and
+   *  when refit() falls back to fit(). A warm refit draws none. */
+  int multistart_samples = 10;
+  int multistart_keep = 2;      ///< best draws refined with L-BFGS by fit()
   int lbfgs_iters = 40;         ///< refinement iterations per start
   int naive_lbfgs_iters = 12;   ///< iterations when advanced_fit is false
 
@@ -65,6 +69,21 @@ struct GpOptions {
   double outputscale_rate = 1.0;
   double noise_shape = 1.1;
   double noise_rate = 20.0;
+};
+
+/** The work of the last fit() or refit() on hyperparameter optimization. */
+struct GpFitWork {
+  /** Marginal-likelihood evaluations (with or without gradient). */
+  std::size_t nll_evals = 0;
+  /** Those of nll_evals whose kernel matrix did not factorize (+inf). */
+  std::size_t nll_failures = 0;
+  /** Gradient evaluations of the marginal likelihood. */
+  std::size_t nll_gradients = 0;
+  /** refit() took its one descent from the warm start. */
+  bool warm = false;
+  /** refit()'s warm descent ended non-finite, so it ran fit() after it
+   *  (the counts above include both). */
+  bool fallback = false;
 };
 
 /** GP posterior summary at one point (standardized-output units undone). */
@@ -91,11 +110,29 @@ class GpModel {
   explicit GpModel(const SearchSpace& space, GpOptions opt = GpOptions{});
 
   /**
-   * Fit hyperparameters and the posterior to (xs, ys).
-   * Requires xs.size() == ys.size() >= 2.
+   * Fit hyperparameters and the posterior to (xs, ys) by multistart MAP:
+   * L-BFGS from the default hyperparameters, from the warm start (when
+   * one exists) and, with advanced_fit, from the multistart_keep best of
+   * multistart_samples random draws (drawn from rng); the best optimum
+   * wins. Without advanced_fit (BaCO--): naive_lbfgs_iters descents from
+   * the default and warm starts only. Requires xs.size() == ys.size()
+   * >= 2.
    */
   void fit(const std::vector<Configuration>& xs,
            const std::vector<double>& ys, RngEngine& rng);
+
+  /**
+   * Re-fit after new data: what a tuner calls for every fit after its
+   * first. When the model has been fitted, has a warm start and uses
+   * BaCO's priors and multistart (use_priors && advanced_fit), this runs
+   * one L-BFGS descent of lbfgs_iters from the warm start and draws
+   * nothing from rng. Otherwise, and when that descent ends at a
+   * non-finite objective (the paper's semimetric permutation distances
+   * can make the old optimum's kernel matrix indefinite on the new data),
+   * it is fit(). Requires xs.size() == ys.size() >= 2.
+   */
+  void refit(const std::vector<Configuration>& xs,
+             const std::vector<double>& ys, RngEngine& rng);
 
   /**
    * Rebuild the posterior for (xs, ys) under fixed hyperparameters —
@@ -170,9 +207,9 @@ class GpModel {
   /** Hyperparameters from the last fit. */
   const GpHyperparams& hyperparams() const { return hp_; }
 
-  /** The hyperparameters fit() starts one descent from: the last fit's
-   *  (none before the first). A checkpoint saves them so that a resumed
-   *  model fits exactly as the uninterrupted one. */
+  /** The hyperparameters fit() and refit() start one descent from: the
+   *  last fit's (none before the first). A checkpoint saves them so that
+   *  a resumed model fits exactly as the uninterrupted one. */
   const std::optional<GpHyperparams>& warm_start() const
   {
       return warm_start_;
@@ -182,13 +219,9 @@ class GpModel {
   /** Number of training points. */
   std::size_t size() const { return xs_.size(); }
 
-  /** Marginal-likelihood evaluations (with or without gradient) the last
-   *  fit() spent on hyperparameter optimization. */
-  std::size_t last_fit_nll_evals() const { return last_fit_nll_evals_; }
-
-  /** Those of last_fit_nll_evals() whose kernel matrix did not factorize
-   *  (the evaluation returned +inf). */
-  std::size_t last_fit_nll_failures() const { return last_fit_nll_failures_; }
+  /** What the last fit() or refit() spent on hyperparameter
+   *  optimization. */
+  const GpFitWork& last_fit_work() const { return work_; }
 
   // Read-only posterior state, for parity tests and diagnostics
   // (factor() requires fitted()).
@@ -219,9 +252,21 @@ class GpModel {
 
   GpHyperparams default_hyperparams() const;
 
+  /** fit()'s hyperparameter search on the stored training set, adding
+   *  its work to work_. */
+  void fit_multistart(RngEngine& rng);
+
+  /** One L-BFGS descent on the objective from start, counted in work_. */
+  LbfgsResult descend(const std::vector<double>& start, int max_iters);
+
+  /** Take theta (clamped to the objective's box) as the hyperparameters
+   *  and warm start, and rebuild the posterior. */
+  void adopt(const std::vector<double>& theta);
+
   /** Store (xs, ys) as the training set: inputs, their value indices in
    *  the tabulated dimensions, the standardized outputs and the pairwise distance
-   *  tensor; shared head of the fit paths. */
+   *  tensor; shared head of the fit paths, which throws unless
+   *  xs.size() == ys.size() >= 2. */
   void set_training_data(const std::vector<Configuration>& xs,
                          const std::vector<double>& ys);
 
@@ -281,8 +326,7 @@ class GpModel {
   double outputscale_ = 1.0;          // exp of fitted log output scale
   double diag_shift_ = 0.0;           // boost + jitter baked into chol_
   bool fitted_ = false;
-  std::size_t last_fit_nll_evals_ = 0;
-  std::size_t last_fit_nll_failures_ = 0;
+  GpFitWork work_;
 };
 
 }  // namespace baco

@@ -341,6 +341,44 @@ TEST(Study, EventsFireInHistoryOrderAcrossPolicies)
     }
 }
 
+TEST(Study, AsyncDriveProposesEachInitialPhaseOnce)
+{
+    // In-flight work counts toward a method's initial random phase, so a
+    // drive with four evaluations in flight proposes exactly the phase's
+    // count; each initial proposal is one tuner.doe sample. A phase shorter
+    // than the slot count (doe 2) has every method propose while nothing
+    // has landed yet, as does a barrier batch wider than the phase. The
+    // samplers have no initial phase. (A fresh registry holds only the
+    // built-in methods; other tests add to the global one.)
+    struct Case {
+      int doe;
+      ExecutionPolicy policy;
+    };
+    for (const Case& c : {Case{6, ExecutionPolicy::Async(4)},
+                          Case{2, ExecutionPolicy::Async(4)},
+                          Case{2, ExecutionPolicy::Batched(4)}}) {
+        for (const std::string& method : MethodRegistry().names()) {
+            SCOPED_TRACE(method + " doe=" + std::to_string(c.doe) + " " +
+                         execution_mode_name(c.policy.mode));
+            StudyResult r = StudyBuilder()
+                                .benchmark("SpMM/scircuit")
+                                .method(method)
+                                .budget(30)
+                                .doe(c.doe)
+                                .seed(3)
+                                .execution(c.policy)
+                                .build()
+                                .run();
+            ASSERT_EQ(r.history.size(), 30u);
+            const obs::MetricValue* m = r.metrics.find("tuner.doe_seconds");
+            const std::uint64_t initial = m ? m->histogram.count : 0;
+            const bool sampler = method == "random" || method == "cot";
+            EXPECT_EQ(initial,
+                      sampler ? 0u : static_cast<std::uint64_t>(c.doe));
+        }
+    }
+}
+
 TEST(Study, CacheReplayReportsFromCacheOnEveryEventUnderEveryPolicy)
 {
     // A second same-seed study against a warm cache is a pure replay:

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "gp/gp_model.hpp"
 #include "suite/registry.hpp"
@@ -243,7 +244,7 @@ taco_fit_nll(const SpaceVariant& variant)
     }
     GpModel gp(*s);
     gp.fit(xs, ys, rng);
-    return {gp.last_fit_nll_evals(), gp.last_fit_nll_failures()};
+    return {gp.last_fit_work().nll_evals, gp.last_fit_work().nll_failures};
 }
 
 TEST(GpModel, EuclideanPermutationFitNeverFailsToFactorize)
@@ -421,6 +422,148 @@ TEST(GpModel, NaiveFitStillWorks)
     std::vector<double> ys{0.0, 1.0, 0.0};
     gp.fit(xs, ys, rng);
     EXPECT_NEAR(gp.predict(cfg1(0.5)).mean, 1.0, 0.2);
+}
+
+// ---- refit(): one warm descent after the first fit ------------------------
+
+TEST(GpModelRefit, WarmRefitDrawsNothingAndCostsLessThanAFit)
+{
+    SearchSpace s = one_d_space();
+    std::vector<Configuration> xs;
+    std::vector<double> ys;
+    smooth_history(24, &xs, &ys);
+    const std::vector<Configuration> head(xs.begin(), xs.begin() + 16);
+    const std::vector<double> head_y(ys.begin(), ys.begin() + 16);
+
+    GpModel gp(s);
+    RngEngine rng(11);
+    gp.refit(head, head_y, rng);  // the first fit is fit()
+    EXPECT_FALSE(gp.last_fit_work().warm);
+    EXPECT_FALSE(gp.last_fit_work().fallback);
+    const GpHyperparams first = gp.hyperparams();
+
+    const RngEngine before = rng;
+    gp.refit(xs, ys, rng);
+    const GpFitWork& warm = gp.last_fit_work();
+    EXPECT_TRUE(rng.engine() == before.engine());
+    EXPECT_TRUE(warm.warm);
+    EXPECT_FALSE(warm.fallback);
+    EXPECT_GT(warm.nll_gradients, 0u);
+    EXPECT_TRUE(std::isfinite(gp.objective(gp.hyperparams())));
+    // The descent starts at the last optimum and only goes down.
+    EXPECT_LE(gp.objective(gp.hyperparams()), gp.objective(first));
+    ASSERT_TRUE(gp.warm_start().has_value());
+    EXPECT_EQ(gp.warm_start()->to_vector(), gp.hyperparams().to_vector());
+
+    // A cold multistart fit on the same data does several descents and
+    // screens random draws.
+    GpModel cold(s);
+    RngEngine cold_rng(11);
+    cold.fit(xs, ys, cold_rng);
+    EXPECT_LT(warm.nll_evals, cold.last_fit_work().nll_evals);
+    EXPECT_LT(warm.nll_gradients, cold.last_fit_work().nll_gradients);
+}
+
+TEST(GpModelRefit, SemimetricWarmStartAtInfinityFallsBackToFit)
+{
+    // The paper's Spearman semimetric makes some kernel matrices
+    // indefinite: a warm start there has an NLL of +inf, and the descent
+    // from it cannot move.
+    SearchSpace s;
+    s.add_permutation("perm", 5, PermutationMetric::kSpearman,
+                      PermutationForm::kSemimetric);
+    s.add_real("x", 0.0, 1.0);
+    RngEngine data_rng(21);
+    std::vector<Configuration> xs;
+    std::vector<double> ys;
+    for (int i = 0; i < 30; ++i) {
+        Configuration c = s.sample_unconstrained(data_rng);
+        ys.push_back(as_permutation(c[0])[0] + as_real(c[1]));
+        xs.push_back(std::move(c));
+    }
+    GpModel gp(s);
+    RngEngine rng(22);
+    gp.fit(xs, ys, rng);
+
+    std::optional<GpHyperparams> bad;
+    for (double ll = -3.0; ll <= 3.0 && !bad; ll += 0.25) {
+        GpHyperparams hp;
+        hp.log_lengthscales = {ll, std::log(0.5)};
+        hp.log_outputscale = 0.0;
+        hp.log_noise = std::log(1e-7);
+        if (std::isinf(gp.objective(hp)))
+            bad = hp;
+    }
+    ASSERT_TRUE(bad.has_value()) << "no indefinite kernel matrix found";
+
+    GpModel reference = gp;
+    gp.set_warm_start(*bad);
+    reference.set_warm_start(*bad);
+    RngEngine reference_rng = rng;
+    gp.refit(xs, ys, rng);
+    reference.fit(xs, ys, reference_rng);
+
+    EXPECT_TRUE(gp.last_fit_work().fallback);
+    EXPECT_FALSE(gp.last_fit_work().warm);
+    EXPECT_TRUE(std::isfinite(gp.objective(gp.hyperparams())));
+    // The fallback is fit(): same draws, same optimum, and the descent
+    // from the warm start counted on top.
+    EXPECT_TRUE(rng.engine() == reference_rng.engine());
+    EXPECT_EQ(gp.hyperparams().to_vector(),
+              reference.hyperparams().to_vector());
+    EXPECT_EQ(gp.last_fit_work().nll_evals,
+              reference.last_fit_work().nll_evals + 1);
+    EXPECT_EQ(gp.last_fit_work().nll_failures,
+              reference.last_fit_work().nll_failures + 1);
+}
+
+TEST(GpModelRefit, IsFitWithoutPriorsOrMultistartOrBeforeTheFirstFit)
+{
+    SearchSpace s = one_d_space();
+    std::vector<Configuration> xs;
+    std::vector<double> ys;
+    smooth_history(20, &xs, &ys);
+    const std::vector<Configuration> head(xs.begin(), xs.begin() + 12);
+    const std::vector<double> head_y(ys.begin(), ys.begin() + 12);
+    // A warm start set before any fit (as a restored Ytopt(GP) model
+    // has) still gets the multistart.
+    const GpHyperparams preset = fixed_hp();
+
+    struct Variant {
+      const char* name;
+      bool use_priors;
+      bool advanced_fit;
+      bool fit_first;
+    };
+    for (const Variant& v : {Variant{"no priors", false, true, true},
+                             Variant{"BaCO--", false, false, true},
+                             Variant{"naive fit", true, false, true},
+                             Variant{"first fit", true, true, false}}) {
+        SCOPED_TRACE(v.name);
+        GpOptions opt;
+        opt.use_priors = v.use_priors;
+        opt.advanced_fit = v.advanced_fit;
+        GpModel gp(s, opt);
+        RngEngine rng(31);
+        if (v.fit_first)
+            gp.fit(head, head_y, rng);
+        else
+            gp.set_warm_start(preset);
+        GpModel reference = gp;
+        RngEngine reference_rng = rng;
+
+        gp.refit(xs, ys, rng);
+        reference.fit(xs, ys, reference_rng);
+        EXPECT_TRUE(rng.engine() == reference_rng.engine());
+        EXPECT_EQ(gp.hyperparams().to_vector(),
+                  reference.hyperparams().to_vector());
+        EXPECT_EQ(gp.last_fit_work().nll_evals,
+                  reference.last_fit_work().nll_evals);
+        EXPECT_EQ(gp.last_fit_work().nll_gradients,
+                  reference.last_fit_work().nll_gradients);
+        EXPECT_FALSE(gp.last_fit_work().warm);
+        EXPECT_FALSE(gp.last_fit_work().fallback);
+    }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/temp_dir.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -354,7 +355,8 @@ TEST(TraceBuffer, ChromeExportWritesWellFormedDocument)
         Span span("export.span", "test");
     }
     Trace::disable();
-    std::string path = ::testing::TempDir() + "baco_trace_test.json";
+    ScopedTempDir dir("baco_trace_test_", ::testing::TempDir());
+    std::string path = dir.file("trace.json");
     ASSERT_TRUE(Trace::export_chrome(path));
     std::ifstream in(path);
     std::string doc((std::istreambuf_iterator<char>(in)),
@@ -427,7 +429,8 @@ TEST(TraceBuffer, RemoteTracksMergeIntoOneChromeDocument)
     EXPECT_EQ(tracks[1].first, "worker-1");
     EXPECT_EQ(tracks[1].second.size(), 2u);
 
-    std::string path = ::testing::TempDir() + "baco_trace_merged.json";
+    ScopedTempDir dir("baco_trace_merged_", ::testing::TempDir());
+    std::string path = dir.file("trace.json");
     ASSERT_TRUE(Trace::export_chrome(path));
     std::ifstream in(path);
     std::string doc((std::istreambuf_iterator<char>(in)),

@@ -13,9 +13,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -31,6 +29,7 @@
 
 #include "api/baco.hpp"
 #include "drive_reference.hpp"
+#include "exec/temp_dir.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
@@ -223,13 +222,12 @@ TEST(ServeSocket, SessionsSpillAndReloadAcrossConcurrentClients)
     std::vector<double> ref2 = sequential_session_values(
         "s2", kBench, "baco", budget, 52, batch);
 
-    std::string ckpt_dir = testing::TempDir() + "baco_spill_" +
-                           std::to_string(::getpid());
+    ScopedTempDir ckpt_dir("baco_spill_", testing::TempDir());
     std::string path = unique_unix_path("spill");
     Listener listener;
     ASSERT_TRUE(listener.open(*parse_socket_address("unix:" + path)));
     SessionManagerOptions sopt;
-    sopt.checkpoint_dir = ckpt_dir;
+    sopt.checkpoint_dir = ckpt_dir.path();
     sopt.max_live_sessions = 1;  // two sessions must ping-pong spill
     SessionManager sessions(sopt);
     const obs::MetricsSnapshot before =
@@ -474,9 +472,10 @@ TEST(ServeSocket, CmdWorkerAddressSpawnsAChildProcess)
 TEST(ServeSocket, DeadWorkerDetectedViaMissedHeartbeats)
 {
     // Reroute the event log so the death is asserted in the record a
-    // fleet operator would read; restored on every exit path.
-    std::string log_path = testing::TempDir() + "baco_dead_worker_" +
-                           std::to_string(::getpid()) + ".jsonl";
+    // fleet operator would read; restored on every exit path (before
+    // the log's directory is removed).
+    ScopedTempDir log_dir("baco_dead_worker_", testing::TempDir());
+    std::string log_path = log_dir.file("events.jsonl");
     struct LogGuard {
         ~LogGuard()
         {
@@ -583,9 +582,9 @@ TEST(ServeSocket, StatsFrameIsOneBoundedRegistrySnapshot)
     std::string path = unique_unix_path("snapshot");
     Listener listener;
     ASSERT_TRUE(listener.open(*parse_socket_address("unix:" + path)));
+    ScopedTempDir ckpt_dir("baco_snapshot_", testing::TempDir());
     SessionManagerOptions sopt;
-    sopt.checkpoint_dir = testing::TempDir() + "baco_snapshot_" +
-                          std::to_string(::getpid());
+    sopt.checkpoint_dir = ckpt_dir.path();
     sopt.max_live_sessions = 1;
     SessionManager sessions(sopt);
     Coordinator coordinator;
@@ -762,7 +761,6 @@ TEST(ServeSocket, StatsFrameIsOneBoundedRegistrySnapshot)
     held_end->close();
     worker.join();
     coordinator.shutdown();
-    std::filesystem::remove_all(sopt.checkpoint_dir);
 }
 
 TEST(ServeSocket, MetricsIntervalFileAndSigusr1Dump)
@@ -770,9 +768,8 @@ TEST(ServeSocket, MetricsIntervalFileAndSigusr1Dump)
     if (::access("./baco_serve", X_OK) != 0)
         GTEST_SKIP() << "baco_serve binary not in the working directory";
     std::string sock = unique_unix_path("metrics");
-    std::string metrics_path = testing::TempDir() + "baco_metrics_" +
-                               std::to_string(::getpid()) + ".jsonl";
-    std::remove(metrics_path.c_str());
+    ScopedTempDir dir("baco_metrics_", testing::TempDir());
+    std::string metrics_path = dir.file("metrics.jsonl");
     ChildProcess serve = spawn_process(
         {"./baco_serve", "--listen", "unix:" + sock, "--metrics-interval",
          "60", "--metrics-file", metrics_path, "--log-level", "error"});
@@ -819,9 +816,8 @@ TEST(ServeSocket, DistributedTraceMergesServerAndWorkerTracks)
         ::access("./baco_worker", X_OK) != 0)
         GTEST_SKIP() << "baco_serve/baco_worker not in working directory";
     std::string sock = unique_unix_path("trace");
-    std::string trace_path = testing::TempDir() + "baco_trace_dist_" +
-                             std::to_string(::getpid()) + ".json";
-    std::remove(trace_path.c_str());
+    ScopedTempDir dir("baco_trace_dist_", testing::TempDir());
+    std::string trace_path = dir.file("trace.json");
     ChildProcess serve = spawn_process(
         {"./baco_serve", "--listen", "unix:" + sock, "--trace", trace_path,
          "--log-level", "error"});

@@ -333,11 +333,20 @@ TEST(Tuner, PublishesWorkCounts)
     // Every model-based suggestion scores at least the whole random pool.
     EXPECT_GE(delta.value("tuner.acquisition_candidates_total"),
               12.0 * opt.ls.random_samples);
-    // Every refit screens multistart_samples draws, then runs L-BFGS.
+    // The first refit screens multistart_samples draws, then runs L-BFGS;
+    // every later one is a single warm descent (at least one evaluation
+    // each), and none falls back to the multistart.
     double refits = delta.value("tuner.model_refits_total");
-    EXPECT_GE(refits, 1.0);
+    ASSERT_GE(refits, 2.0);
+    EXPECT_EQ(delta.value("tuner.model_refits_warm_total"), refits - 1.0);
+    EXPECT_EQ(delta.value("tuner.model_refit_fallbacks_total"), 0.0);
     EXPECT_GE(delta.value("tuner.model_nll_evals_total"),
-              refits * (opt.gp.multistart_samples + 1));
+              opt.gp.multistart_samples + 1 + (refits - 1.0));
+    // Gradients are taken only at accepted points, so at most once per
+    // evaluation and at least once per descent.
+    EXPECT_GE(delta.value("tuner.model_nll_gradients_total"), refits);
+    EXPECT_LE(delta.value("tuner.model_nll_gradients_total"),
+              delta.value("tuner.model_nll_evals_total"));
     // Pruned candidates and failed factorizations are shares of those
     // totals; most of a pool cannot beat its fifth-best member.
     EXPECT_GT(delta.value("tuner.acquisition_pruned_total"), 0.0);

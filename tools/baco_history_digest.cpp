@@ -26,7 +26,7 @@
 // did: the deltas of the tuner's work counters over the study, one line
 // each,
 //
-//   <benchmark> seed=<seed> nll_evals=N nll_failures=N refits=N extends=N candidates=N pruned=N
+//   <benchmark> seed=<seed> nll_evals=N nll_failures=N refits=N extends=N candidates=N pruned=N nll_gradients=N refits_warm=N refit_fallbacks=N
 //
 // then one "total" line with their sums over the serial legs. Serial runs
 // are deterministic, so the counts are exact functions of code, benchmark
@@ -36,15 +36,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "api/baco.hpp"
 #include "exec/jsonl.hpp"
+#include "exec/temp_dir.hpp"
 #include "serve/session_manager.hpp"
 #include "serve/worker.hpp"
 
@@ -72,6 +73,9 @@ const std::pair<const char*, const char*> kWorkCounters[] = {
     {"extends", "tuner.model_extends_total"},
     {"candidates", "tuner.acquisition_candidates_total"},
     {"pruned", "tuner.acquisition_pruned_total"},
+    {"nll_gradients", "tuner.model_nll_gradients_total"},
+    {"refits_warm", "tuner.model_refits_warm_total"},
+    {"refit_fallbacks", "tuner.model_refit_fallbacks_total"},
 };
 
 void
@@ -90,9 +94,7 @@ print_work(const std::string& benchmark, unsigned seed,
 [[noreturn]] void
 fail(const std::string& method, const Benchmark& b, const std::string& what)
 {
-    std::fprintf(stderr, "baco_history_digest: %s %s session: %s\n",
-                 method.c_str(), b.name.c_str(), what.c_str());
-    std::exit(2);
+    throw std::runtime_error(method + " " + b.name + " session: " + what);
 }
 
 /** The session(4) leg of one method on one benchmark: see the file
@@ -200,23 +202,23 @@ main(int argc, char** argv)
         return 0;
     }
 
-    std::string dir =
-        (std::filesystem::temp_directory_path() / "baco_digest_XXXXXX")
-            .string();
-    if (!::mkdtemp(dir.data())) {
-        std::perror("baco_history_digest: mkdtemp");
+    // A failure unwinds through the sessions' checkpoint directory, which
+    // removes itself.
+    try {
+        ScopedTempDir dir("baco_digest_");
+        for (const std::string& method : MethodRegistry().names()) {
+            for (const Leg& leg : kLegs) {
+                for (const Benchmark& b : suite::all_benchmarks())
+                    print_history(method, b.name, leg.seed, leg.label,
+                                  run(method, b, leg).history);
+            }
+            for (const Benchmark& b : suite::all_benchmarks())
+                print_history(method, b.name, 1, ",session(4)",
+                              session_history(method, b, dir.path(), 1));
+        }
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "baco_history_digest: %s\n", e.what());
         return 2;
     }
-    for (const std::string& method : MethodRegistry().names()) {
-        for (const Leg& leg : kLegs) {
-            for (const Benchmark& b : suite::all_benchmarks())
-                print_history(method, b.name, leg.seed, leg.label,
-                              run(method, b, leg).history);
-        }
-        for (const Benchmark& b : suite::all_benchmarks())
-            print_history(method, b.name, 1, ",session(4)",
-                          session_history(method, b, dir, 1));
-    }
-    std::filesystem::remove_all(dir);
     return 0;
 }
