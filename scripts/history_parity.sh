@@ -25,9 +25,11 @@
 # scripts/parity_trees.sh); without it they go to a temporary directory.
 #
 # Prints one verdict line on stdout — "identical (N observations)" or
-# "differs at <method> <benchmark> seed=<s>[,<policy>] #<index>" — and the
-# build logs on stderr. Exit status: 0 identical, 1 different, 2 usage or
-# build error.
+# "differs at <method> <benchmark> seed=<s>[,<policy>] #<index> (D of N
+# lines: <method> <count>, ...)", the first differing observation and the
+# differing lines per method, so a change's expected movement reads off
+# the verdict — and the build logs on stderr. Exit status: 0 identical,
+# 1 different, 2 usage or build error.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -56,26 +58,37 @@ fi
 run_digest "$BASE" "$TREES/base-build" "$TREES/base.txt"
 run_digest "$ROOT" "$TREES/head-build" "$TREES/head.txt"
 
-# First line where the digests part: its first four fields name the
-# method, the benchmark, the seed and the observation index.
+# The first line where the digests part (its first four fields name the
+# method, the benchmark, the seed and the observation index), then how
+# many lines differ, per method in digest order.
 awk '
+    function differs(method, where) {
+        if (!ndiff++)
+            first = where
+        if (!(method in per))
+            order[++nmethods] = method
+        ++per[method]
+    }
     NR == FNR { base[++nb] = $0; next }
     {
         ++nh
-        if (nh > nb || base[nh] != $0) {
-            print "differs at " $1 " " $2 " " $3 " " $4
-            found = 1
-            exit 1
-        }
+        if (nh > nb || base[nh] != $0)
+            differs($1, $1 " " $2 " " $3 " " $4)
     }
     END {
-        if (found)
-            exit 1
-        if (nh < nb) {
-            split(base[nh + 1], f, " ")
-            print "differs at " f[1] " " f[2] " " f[3] " " f[4] " (missing here)"
-            exit 1
+        for (i = nh + 1; i <= nb; ++i) {
+            split(base[i], f, " ")
+            differs(f[1], f[1] " " f[2] " " f[3] " " f[4] " (missing here)")
         }
-        print "identical (" nh " observations)"
+        if (!ndiff) {
+            print "identical (" nh " observations)"
+            exit 0
+        }
+        counts = ""
+        for (i = 1; i <= nmethods; ++i)
+            counts = counts (i > 1 ? ", " : "") order[i] " " per[order[i]]
+        print "differs at " first " (" ndiff " of " (nh > nb ? nh : nb) \
+              " lines: " counts ")"
+        exit 1
     }
 ' "$TREES/base.txt" "$TREES/head.txt"

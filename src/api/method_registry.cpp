@@ -1,6 +1,5 @@
 #include "api/method_registry.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "baselines/opentuner_like.hpp"
@@ -20,7 +19,7 @@ make_baco(const SearchSpace& space, const MethodSpec& spec,
     TunerOptions opt = minus_minus ? TunerOptions::baco_minus_minus()
                                    : TunerOptions::baco_defaults();
     opt.budget = spec.budget;
-    opt.doe_samples = std::min(spec.doe_samples, spec.budget);
+    opt.doe_samples = spec.doe_samples;
     opt.seed = spec.seed;
     return std::make_unique<Tuner>(space, opt);
 }
@@ -30,7 +29,7 @@ make_opentuner(const SearchSpace& space, const MethodSpec& spec)
 {
     OpenTunerLike::Options opt;
     opt.budget = spec.budget;
-    opt.initial_random = std::min(spec.doe_samples, spec.budget);
+    opt.doe_samples = spec.doe_samples;
     opt.seed = spec.seed;
     return std::make_unique<OpenTunerLike>(space, opt);
 }
@@ -40,7 +39,7 @@ make_ytopt(const SearchSpace& space, const MethodSpec& spec, bool gp)
 {
     YtoptLike::Options opt;
     opt.budget = spec.budget;
-    opt.doe_samples = std::min(spec.doe_samples, spec.budget);
+    opt.doe_samples = spec.doe_samples;
     opt.seed = spec.seed;
     opt.surrogate = gp ? YtoptLike::Surrogate::kGaussianProcess
                        : YtoptLike::Surrogate::kRandomForest;

@@ -34,7 +34,7 @@ class SearchSpace;
 /** Everything a method factory needs besides the space. */
 struct MethodSpec {
   int budget = 60;
-  /** Initial-phase size; factories clamp it to the budget. */
+  /** Initial-phase size; the tuner clamps it to the budget. */
   int doe_samples = 10;
   std::uint64_t seed = 0;
 };

@@ -6,9 +6,7 @@
 #include <limits>
 
 #include "core/chain_of_trees.hpp"
-#include "core/tuner_metrics.hpp"
 #include "exec/jsonl.hpp"
-#include "obs/trace.hpp"
 
 namespace baco {
 
@@ -23,9 +21,6 @@ enum class Technique : int {
   kRandom,              ///< global uniform sample
   kCount,
 };
-
-/** Sentinel for seed-phase proposals (no bandit credit). */
-constexpr int kSeedPhase = -1;
 
 /** An observation's rank in the population: failures rank last. */
 double
@@ -47,7 +42,9 @@ struct OpenTunerLike::State : MethodState {
 };
 
 OpenTunerLike::OpenTunerLike(const SearchSpace& space, Options opt)
-    : AskTellBase(space, opt.budget, opt.seed), opt_(opt)
+    : AskTellBase(space, opt.budget, opt.seed, Draw::kBiasedWalk,
+                  opt.doe_samples),
+      opt_(opt)
 {
 }
 
@@ -58,25 +55,19 @@ OpenTunerLike::new_state() const
 }
 
 std::vector<Configuration>
-OpenTunerLike::propose(int n, const std::vector<Configuration>& pending)
+OpenTunerLike::propose(int n, const std::vector<Configuration>&)
 {
     const SearchSpace& space = space_;
     State& st = *state<State>();
     const ChainOfTrees* tree = cot();
-    // The population is the history, ranked by rank_value().
+    // The population is the history, ranked by rank_value(); the base
+    // asks for proposals only once it holds two observations.
     const std::vector<Observation>& population = history_.observations;
     std::vector<Configuration> out;
     out.reserve(static_cast<std::size_t>(n));
 
     auto feasible_known = [&](const Configuration& c) {
         return tree ? tree->contains(c) : space.satisfies(c);
-    };
-
-    auto random_config = [&]() -> Configuration {
-        if (tree)
-            return tree->sample(rng(), /*uniform_leaves=*/false);
-        auto s = space.sample_feasible(rng(), 2000);
-        return s ? std::move(*s) : space.sample_unconstrained(rng());
     };
 
     /**
@@ -157,7 +148,7 @@ OpenTunerLike::propose(int n, const std::vector<Configuration>& pending)
         const std::size_t n_params = space.num_params();
         switch (t) {
           case Technique::kRandom:
-            return random_config();
+            return draw();
 
           case Technique::kMutateUniform: {
             Configuration c =
@@ -175,7 +166,7 @@ OpenTunerLike::propose(int n, const std::vector<Configuration>& pending)
                 }
             }
             if (!repair(c, touched))
-                return random_config();
+                return draw();
             return c;
           }
 
@@ -188,7 +179,7 @@ OpenTunerLike::propose(int n, const std::vector<Configuration>& pending)
             if (!nb.empty())
                 c[p] = nb[rng().index(nb.size())];
             if (!repair(c, {p}))
-                return random_config();
+                return draw();
             return c;
           }
 
@@ -201,7 +192,7 @@ OpenTunerLike::propose(int n, const std::vector<Configuration>& pending)
             if (!nb.empty())
                 c[p] = nb[rng().index(nb.size())];
             if (!repair(c, {p}))
-                return random_config();
+                return draw();
             return c;
           }
 
@@ -241,59 +232,29 @@ OpenTunerLike::propose(int n, const std::vector<Configuration>& pending)
                 }
             }
             if (!repair(c, touched))
-                return random_config();
+                return draw();
             return c;
           }
 
           case Technique::kCount:
             break;
         }
-        return random_config();
+        return draw();
     };
 
-    // Each proposal is remembered with its technique, which its result
-    // credits whenever it lands.
-    auto take = [&](Configuration c, int technique) {
-        mark_seen(c);
-        st.outstanding.emplace_back(config_hash(c), technique);
-        out.push_back(std::move(c));
-    };
-
-    // In-flight work counts toward the seed phase, so an asynchronous
-    // drive proposes exactly seed_target seed configurations.
-    const int seed_target = std::min(opt_.initial_random, opt_.budget);
-    TunerMetrics& tm = TunerMetrics::get();
+    // A technique gets 8 tries at an unseen configuration before a
+    // random draw stands in. Each proposal is remembered with its
+    // technique, which its result credits whenever it lands.
     for (int k = 0; k < n; ++k) {
-        std::size_t virtual_evals =
-            history_.size() + pending.size() + out.size();
-        if (virtual_evals < static_cast<std::size_t>(seed_target)) {
-            obs::ScopedTimer timer(tm.doe, "tuner.doe", "tuner");
-            take(random_config(), kSeedPhase);
-            continue;
-        }
-        // The seed phase is all in flight (or a batch outgrows it): no
-        // technique has a population to draw from yet.
-        if (population.empty()) {
-            take(random_config(), kSeedPhase);
-            continue;
-        }
         Technique t = select_technique();
-        Configuration c;
-        bool found = false;
-        for (int tries = 0; tries < 8; ++tries) {
+        Configuration c = generate(t);
+        for (int tries = 1; tries < 8 && seen(c); ++tries)
             c = generate(t);
-            if (!seen(c)) {
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            for (int tries = 0; tries < 200 && !found; ++tries) {
-                c = random_config();
-                found = !seen(c);
-            }
-        }
-        take(std::move(c), static_cast<int>(t));
+        if (seen(c))
+            c = draw_unseen();
+        mark_seen(c);
+        st.outstanding.emplace_back(config_hash(c), static_cast<int>(t));
+        out.push_back(std::move(c));
     }
     return out;
 }
@@ -305,13 +266,12 @@ OpenTunerLike::after_observe(const Configuration& config, bool improved)
     const std::size_t h = config_hash(config);
     auto it = std::find_if(st.outstanding.begin(), st.outstanding.end(),
                            [h](const auto& p) { return p.first == h; });
-    // Not proposed in this run: the in-flight work of a resumed one.
+    // Not a technique's: an initial-phase draw, or the in-flight work of
+    // a resumed run.
     if (it == st.outstanding.end())
         return;
     const int technique = it->second;
     st.outstanding.erase(it);
-    if (technique == kSeedPhase)
-        return;
     st.uses[static_cast<std::size_t>(technique)] += 1;
     st.window.emplace_back(technique, improved);
     if (static_cast<int>(st.window.size()) > opt_.bandit_window)

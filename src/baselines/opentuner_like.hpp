@@ -18,10 +18,11 @@
  * objective (no feasibility model — this is exactly the behaviour BaCO
  * improves on).
  *
- * The search is exposed through the ask-tell interface: suggest() picks a
- * technique per batch member, and each observed result credits the
- * technique that proposed that configuration, in whatever order the
- * results land.
+ * The search is exposed through the ask-tell interface. AskTellBase draws
+ * the seed population, deduplicated, by ATF's biased walk over the
+ * Chain-of-Trees; after it, suggest() picks a technique per batch member,
+ * and each observed result credits the technique that proposed that
+ * configuration, in whatever order the results land.
  */
 
 #include <memory>
@@ -37,7 +38,7 @@ class OpenTunerLike : public AskTellBase {
  public:
   struct Options {
     int budget = 60;
-    int initial_random = 10;  ///< seed population size
+    int doe_samples = 10;     ///< seed population size
     std::uint64_t seed = 0;
     int elite_size = 5;       ///< parents are drawn from the best k
     double bandit_c = 0.05;   ///< AUC bandit exploration constant

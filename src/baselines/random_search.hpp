@@ -5,14 +5,15 @@
  * @file
  * The two random-sampling baselines (paper Sec. 5.1).
  *
- * - Uniform sampling: uniform over the *feasible* region (rejection
- *   sampling, falling back to leaf-uniform CoT sampling — the same
- *   distribution — when rejection keeps failing in sparse spaces).
+ * - Uniform sampling: uniform over the *feasible* region, by leaf-uniform
+ *   Chain-of-Trees sampling whenever the space has a CoT, and by rejection
+ *   sampling against the known constraints only when it has none.
  * - CoT sampling: ATF's biased root-to-leaf random walk over the
  *   Chain-of-Trees, used to study the bias discussed in Sec. 4.2.
  *
- * Both are one ask-tell tuner (RandomSearchTuner), run by any drive
- * (exec/drive.hpp): drive_serial() for the plain serial loop.
+ * Both are one ask-tell tuner (RandomSearchTuner) whose every suggestion is
+ * one AskTellBase::draw(), duplicates allowed. Any drive (exec/drive.hpp)
+ * runs it: drive_serial() for the plain serial loop.
  */
 
 #include "core/evaluator.hpp"
@@ -37,8 +38,6 @@ class RandomSearchTuner : public AskTellBase {
  private:
   std::vector<Configuration> propose(
       int n, const std::vector<Configuration>& pending) override;
-
-  bool biased_walk_;
 };
 
 }  // namespace baco

@@ -16,14 +16,16 @@
  *
  * A GP-surrogate variant exists for the Fig. 8 comparison ("Ytopt (GP)"):
  * a plain GP without BaCO's customizations. Like the real Ytopt GP mode, it
- * does not support known constraints, so it samples candidates from the
- * dense space (the Fig. 8 benchmark uses a manually pruned space, matching
- * the paper's setup).
+ * does not support known constraints, so its DoE and candidates are drawn
+ * from the dense space (the Fig. 8 benchmark uses a manually pruned space,
+ * matching the paper's setup). The RF mode draws them leaf-uniform over the
+ * Chain-of-Trees.
  *
- * Exposed through the ask-tell interface; suggest(n > 1) returns the top-n
- * distinct pool candidates by acquisition value. Each GP fit starts one
- * descent from the previous fit's hyperparameters, so the sampler state
- * carries them and a resumed run fits exactly as the uninterrupted one.
+ * Exposed through the ask-tell interface. AskTellBase draws the DoE phase;
+ * after it, suggest(n > 1) returns the top-n distinct pool candidates by
+ * acquisition value. Each GP fit starts one descent from the previous
+ * fit's hyperparameters, so the sampler state carries them and a resumed
+ * run fits exactly as the uninterrupted one.
  */
 
 #include <memory>

@@ -42,7 +42,7 @@ local_search_maximize(const SearchSpace& space, const ChainOfTrees* cot,
     for (int i = 0; i < opt.random_samples; ++i) {
         Configuration c;
         if (cot) {
-            c = cot->sample(rng, opt.cot_uniform_leaves);
+            c = cot->sample(rng, /*uniform_leaves=*/true);
         } else {
             auto s = space.sample_feasible(rng, 200);
             if (!s)
@@ -91,7 +91,7 @@ local_search_maximize(const SearchSpace& space, const ChainOfTrees* cot,
                 for (std::size_t t = 0; t < cot->num_trees(); ++t) {
                     for (int m = 0; m < opt.tree_moves; ++m) {
                         Configuration c = cur;
-                        cot->resample_tree(t, c, rng, opt.cot_uniform_leaves);
+                        cot->resample_tree(t, c, rng, /*uniform_leaves=*/true);
                         moves.push_back(std::move(c));
                     }
                 }

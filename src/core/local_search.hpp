@@ -27,7 +27,6 @@ struct LocalSearchOptions {
   int starts = 5;            ///< hill-climbing start points
   int max_steps = 40;        ///< steps per climb
   int tree_moves = 2;        ///< macro moves per co-dependent tree per step
-  bool cot_uniform_leaves = true;
   /** When false, skip hill climbing: pick the pool's best (BaCO--). */
   bool hill_climb = true;
 };

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "core/acquisition.hpp"
-#include "core/chain_of_trees.hpp"
 #include "core/feasibility_model.hpp"
 #include "core/tuner_metrics.hpp"
 #include "obs/trace.hpp"
@@ -64,7 +63,9 @@ struct Tuner::State : MethodState {
 };
 
 Tuner::Tuner(const SearchSpace& space, TunerOptions opt)
-    : AskTellBase(space, opt.budget, opt.seed), opt_(opt)
+    : AskTellBase(space, opt.budget, opt.seed, Draw::kLeafUniform,
+                  opt.doe_samples),
+      opt_(opt)
 {
 }
 
@@ -72,33 +73,6 @@ std::unique_ptr<AskTellBase::MethodState>
 Tuner::new_state() const
 {
     return std::make_unique<State>(space_, opt_);
-}
-
-Configuration
-Tuner::random_unique()
-{
-    // Known constraints: Chain-of-Trees when possible.
-    const ChainOfTrees* tree = opt_.use_cot ? cot() : nullptr;
-    for (int t = 0; t < 500; ++t) {
-        Configuration c;
-        if (tree) {
-            c = tree->sample(rng(), opt_.cot_uniform_leaves);
-        } else {
-            auto s = space_.sample_feasible(rng(), 500);
-            if (!s)
-                continue;
-            c = std::move(*s);
-        }
-        if (!seen(c))
-            return c;
-    }
-    // The space may be (nearly) exhausted: allow a duplicate.
-    if (tree)
-        return tree->sample(rng(), opt_.cot_uniform_leaves);
-    auto s = space_.sample_feasible(rng(), 5000);
-    if (s)
-        return *s;
-    return space_.sample_unconstrained(rng());
 }
 
 Configuration
@@ -121,7 +95,7 @@ Tuner::propose_with_model(State& st,
             log_ok = false;
     }
     if (xs.size() < 2)
-        return random_unique();
+        return draw_unseen();
     for (const Configuration& c : fantasy_configs) {
         xs.push_back(c);
         ys.push_back(fantasy_value);
@@ -223,20 +197,18 @@ Tuner::propose_with_model(State& st,
     };
 
     LocalSearchOptions ls = opt_.ls;
-    ls.cot_uniform_leaves = opt_.cot_uniform_leaves;
     ls.hill_climb = opt_.local_search;
     std::optional<Configuration> cand;
     {
         obs::ScopedTimer timer(TunerMetrics::get().acquisition,
                                "tuner.acquisition", "tuner");
-        cand = local_search_maximize(space, opt_.use_cot ? cot() : nullptr,
-                                     score, rng(), ls);
+        cand = local_search_maximize(space, cot(), score, rng(), ls);
     }
     TunerMetrics::get().acquisition_candidates.add(scored);
     TunerMetrics::get().acquisition_pruned.add(pruned);
 
     if (!cand || seen(*cand))
-        return random_unique();
+        return draw_unseen();
     return std::move(*cand);
 }
 
@@ -341,12 +313,10 @@ Tuner::propose(int n, const std::vector<Configuration>& pending)
     std::vector<Configuration> out;
     out.reserve(static_cast<std::size_t>(n));
 
-    const int doe_target = std::min(opt_.doe_samples, opt_.budget);
-
     // Constant liar: the incumbent value stands in for every fantasy —
-    // the in-flight evaluations handed in by an asynchronous driver and
-    // the batch members proposed so far — pushing new proposals away
-    // from the same regions.
+    // the in-flight evaluations (the driver's and this batch's initial
+    // draws) and the batch members proposed so far — pushing new
+    // proposals away from the same regions.
     double lie = std::numeric_limits<double>::infinity();
     for (const Observation& o : history_.observations) {
         if (o.feasible && o.value < lie)
@@ -354,16 +324,8 @@ Tuner::propose(int n, const std::vector<Configuration>& pending)
     }
 
     std::vector<Configuration> fantasies = pending;
-    TunerMetrics& tm = TunerMetrics::get();
     for (int k = 0; k < n; ++k) {
-        std::size_t virtual_evals = history_.size() + fantasies.size();
-        Configuration c;
-        if (virtual_evals < static_cast<std::size_t>(doe_target)) {
-            obs::ScopedTimer timer(tm.doe, "tuner.doe", "tuner");
-            c = random_unique();
-        } else {
-            c = propose_with_model(st, fantasies, lie);
-        }
+        Configuration c = propose_with_model(st, fantasies, lie);
         mark_seen(c);
         out.push_back(c);
         fantasies.push_back(std::move(c));

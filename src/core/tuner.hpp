@@ -12,10 +12,12 @@
  * proposes the next batch — using the constant-liar fantasy heuristic to
  * keep batch members diverse — and observe() feeds results back. Any drive
  * (exec/drive.hpp) runs it: drive_serial() is the plain serial loop, and
- * the batched and asynchronous drives run the same object.
+ * the batched and asynchronous drives run the same object. AskTellBase
+ * draws the DoE phase, leaf-uniform over the Chain-of-Trees; the tuner
+ * proposes every configuration after it.
  *
- * Every design choice studied in the paper's ablations (Sec. 5.3) is an
- * explicit switch in TunerOptions, so BaCO-- and the Fig. 9/10 variants are
+ * The model and search choices of the paper's ablations (Figs. 8-10) are
+ * switches in TunerOptions, so BaCO-- and those variants are
  * configurations of this one class.
  */
 
@@ -35,10 +37,6 @@ struct TunerOptions {
 
   /** Log-transform the objective before modelling (Fig. 9 ablation). */
   bool log_objective = true;
-  /** Use the Chain-of-Trees for known constraints (Sec. 4.2). */
-  bool use_cot = true;
-  /** Bias-free leaf-uniform CoT sampling (vs ATF's biased walk). */
-  bool cot_uniform_leaves = true;
   /** RF feasibility model for hidden constraints (Fig. 10 ablation). */
   bool use_feasibility_model = true;
   /** Random minimum-feasibility threshold eps_f (Fig. 10 ablation). */
@@ -131,8 +129,8 @@ class Tuner : public AskTellBase {
   bool read_segment(const std::string& key,
                     const std::string& value) override;
 
-  Configuration random_unique();
-  /** Model-based proposal with constant-liar fantasies mixed in. */
+  /** Model-based proposal with constant-liar fantasies mixed in; an
+   *  unseen random draw while fewer than two observations are feasible. */
   Configuration propose_with_model(
       State& st, const std::vector<Configuration>& fantasy_configs,
       double fantasy_value);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -19,6 +20,11 @@ namespace baco {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/** draw(): constraint checks before rejection sampling gives up. */
+constexpr int kRejectionTries = 2000;
+/** draw_unseen(): draws before it settles for a seen configuration. */
+constexpr int kUnseenDraws = 100;
 
 double
 seconds_since(Clock::time_point t0)
@@ -60,8 +66,24 @@ AskTellTuner::restore(const TuningHistory&, const std::string&)
 }
 
 AskTellBase::AskTellBase(const SearchSpace& space, int budget,
-                         std::uint64_t seed)
-    : space_(space), budget_(budget), seed_(seed)
+                         std::uint64_t seed, Draw draw)
+    : space_(space),
+      budget_(budget),
+      seed_(seed),
+      draw_(draw),
+      initial_(0),
+      model_based_(false)
+{
+}
+
+AskTellBase::AskTellBase(const SearchSpace& space, int budget,
+                         std::uint64_t seed, Draw draw, int initial)
+    : space_(space),
+      budget_(budget),
+      seed_(seed),
+      draw_(draw),
+      initial_(std::max(0, std::min(initial, budget))),
+      model_based_(true)
 {
 }
 
@@ -102,9 +124,32 @@ AskTellBase::suggest_with_pending(int n,
     // never reached the history.
     for (const Configuration& c : pending)
         mark_seen(c);
-    std::vector<Configuration> out = propose(n, pending);
-    for (const Configuration& c : out)
+    std::vector<Configuration> out;
+    out.reserve(static_cast<std::size_t>(n));
+    auto take = [&](Configuration c) {
         mark_seen(c);
+        out.push_back(std::move(c));
+    };
+    // The initial phase: in-flight work counts toward it.
+    for (std::size_t k = history_.size() + pending.size();
+         k < static_cast<std::size_t>(initial_) &&
+         static_cast<int>(out.size()) < n;
+         ++k) {
+        obs::ScopedTimer doe(tm.doe, "tuner.doe", "tuner");
+        take(draw_unseen());
+    }
+    // A model has nothing to learn from before two results land.
+    while (model_based_ && history_.size() < 2 &&
+           static_cast<int>(out.size()) < n)
+        take(draw_unseen());
+    if (static_cast<int>(out.size()) < n) {
+        // The method sees the initial draws as in flight after pending.
+        std::vector<Configuration> in_flight = pending;
+        in_flight.insert(in_flight.end(), out.begin(), out.end());
+        for (Configuration& c :
+             propose(n - static_cast<int>(out.size()), in_flight))
+            take(std::move(c));
+    }
     tm.suggestions.add(static_cast<std::uint64_t>(out.size()));
     history_.tuner_seconds += seconds_since(t0);
     return out;
@@ -217,6 +262,27 @@ AskTellBase::cot()
         sampler_->cot = try_build_cot(space_);
     }
     return sampler_->cot.get();
+}
+
+Configuration
+AskTellBase::draw()
+{
+    if (draw_ == Draw::kUnconstrained)
+        return space_.sample_unconstrained(rng());
+    if (const ChainOfTrees* tree = cot())
+        return tree->sample(rng(), draw_ == Draw::kLeafUniform);
+    std::optional<Configuration> c =
+        space_.sample_feasible(rng(), kRejectionTries);
+    return c ? std::move(*c) : space_.sample_unconstrained(rng());
+}
+
+Configuration
+AskTellBase::draw_unseen()
+{
+    Configuration c = draw();
+    for (int t = 1; t < kUnseenDraws && seen(c); ++t)
+        c = draw();
+    return c;
 }
 
 bool

@@ -21,11 +21,11 @@
  *
  * Every built-in method (BaCO, the OpenTuner-like and Ytopt-like
  * baselines, the two samplers) derives from AskTellBase, which owns the
- * budget, the sampler RNG, the dedup set, the Chain-of-Trees, the tuner
- * metrics, observe() and the checkpointed sampler state. A method
- * implements its proposal step and, where it keeps one, its own state:
- * how it is built, credited after each observation and saved as
- * ";key=value" segments of the sampler state.
+ * budget, the sampler RNG, the dedup set, the Chain-of-Trees, the random
+ * draw and the initial phase, the tuner metrics, observe() and the
+ * checkpointed sampler state. A method implements its search step and,
+ * where it keeps one, its own state: how it is built, credited after each
+ * observation and saved as ";key=value" segments of the sampler state.
  */
 
 #include <cstdint>
@@ -122,6 +122,14 @@ class AskTellTuner {
  *  - the sampler RNG, seeded from the run seed;
  *  - the dedup set of suggested and observed configurations;
  *  - the space's Chain-of-Trees, built on first use;
+ *  - the random draw, in the method's Draw scheme, and one dedup rule
+ *    for it (draw_unseen());
+ *  - for a model-based method, the initial phase (paper Sec. 3): its
+ *    first configurations are unseen random draws, each one a tuner.doe
+ *    sample, with in-flight work counted toward the phase so an
+ *    asynchronous drive draws it exactly once; and, while fewer than two
+ *    observations have landed, an unseen random draw for every slot
+ *    after it (untimed), since a model has nothing to learn from yet;
  *  - the tuner.suggest / tuner.observe timers and counters, and the
  *    history's tuner_seconds;
  *  - observe(), and the sampler state: sampler_state() writes the RNG
@@ -129,10 +137,10 @@ class AskTellTuner {
  *    restore() installs a checkpointed run completely or changes
  *    nothing.
  *
- * A method implements propose(); where it needs them, it also keeps a
- * MethodState (its models, its bandit credit), credits results in
- * after_observe(), and saves that state through write_segments() and
- * read_segment().
+ * A method implements propose(), its search; where it needs them, it
+ * also keeps a MethodState (its models, its bandit credit), credits
+ * results in after_observe(), and saves that state through
+ * write_segments() and read_segment().
  */
 class AskTellBase : public AskTellTuner {
  public:
@@ -167,12 +175,37 @@ class AskTellBase : public AskTellTuner {
     virtual ~MethodState() = default;
   };
 
-  /** @param space must outlive the tuner. */
-  AskTellBase(const SearchSpace& space, int budget, std::uint64_t seed);
+  /**
+   * How draw() picks a configuration at random. Where the space has
+   * known constraints but no Chain-of-Trees, the two CoT schemes
+   * rejection-sample against the constraints instead, and take an
+   * unconstrained configuration when that keeps failing.
+   */
+  enum class Draw {
+    kLeafUniform,    ///< uniform over the feasible region (CoT leaves)
+    kBiasedWalk,     ///< ATF's root-to-leaf walk over the CoT (Sec. 4.2)
+    kUnconstrained,  ///< the dense space; known constraints ignored
+  };
+
+  /**
+   * A sampler: propose() gets every slot.
+   * @param space must outlive the tuner.
+   */
+  AskTellBase(const SearchSpace& space, int budget, std::uint64_t seed,
+              Draw draw);
+  /**
+   * A model-based method with an initial phase of `initial` draws,
+   * clamped to the budget; propose() gets the slots after it once two
+   * observations have landed.
+   * @param space must outlive the tuner.
+   */
+  AskTellBase(const SearchSpace& space, int budget, std::uint64_t seed,
+              Draw draw, int initial);
 
   /**
    * Propose n >= 1 configurations (n fits the budget, pending counted).
-   * `pending` were suggested earlier and are still being evaluated; the
+   * `pending` were suggested earlier and are still in flight: the
+   * driver's in-flight work, then this batch's initial-phase draws. The
    * base has already marked them seen, and marks the returned ones. A
    * method that avoids duplicates within a batch marks each proposal
    * with mark_seen() as it goes.
@@ -222,6 +255,12 @@ class AskTellBase : public AskTellTuner {
    *  constraints have no tree form. */
   const ChainOfTrees* cot();
 
+  /** One random configuration in the method's Draw scheme. */
+  Configuration draw();
+  /** The first of up to 100 draws that is not seen(), else the last:
+   *  a space that is (nearly) exhausted yields a duplicate. */
+  Configuration draw_unseen();
+
   /** Whether c was suggested or observed in this run. */
   bool seen(const Configuration& c) const;
   void mark_seen(const Configuration& c);
@@ -254,6 +293,11 @@ class AskTellBase : public AskTellTuner {
 
   const int budget_;
   const std::uint64_t seed_;
+  const Draw draw_;
+  /** Initial-phase size (0 for a sampler). */
+  const int initial_;
+  /** False for a sampler: no initial phase and no early draws. */
+  const bool model_based_;
   std::unique_ptr<Sampler> sampler_;
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <string>
 
+#include "api/baco.hpp"
 #include "baselines/opentuner_like.hpp"
 #include "baselines/random_search.hpp"
 #include "baselines/ytopt_like.hpp"
@@ -159,7 +160,7 @@ TEST(OpenTunerLike, CreditsTheTechniqueThatProposedEachResult)
     SearchSpace s = space_with_constraints();
     OpenTunerLike::Options opt;
     opt.budget = 20;
-    opt.initial_random = 2;
+    opt.doe_samples = 2;
     opt.seed = 3;
     OpenTunerLike tuner(s, opt);
     RngEngine rng(0);

@@ -162,7 +162,7 @@ TEST(Checkpoint, ResumeWorksForBaselines)
     SearchSpace s = mixed_space();
     OpenTunerLike::Options opt;
     opt.budget = 14;
-    opt.initial_random = 5;
+    opt.doe_samples = 5;
     opt.seed = 23;
 
     std::string path = testing::TempDir() + "baco_test_ckpt_baseline.jsonl";
@@ -189,7 +189,7 @@ TEST(Checkpoint, BanditWindowResumesBitForBit)
     SearchSpace s = mixed_space();
     OpenTunerLike::Options opt;
     opt.budget = 30;
-    opt.initial_random = 6;
+    opt.doe_samples = 6;
     opt.seed = 91;
 
     OpenTunerLike full(s, opt);
@@ -273,7 +273,7 @@ TEST(Checkpoint, ResumeRejectsSeedMismatch)
     SearchSpace s = mixed_space();
     OpenTunerLike::Options opt;
     opt.budget = 10;
-    opt.initial_random = 4;
+    opt.doe_samples = 4;
     opt.seed = 5;
 
     std::string path = testing::TempDir() + "baco_test_ckpt_seed.jsonl";
